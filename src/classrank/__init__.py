@@ -12,11 +12,7 @@ from .dispersion import (
 )
 from .eigenfactor import (
     InfluenceVector,
-    StochasticMatrix,
-    TransitionModel,
-    build_stochastic,
     eigenfactor_weights,
-    materialize_transition,
     stationary_distribution,
 )
 from .errors import (
@@ -75,13 +71,10 @@ __all__ = [
     "ScaleViolation",
     "Scenario",
     "ScenarioResult",
-    "StochasticMatrix",
     "SurveyInstance",
-    "TransitionModel",
     "WeightVector",
     "WeightedRatingReport",
     "aggregate",
-    "build_stochastic",
     "degree_weights",
     "dispersion_row",
     "eigenfactor_weights",
@@ -90,7 +83,6 @@ __all__ = [
     "load_scenarios",
     "load_survey_csv",
     "load_survey_json",
-    "materialize_transition",
     "mode_of",
     "normalize",
     "rate_survey",

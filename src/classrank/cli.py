@@ -49,18 +49,10 @@ class RunConfig:
     strict_likert: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        # the solver checks the walk settings; argparse choices and the
+        # survey and dispersion layers check the policies
         if self.min_n < 1:
             raise ValueError("min_n must be at least 1")
-        if self.diagonal_policy not in DIAGONAL_POLICIES:
-            raise ValueError(f"unknown diagonal policy {self.diagonal_policy!r}")
-        if self.mode_tiebreak not in TIEBREAKS:
-            raise ValueError(f"unknown tiebreak {self.mode_tiebreak!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,11 +1,13 @@
 """Eigenfactor-style weights from a teleported random walk.
 
-The walk runs on the row-normalized competence matrix with dangling rows
-replaced by the uniform row. With teleportation probability 1 - alpha the
-walker jumps to a uniformly random student, which makes the chain primitive
-and its stationary distribution unique and strictly positive. A student's
-weight is then the stationary-visit-weighted incoming mass, so endorsements
-from influential students count for more.
+The walk runs on the row-normalized competence matrix. A dangling student,
+one who endorses nobody, hands their visit mass on uniformly: at every step
+that mass is spread over all n students, as if the zero row were the
+uniform row. With teleportation probability 1 - alpha the walker jumps to a
+uniformly random student, which makes the chain primitive and its
+stationary distribution unique and strictly positive. A student's weight is
+then the stationary-visit-weighted incoming mass, so endorsements from
+influential students count for more.
 """
 
 from __future__ import annotations
@@ -22,77 +24,7 @@ DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 
-ROW_SUM_TOL = 1e-12
 DISTRIBUTION_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class StochasticMatrix:
-    """Row-stochastic walk matrix: every row sums to one."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatch("walk matrix must be square")
-        if entries.shape[0] == 0:
-            raise DimensionMismatch("walk matrix must be nonempty")
-        if np.any(entries < 0):
-            raise ValueError("walk matrix entries must be nonnegative")
-        deviations = np.abs(entries.sum(axis=1) - 1.0)
-        if np.any(deviations > ROW_SUM_TOL):
-            row = int(np.argmax(deviations))
-            raise ValueError(f"row {row} of the walk matrix does not sum to 1")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def build_stochastic(normalized: NormalizedMatrix) -> StochasticMatrix:
-    """Patch dangling rows with the uniform row 1/n."""
-    walk = np.array(normalized.entries)
-    if normalized.dangling:
-        walk[sorted(normalized.dangling)] = 1.0 / normalized.n
-    return StochasticMatrix(entries=walk)
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionModel:
-    """Teleported chain alpha * walk + (1 - alpha) * uniform, kept factored.
-
-    The dense transition matrix is never needed by the solver; see
-    materialize_transition for a debug-only dense form.
-    """
-
-    walk: StochasticMatrix
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
-
-    @property
-    def n(self) -> int:
-        return self.walk.n
-
-    def step(self, distribution: np.ndarray) -> np.ndarray:
-        """Advance a row distribution by one chain transition."""
-        teleport = (1.0 - self.alpha) / self.n
-        return self.alpha * (distribution @ self.walk.entries) + teleport
-
-
-def materialize_transition(model: TransitionModel) -> np.ndarray:
-    """Dense column-stochastic transition matrix, for tests and debugging.
-
-    Column j holds the outgoing probabilities of student j, so a stationary
-    distribution x satisfies materialize_transition(model) @ x = x.
-    """
-    teleport = (1.0 - model.alpha) / model.n
-    return model.alpha * model.walk.entries.T + teleport
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,27 +56,35 @@ class InfluenceVector:
 
 
 def stationary_distribution(
-    model: TransitionModel,
+    normalized: NormalizedMatrix,
+    alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> InfluenceVector:
     """Power iteration for the stationary distribution of the chain.
 
-    Starts from the uniform distribution, renormalizes each iterate against
-    floating-point drift, and stops once the L1 change drops to ``tol``.
+    Each step is ``y = alpha * (x @ N) + (1 - alpha) / n`` followed by
+    ``y += (1 - sum(y)) / n``. The added term is exactly the dangling mass
+    ``alpha * (x . d) / n`` plus any floating-point drift, so the patched
+    walk matrix is never built (the rank-one dangling-node treatment of
+    Langville & Meyer, "Deeper Inside PageRank", 2004). Starts from the
+    uniform distribution and stops once the L1 change drops to ``tol``.
     The run is deterministic: fixed start, fixed operation order. Raises
     NoConvergence if ``max_iter`` steps are not enough.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    n = model.n
+    n = normalized.n
+    teleport = (1.0 - alpha) / n
     current = np.full(n, 1.0 / n)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        advanced = model.step(current)
-        advanced /= advanced.sum()
+        advanced = alpha * (current @ normalized.entries) + teleport
+        advanced += (1.0 - advanced.sum()) / n
         residual = float(np.abs(advanced - current).sum())
         current = advanced
         if residual <= tol:

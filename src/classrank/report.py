@@ -8,6 +8,7 @@ json.loads reproduces bit-identical values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,12 +18,10 @@ from .eigenfactor import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     InfluenceVector,
-    TransitionModel,
-    build_stochastic,
     eigenfactor_weights,
     stationary_distribution,
 )
-from .survey import SurveyInstance, normalize
+from .survey import NormalizedMatrix, RatingVector, SurveyInstance, normalize
 
 SCHEMA_VERSION = 1
 
@@ -42,6 +41,40 @@ class WeightedRatingReport:
     dangling: tuple[int, ...]
 
 
+def _degree_step(
+    normalized: NormalizedMatrix, ratings: RatingVector
+) -> tuple[WeightVector, float]:
+    weights = degree_weights(normalized)
+    return weights, weighted_rating(ratings, weights)
+
+
+def _eigenfactor_step(
+    normalized: NormalizedMatrix,
+    ratings: RatingVector,
+    alpha: float,
+    tol: float,
+    max_iter: int,
+) -> tuple[WeightVector, float, InfluenceVector]:
+    influence = stationary_distribution(normalized, alpha, tol, max_iter)
+    weights = eigenfactor_weights(influence, normalized)
+    return weights, weighted_rating(ratings, weights), influence
+
+
+def _method_steps(survey: SurveyInstance, alpha: float, tol: float, max_iter: int):
+    """Normalize once; return the dangling set and one step per method.
+
+    Each step is a zero-argument callable. ``rate_survey`` and
+    ``run_scenario`` both score a survey through these steps; only what
+    they do with a failing step differs.
+    """
+    normalized = normalize(survey.competence)
+    return (
+        normalized.dangling,
+        partial(_degree_step, normalized, survey.ratings),
+        partial(_eigenfactor_step, normalized, survey.ratings, alpha, tol, max_iter),
+    )
+
+
 def rate_survey(
     survey: SurveyInstance,
     alpha: float = DEFAULT_ALPHA,
@@ -49,21 +82,23 @@ def rate_survey(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> WeightedRatingReport:
     """Compute degree and eigenfactor weighted ratings for one survey."""
-    normalized = normalize(survey.competence)
-    degree = degree_weights(normalized)
-    model = TransitionModel(walk=build_stochastic(normalized), alpha=alpha)
-    influence = stationary_distribution(model, tol=tol, max_iter=max_iter)
-    eigenfactor = eigenfactor_weights(influence, normalized)
+    dangling, degree_step, eigenfactor_step = _method_steps(
+        survey, alpha, tol, max_iter
+    )
+    # the solver validates alpha, tol and max_iter, so it runs first: a bad
+    # setting is reported before a degenerate network is
+    eigenfactor, eigenfactor_rating, influence = eigenfactor_step()
+    degree, degree_rating = degree_step()
     return WeightedRatingReport(
         survey=survey,
         arithmetic_mean=float(survey.ratings.values.mean()),
         degree=degree,
-        degree_rating=weighted_rating(survey.ratings, degree),
+        degree_rating=degree_rating,
         eigenfactor=eigenfactor,
-        eigenfactor_rating=weighted_rating(survey.ratings, eigenfactor),
+        eigenfactor_rating=eigenfactor_rating,
         influence=influence,
         alpha=alpha,
-        dangling=tuple(sorted(normalized.dangling)),
+        dangling=tuple(sorted(dangling)),
     )
 
 

@@ -9,22 +9,11 @@ each weighting method removes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .degree import degree_weights, weighted_rating
-from .eigenfactor import (
-    DEFAULT_ALPHA,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    TransitionModel,
-    build_stochastic,
-    eigenfactor_weights,
-    stationary_distribution,
-)
+from .eigenfactor import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import (
     DegenerateNetwork,
     EmptyInput,
@@ -33,12 +22,13 @@ from .errors import (
     NoConvergence,
     ScaleViolation,
 )
+from .report import _method_steps
 from .survey import (
-    DEFAULT_SCALE,
     RatingVector,
     SurveyInstance,
-    normalize,
-    validate_survey,
+    _document_scale,
+    _read_document,
+    _survey_from_document,
 )
 
 
@@ -136,14 +126,15 @@ def run_scenario(
     unbiased_mean = float(np.delete(values, scenario.biased_index).mean())
     err_mean = abs(arithmetic_mean - unbiased_mean)
 
-    normalized = normalize(scenario.survey.competence)
+    _, degree_step, eigenfactor_step = _method_steps(
+        scenario.survey, alpha, tol, max_iter
+    )
 
     d_weights = d_rating = d_error = None
     degree_failure = None
     try:
-        weights = degree_weights(normalized)
+        weights, d_rating = degree_step()
         d_weights = weights.weights
-        d_rating = weighted_rating(ratings, weights)
         d_error = abs(d_rating - unbiased_mean)
     except DegenerateNetwork as exc:
         degree_failure = str(exc)
@@ -152,14 +143,11 @@ def run_scenario(
     influence = iterations = residual = None
     eigenfactor_failure = None
     try:
-        model = TransitionModel(walk=build_stochastic(normalized), alpha=alpha)
-        stationary = stationary_distribution(model, tol=tol, max_iter=max_iter)
-        weights = eigenfactor_weights(stationary, normalized)
+        weights, e_rating, stationary = eigenfactor_step()
         influence = stationary.values
         iterations = stationary.iterations
         residual = stationary.residual
         e_weights = weights.weights
-        e_rating = weighted_rating(ratings, weights)
         e_error = abs(e_rating - unbiased_mean)
     except (DegenerateNetwork, NoConvergence) as exc:
         eigenfactor_failure = str(exc)
@@ -241,43 +229,33 @@ def error_reduction_summary(results) -> ReductionSummary:
 
 def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
     """Load a scenario bundle: shared ratings and biased index, one
-    competence matrix per scenario. Results are ordered by scenario id."""
-    if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"invalid JSON in {source}: {exc}") from exc
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise MalformedInput("scenario document must be a JSON object")
-    missing = [
-        key for key in ("ratings", "biased_index", "scenarios") if key not in data
-    ]
-    if missing:
-        raise MalformedInput(f"scenario document lacks {missing}")
+    competence matrix per scenario. Results are ordered by scenario id,
+    which must be unique."""
+    data = _read_document(source, "scenario", ("ratings", "biased_index", "scenarios"))
     if not isinstance(data["scenarios"], list) or not data["scenarios"]:
         raise MalformedInput("scenario document holds no scenarios")
-    scale = data.get("scale", list(DEFAULT_SCALE))
+    scale = _document_scale(data)
     label = str(data.get("label", "scenario"))
     biased_index = data["biased_index"]
     if not isinstance(biased_index, int) or isinstance(biased_index, bool):
         raise MalformedInput("biased_index must be an integer")
 
-    scenarios = []
+    scenarios = {}
     for position, entry in enumerate(data["scenarios"], start=1):
         if not isinstance(entry, dict) or "competence" not in entry:
             raise MalformedInput(f"scenario #{position} lacks a competence matrix")
         sid = entry.get("id", position)
         if not isinstance(sid, int) or isinstance(sid, bool):
             raise MalformedInput(f"scenario #{position} id must be an integer")
-        survey = validate_survey(
+        if sid in scenarios:
+            raise MalformedInput(f"scenario #{position} repeats id {sid}")
+        survey = _survey_from_document(
             data["ratings"],
             entry["competence"],
-            scale=(float(scale[0]), float(scale[1])),
+            f"scenario {sid}",
+            scale=scale,
             diagonal_policy=diagonal_policy,
             label=f"{label}-{sid}",
         )
-        scenarios.append(Scenario(id=sid, survey=survey, biased_index=biased_index))
-    scenarios.sort(key=lambda scenario: scenario.id)
-    return scenarios
+        scenarios[sid] = Scenario(id=sid, survey=survey, biased_index=biased_index)
+    return [scenarios[sid] for sid in sorted(scenarios)]

@@ -27,8 +27,6 @@ from .errors import (
 DEFAULT_SCALE = (1.0, 5.0)
 DIAGONAL_POLICIES = ("coerce", "reject")
 
-ROW_SUM_TOL = 1e-12
-
 
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
@@ -71,7 +69,7 @@ class CompetenceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries)
+        entries = np.asarray(self.entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionMismatch("competence matrix must be square")
         if entries.shape[0] == 0:
@@ -80,7 +78,7 @@ class CompetenceMatrix:
         if not values_ok.all():
             bad = entries[~values_ok].ravel()[0]
             raise NonBinaryEntry(f"matrix entries must be 0 or 1, found {bad!r}")
-        entries = entries.astype(np.int64)
+        entries = entries.astype(np.int64)  # always a private copy
         if np.any(np.diag(entries) != 0):
             where = np.flatnonzero(np.diag(entries)).tolist()
             raise NonZeroDiagonal(f"self-endorsement at index {where}")
@@ -93,7 +91,7 @@ class CompetenceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class NormalizedMatrix:
-    """Row-normalized competence matrix.
+    """Row-normalized competence matrix, built by ``normalize``.
 
     Rows of endorsing students sum to 1; rows of students who endorse nobody
     (the dangling set) stay all zero. ``row_sums`` keeps the original
@@ -103,21 +101,6 @@ class NormalizedMatrix:
     entries: np.ndarray
     row_sums: np.ndarray
     dangling: frozenset[int]
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        row_sums = np.array(self.row_sums, dtype=np.int64)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatch("normalized matrix must be square")
-        for i, total in enumerate(entries.sum(axis=1)):
-            expected = 0.0 if i in self.dangling else 1.0
-            if abs(total - expected) > ROW_SUM_TOL:
-                raise DimensionMismatch(
-                    f"row {i} sums to {total!r}, expected {expected}"
-                )
-        object.__setattr__(self, "entries", _readonly(entries))
-        object.__setattr__(self, "row_sums", _readonly(row_sums))
-        object.__setattr__(self, "dangling", frozenset(self.dangling))
 
     @property
     def n(self) -> int:
@@ -165,27 +148,19 @@ def validate_survey(
     additionally requires every rating to be an integer.
 
     Validation is idempotent: feeding back the arrays of a valid instance
-    reproduces it unchanged, with no warnings.
+    reproduces it unchanged, with no warnings. CompetenceMatrix makes every
+    other matrix check.
     """
     if diagonal_policy not in DIAGONAL_POLICIES:
         raise ValueError(f"unknown diagonal policy {diagonal_policy!r}")
 
-    matrix = np.array(raw_matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatch("competence matrix must be square")
-    if matrix.shape[0] == 0:
-        raise DimensionMismatch("competence matrix must be nonempty")
-
-    off_diagonal = ~np.eye(matrix.shape[0], dtype=bool)
-    bad_off = off_diagonal & ~np.isin(matrix, (0, 1))
-    if bad_off.any():
-        value = matrix[bad_off].ravel()[0]
-        raise NonBinaryEntry(f"matrix entries must be 0 or 1, found {value!r}")
-
+    matrix = np.asarray(raw_matrix)
     warnings: list[str] = []
-    diagonal = np.diag(matrix)
-    nonzero_diag = np.flatnonzero(diagonal != 0)
-    if nonzero_diag.size:
+    # any nonzero diagonal number is a self-endorsement; CompetenceMatrix
+    # rejects non-numeric and non-square matrices whatever their diagonal
+    numeric = matrix.ndim == 2 and matrix.dtype.kind in "biuf"
+    nonzero_diag = np.flatnonzero(np.diagonal(matrix) != 0) if numeric else ()
+    if len(nonzero_diag):
         if diagonal_policy == "reject":
             raise NonZeroDiagonal(
                 f"self-endorsement at index {nonzero_diag.tolist()}"
@@ -223,14 +198,57 @@ def normalize(competence: CompetenceMatrix) -> NormalizedMatrix:
     dangling = frozenset(np.flatnonzero(counts == 0).tolist())
     divisor = np.where(counts == 0, 1, counts)
     entries = competence.entries / divisor[:, None]
-    return NormalizedMatrix(entries=entries, row_sums=counts, dangling=dangling)
+    return NormalizedMatrix(
+        entries=_readonly(entries), row_sums=_readonly(counts), dangling=dangling
+    )
 
 
-def _as_number_grid(rows, context: str) -> list[list[float]]:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise MalformedInput(f"{context} must be a list of lists")
-    # null cells mean "no answer", which counts as 0
-    return [[0 if cell is None else cell for cell in row] for row in rows]
+def _read_document(source, kind: str, required: tuple[str, ...]) -> dict:
+    """Parse a JSON document from a path, or take an already-parsed dict.
+
+    The document must be a JSON object holding every key in ``required``.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            data = json.loads(Path(source).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"invalid JSON in {source}: {exc}") from exc
+    else:
+        data = source
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{kind} document must be a JSON object")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise MalformedInput(f"{kind} document lacks {missing}")
+    return data
+
+
+def _document_scale(data: dict) -> tuple[float, float]:
+    """The two-element ``scale`` of a document, [1, 5] when absent."""
+    scale = data.get("scale", list(DEFAULT_SCALE))
+    if not (isinstance(scale, list) and len(scale) == 2):
+        raise MalformedInput("scale must be a two-element list")
+    try:
+        return float(scale[0]), float(scale[1])
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"scale is not numeric: {exc}") from exc
+
+
+def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyInstance:
+    """validate_survey on parsed JSON values.
+
+    Null competence cells mean "no answer", which counts as 0. Content that
+    is not numeric raises MalformedInput naming ``kind``.
+    """
+    if not isinstance(competence, list) or not all(
+        isinstance(row, list) for row in competence
+    ):
+        raise MalformedInput(f"{kind} competence must be a list of lists")
+    grid = [[0 if cell is None else cell for cell in row] for row in competence]
+    try:
+        return validate_survey(ratings, grid, **options)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{kind} is not numeric: {exc}") from exc
 
 
 def load_survey_json(
@@ -243,32 +261,16 @@ def load_survey_json(
     ``source`` is a path or an already-parsed dict. ``scale`` defaults to
     [1, 5] when absent.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"invalid JSON in {source}: {exc}") from exc
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise MalformedInput("survey document must be a JSON object")
-    missing = [key for key in ("ratings", "competence") if key not in data]
-    if missing:
-        raise MalformedInput(f"survey document lacks {missing}")
-    scale = data.get("scale", list(DEFAULT_SCALE))
-    if not (isinstance(scale, list) and len(scale) == 2):
-        raise MalformedInput("scale must be a two-element list")
-    try:
-        return validate_survey(
-            data["ratings"],
-            _as_number_grid(data["competence"], "competence"),
-            scale=(float(scale[0]), float(scale[1])),
-            diagonal_policy=diagonal_policy,
-            strict_likert=strict_likert,
-            label=str(data.get("label", "")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"survey document is not numeric: {exc}") from exc
+    data = _read_document(source, "survey", ("ratings", "competence"))
+    return _survey_from_document(
+        data["ratings"],
+        data["competence"],
+        "survey document",
+        scale=_document_scale(data),
+        diagonal_policy=diagonal_policy,
+        strict_likert=strict_likert,
+        label=str(data.get("label", "")),
+    )
 
 
 def load_competence_csv(path) -> np.ndarray:

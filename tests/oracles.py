@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the solvers.
 
-Both oracles deliberately avoid the code paths they are checking: the
-stationary oracle solves a dense linear system instead of iterating, and
-the degree oracle works in exact rational arithmetic straight from the raw
+The oracles deliberately avoid the code paths they are checking: the
+stationary oracle solves a dense linear system over an explicitly patched
+walk matrix instead of iterating with the dangling mass folded in, and the
+degree oracle works in exact rational arithmetic straight from the raw
 binary matrix.
 """
 
@@ -24,6 +25,22 @@ def stationary_oracle(walk_entries: np.ndarray, alpha: float) -> np.ndarray:
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     return np.linalg.solve(system, rhs)
+
+
+def walk_matrix(normalized_entries) -> np.ndarray:
+    """Row-stochastic walk: each all-zero (dangling) row becomes 1/n."""
+    walk = np.array(normalized_entries, dtype=float)
+    walk[walk.sum(axis=1) == 0] = 1.0 / walk.shape[0]
+    return walk
+
+
+def materialize_transition(walk: np.ndarray, alpha: float) -> np.ndarray:
+    """Dense column-stochastic transition matrix of the teleported chain.
+
+    Column j holds the outgoing probabilities of student j, so a stationary
+    distribution x satisfies materialize_transition(walk, alpha) @ x = x.
+    """
+    return alpha * walk.T + (1.0 - alpha) / walk.shape[0]
 
 
 def degree_oracle(raw_matrix) -> list | None:

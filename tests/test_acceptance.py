@@ -13,8 +13,6 @@ import pytest
 from classrank import (
     DegenerateNetwork,
     RatingVector,
-    TransitionModel,
-    build_stochastic,
     degree_weights,
     eigenfactor_weights,
     error_reduction_summary,
@@ -31,7 +29,7 @@ from classrank import (
 from classrank.cli import main
 from classrank.data import clarity_counts_path, helpfulness_counts_path
 from goldens import CLARITY, HELPFULNESS, PCT_TOL, SCENARIO_EXPECTED
-from oracles import random_binary_matrix, stationary_oracle
+from oracles import random_binary_matrix, stationary_oracle, walk_matrix
 
 RATING_TOL = 1e-3
 WEIGHT_TOL = 5e-4
@@ -87,8 +85,7 @@ def test_criterion_2_zero_weight_rule(scenario_by_id):
             ratings = inject_bias(scenario.survey.ratings, 7, value)
             normalized = normalize(scenario.survey.competence)
             degree = degree_weights(normalized)
-            model = TransitionModel(walk=build_stochastic(normalized), alpha=0.85)
-            influence = stationary_distribution(model)
+            influence = stationary_distribution(normalized, 0.85)
             eigen = eigenfactor_weights(influence, normalized)
             assert weighted_rating(ratings, degree) == base.degree_rating
             assert weighted_rating(ratings, eigen) == base.eigenfactor_rating
@@ -156,11 +153,12 @@ def test_criterion_5_oracle_equivalence():
         matrix = random_binary_matrix(rng, n)
         survey = validate_survey([3.0] * n, matrix)
         normalized = normalize(survey.competence)
-        model = TransitionModel(walk=build_stochastic(normalized), alpha=alpha)
         # alpha = 0.99 on near-periodic walks needs more than the default
         # 1000 iterations to push the residual to 1e-12
-        iterated = stationary_distribution(model, tol=1e-12, max_iter=5000)
-        direct = stationary_oracle(model.walk.entries, alpha)
+        iterated = stationary_distribution(
+            normalized, alpha, tol=1e-12, max_iter=5000
+        )
+        direct = stationary_oracle(walk_matrix(normalized.entries), alpha)
         deviation = float(np.abs(iterated.values - direct).sum())
         worst = max(worst, deviation)
         assert deviation <= 1e-9
@@ -184,8 +182,7 @@ def test_criterion_6_property_suite():
 
         normalized = normalize(survey.competence)
         degree = degree_weights(normalized)
-        model = TransitionModel(walk=build_stochastic(normalized), alpha=0.85)
-        influence = stationary_distribution(model)
+        influence = stationary_distribution(normalized, 0.85)
         eigen = eigenfactor_weights(influence, normalized)
 
         for weights in (degree, eigen):
@@ -207,9 +204,8 @@ def test_criterion_6_property_suite():
         permuted = validate_survey(values[perm], matrix[np.ix_(perm, perm)])
         normalized_p = normalize(permuted.competence)
         degree_p = degree_weights(normalized_p)
-        model_p = TransitionModel(walk=build_stochastic(normalized_p), alpha=0.85)
         eigen_p = eigenfactor_weights(
-            stationary_distribution(model_p), normalized_p
+            stationary_distribution(normalized_p, 0.85), normalized_p
         )
         assert np.max(np.abs(degree_p.weights - degree.weights[perm])) <= 1e-9
         assert np.max(np.abs(eigen_p.weights - eigen.weights[perm])) <= 1e-9

@@ -103,6 +103,22 @@ def test_rate_invalid_alpha_exits_2(capsys):
     assert code == 2 and "alpha" in err
 
 
+def test_rate_nan_tol_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "rate", "--survey", str(example_survey_path()), "--tol", "nan"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "tol" in err
+
+
+def test_rate_invalid_alpha_beats_degenerate_network(tmp_path, capsys):
+    doc = {"ratings": [4, 5], "competence": [[0, 0], [0, 0]]}
+    path = tmp_path / "survey.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, "rate", "--survey", str(path), "--alpha", "2")
+    assert code == 2 and "alpha" in err
+
+
 def test_rate_missing_file_exits_2(capsys):
     code, _, _ = run_cli(capsys, "rate", "--survey", "/nonexistent.json")
     assert code == 2
@@ -261,6 +277,30 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
     assert row["degree"]["failure"]
     assert row["eigenfactor"]["failure"]
     assert row["winner"] is None
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"scale": 5}, "scale"),
+        ({"ratings": {"a": 4, "b": 5}}, "not numeric"),
+        ({"scenarios": [{"id": 1, "competence": [[0, 1], [1, 0]]}] * 2}, "id 1"),
+    ],
+    ids=["scalar-scale", "object-ratings", "duplicate-id"],
+)
+def test_scenarios_malformed_bundle_exits_2(tmp_path, capsys, change, message):
+    doc = {
+        "ratings": [4, 5],
+        "biased_index": 1,
+        "scenarios": [{"id": 1, "competence": [[0, 1], [1, 0]]}],
+        **change,
+    }
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "scenarios", "--scenario-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -4,12 +4,8 @@ import pytest
 from classrank import (
     DegenerateNetwork,
     NoConvergence,
-    StochasticMatrix,
-    TransitionModel,
-    build_stochastic,
     degree_weights,
     eigenfactor_weights,
-    materialize_transition,
     normalize,
     stationary_distribution,
     validate_survey,
@@ -21,77 +17,81 @@ from goldens import (
     SCENARIO_EXPECTED,
     WEIGHT_TOL,
 )
-from oracles import random_binary_matrix, stationary_oracle
+from oracles import (
+    materialize_transition,
+    random_binary_matrix,
+    stationary_oracle,
+    walk_matrix,
+)
 
 
-def _model_for(matrix, alpha=0.85):
+def _normalized(matrix):
     survey = validate_survey([3.0] * len(matrix), matrix)
-    normalized = normalize(survey.competence)
-    return TransitionModel(walk=build_stochastic(normalized), alpha=alpha), normalized
+    return normalize(survey.competence)
 
 
-def test_build_stochastic_patches_dangling_row(scenario_by_id):
-    normalized = normalize(scenario_by_id[1].survey.competence)
-    walk = build_stochastic(normalized)
-    assert np.allclose(walk.entries[7], 0.1, atol=1e-15)
-    # non-dangling rows pass through untouched
-    mask = np.ones(10, dtype=bool)
-    mask[7] = False
-    assert np.array_equal(walk.entries[mask], normalized.entries[mask])
-
-
-def test_build_stochastic_identity_when_no_dangling(scenario_by_id):
-    normalized = normalize(scenario_by_id[2].survey.competence)
-    walk = build_stochastic(normalized)
-    assert np.array_equal(walk.entries, normalized.entries)
+def test_dangling_rows_match_the_patched_walk(scenario_by_id):
+    # the solver folds dangling mass into each step; the oracle instead
+    # solves the chain whose dangling rows are replaced by the uniform row
+    networks = [
+        normalize(scenario_by_id[sid].survey.competence) for sid in (1, 2)
+    ]
+    assert networks[0].dangling == frozenset({7})
+    assert networks[1].dangling == frozenset()
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(3, 12))
+        matrix = random_binary_matrix(rng, n)
+        forced = rng.choice(n, int(rng.integers(1, n)), replace=False)
+        matrix[forced] = 0
+        if not matrix.any():
+            keep = int(rng.choice(np.setdiff1d(np.arange(n), forced)))
+            matrix[keep, (keep + 1) % n] = 1
+        networks.append(_normalized(matrix))
+    for normalized in networks:
+        for alpha in (0.5, 0.85, 0.99):
+            iterated = stationary_distribution(normalized, alpha, max_iter=5000)
+            direct = stationary_oracle(walk_matrix(normalized.entries), alpha)
+            assert np.abs(iterated.values - direct).sum() <= 1e-12
 
 
 def test_single_node_walk():
-    model, _ = _model_for([[0]])
-    result = stationary_distribution(model)
+    result = stationary_distribution(_normalized([[0]]))
     assert result.values.tolist() == [1.0]
     assert result.iterations == 1
 
 
-def test_stochastic_matrix_validation():
-    with pytest.raises(ValueError):
-        StochasticMatrix([[0.5, 0.4], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        StochasticMatrix([[1.5, -0.5], [0.5, 0.5]])
-
-
 def test_alpha_range_enforced():
-    walk = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
+    normalized = _normalized([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
-        TransitionModel(walk=walk, alpha=1.0)
+        stationary_distribution(normalized, alpha=1.0)
     with pytest.raises(ValueError):
-        TransitionModel(walk=walk, alpha=-0.05)
-    TransitionModel(walk=walk, alpha=0.0)
+        stationary_distribution(normalized, alpha=-0.05)
+    with pytest.raises(ValueError):
+        stationary_distribution(normalized, alpha=float("nan"))
+    stationary_distribution(normalized, alpha=0.0)
 
 
 def test_uniform_network_has_uniform_influence():
     for n in (2, 5, 8):
         matrix = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
-        model, _ = _model_for(matrix)
-        result = stationary_distribution(model)
+        result = stationary_distribution(_normalized(matrix))
         assert np.allclose(result.values, 1.0 / n, atol=1e-12)
 
 
 def test_stationarity_of_the_result(scenario_by_id):
     normalized = normalize(scenario_by_id[1].survey.competence)
-    model = TransitionModel(walk=build_stochastic(normalized), alpha=0.85)
-    result = stationary_distribution(model, tol=1e-12)
-    advanced = model.step(result.values)
-    assert np.abs(advanced - result.values).sum() <= 1e-11
+    result = stationary_distribution(normalized, 0.85, tol=1e-12)
+    dense = materialize_transition(walk_matrix(normalized.entries), 0.85)
+    assert np.abs(dense @ result.values - result.values).sum() <= 1e-11
 
 
 def test_materialized_transition_is_column_stochastic(scenario_by_id):
     for sid in (1, 3, 5):
         normalized = normalize(scenario_by_id[sid].survey.competence)
-        model = TransitionModel(walk=build_stochastic(normalized), alpha=0.85)
-        dense = materialize_transition(model)
+        dense = materialize_transition(walk_matrix(normalized.entries), 0.85)
         assert np.allclose(dense.sum(axis=0), 1.0, atol=1e-12)
-        result = stationary_distribution(model)
+        result = stationary_distribution(normalized, 0.85)
         assert np.abs(dense @ result.values - result.values).max() <= 1e-11
 
 
@@ -100,8 +100,8 @@ def test_influence_meets_teleportation_floor():
     for _ in range(25):
         n = int(rng.integers(2, 10))
         alpha = float(rng.choice([0.5, 0.85, 0.99]))
-        model, _ = _model_for(random_binary_matrix(rng, n), alpha=alpha)
-        result = stationary_distribution(model, max_iter=5000)
+        normalized = _normalized(random_binary_matrix(rng, n))
+        result = stationary_distribution(normalized, alpha, max_iter=5000)
         assert np.all(result.values >= (1.0 - alpha) / n - 1e-12)
         assert abs(result.values.sum() - 1.0) <= 1e-12
 
@@ -111,17 +111,16 @@ def test_power_iteration_matches_dense_solve():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         matrix = random_binary_matrix(rng, n)
-        model, _ = _model_for(matrix)
-        iterated = stationary_distribution(model).values
-        direct = stationary_oracle(model.walk.entries, model.alpha)
+        normalized = _normalized(matrix)
+        iterated = stationary_distribution(normalized, 0.85).values
+        direct = stationary_oracle(walk_matrix(normalized.entries), 0.85)
         assert np.abs(iterated - direct).sum() <= 1e-9
 
 
 def test_deterministic_reruns(scenario_by_id):
     normalized = normalize(scenario_by_id[1].survey.competence)
-    model = TransitionModel(walk=build_stochastic(normalized), alpha=0.85)
-    first = stationary_distribution(model)
-    second = stationary_distribution(model)
+    first = stationary_distribution(normalized, 0.85)
+    second = stationary_distribution(normalized, 0.85)
     assert np.array_equal(first.values, second.values)
     assert first.iterations == second.iterations
     assert first.residual == second.residual
@@ -129,18 +128,17 @@ def test_deterministic_reruns(scenario_by_id):
 
 def test_no_convergence_guard(scenario_by_id):
     normalized = normalize(scenario_by_id[1].survey.competence)
-    model = TransitionModel(walk=build_stochastic(normalized), alpha=0.85)
     with pytest.raises(NoConvergence):
-        stationary_distribution(model, tol=1e-12, max_iter=2)
+        stationary_distribution(normalized, 0.85, tol=1e-12, max_iter=2)
 
 
 def test_solver_parameter_validation(scenario_by_id):
     normalized = normalize(scenario_by_id[1].survey.competence)
-    model = TransitionModel(walk=build_stochastic(normalized))
+    for tol in (0.0, -1e-12, float("nan")):
+        with pytest.raises(ValueError):
+            stationary_distribution(normalized, tol=tol)
     with pytest.raises(ValueError):
-        stationary_distribution(model, tol=0.0)
-    with pytest.raises(ValueError):
-        stationary_distribution(model, max_iter=0)
+        stationary_distribution(normalized, max_iter=0)
 
 
 def test_golden_weights_most_scenarios(result_by_id):
@@ -177,8 +175,7 @@ def test_near_zero_alpha_recovers_degree_weights(scenario_by_id):
     # with a nearly uniform influence vector the incoming-mass weighting
     # collapses to the degree one
     normalized = normalize(scenario_by_id[1].survey.competence)
-    model = TransitionModel(walk=build_stochastic(normalized), alpha=1e-6)
-    influence = stationary_distribution(model)
+    influence = stationary_distribution(normalized, alpha=1e-6)
     eigen = eigenfactor_weights(influence, normalized)
     degree = degree_weights(normalized)
     assert np.max(np.abs(eigen.weights - degree.weights)) <= 1e-4
@@ -187,7 +184,6 @@ def test_near_zero_alpha_recovers_degree_weights(scenario_by_id):
 def test_degenerate_network_raises():
     survey = validate_survey([4, 5], [[0, 0], [0, 0]])
     normalized = normalize(survey.competence)
-    model = TransitionModel(walk=build_stochastic(normalized), alpha=0.85)
-    influence = stationary_distribution(model)
+    influence = stationary_distribution(normalized, 0.85)
     with pytest.raises(DegenerateNetwork):
         eigenfactor_weights(influence, normalized)

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from classrank import (
     RatingVector,
-    TransitionModel,
-    build_stochastic,
     degree_weights,
     eigenfactor_weights,
     mode_of,
@@ -49,8 +47,7 @@ def surveys_with_permutations(draw):
 def both_weightings(survey):
     normalized = normalize(survey.competence)
     degree = degree_weights(normalized)
-    model = TransitionModel(walk=build_stochastic(normalized), alpha=0.85)
-    influence = stationary_distribution(model)
+    influence = stationary_distribution(normalized, 0.85)
     eigen = eigenfactor_weights(influence, normalized)
     return degree, eigen
 

@@ -13,6 +13,7 @@ from classrank import (
     error_reduction_summary,
     inject_bias,
     load_scenarios,
+    load_survey_json,
     run_scenario,
     validate_survey,
 )
@@ -150,6 +151,18 @@ def test_run_scenario_is_deterministic(scenario_bundle):
     assert first.iterations == second.iterations
 
 
+TRIANGLE = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+
+
+def _bundle(**change):
+    doc = {
+        "ratings": [4, 5, 3],
+        "biased_index": 0,
+        "scenarios": [{"id": 1, "competence": TRIANGLE}],
+    }
+    return {**doc, **change}
+
+
 def test_loader_validates_document(tmp_path):
     with pytest.raises(MalformedInput):
         load_scenarios({"ratings": [1, 2]})
@@ -163,6 +176,13 @@ def test_loader_validates_document(tmp_path):
     path.write_text("[1,2", encoding="utf-8")
     with pytest.raises(MalformedInput):
         load_scenarios(path)
+    with pytest.raises(MalformedInput, match="scale"):
+        load_scenarios(_bundle(scale=5))
+    with pytest.raises(MalformedInput, match="not numeric"):
+        load_scenarios(_bundle(ratings={"a": 4, "b": 5, "c": 3}))
+    twice = [{"id": 1, "competence": TRIANGLE}, {"id": 1, "competence": TRIANGLE}]
+    with pytest.raises(MalformedInput, match="repeats id 1"):
+        load_scenarios(_bundle(scenarios=twice))
 
 
 def test_loader_orders_by_id():
@@ -176,3 +196,12 @@ def test_loader_orders_by_id():
     }
     bundle = load_scenarios(doc)
     assert [scenario.id for scenario in bundle] == [1, 2]
+
+
+def test_loader_counts_null_cells_as_zero_like_the_survey_loader():
+    competence = [[0, 1, None], [1, 0, 1], [None, 1, 0]]
+    scenarios = [{"id": 1, "competence": competence}]
+    (scenario,) = load_scenarios(_bundle(scenarios=scenarios))
+    survey = load_survey_json({"ratings": [4, 5, 3], "competence": competence})
+    assert np.array_equal(scenario.survey.competence.entries, survey.competence.entries)
+    assert scenario.survey.competence.entries[0, 2] == 0
