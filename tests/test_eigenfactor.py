@@ -30,14 +30,36 @@ def _normalized(matrix):
     return normalize(survey.competence)
 
 
-def test_dangling_rows_match_the_patched_walk(scenario_by_id):
-    # the solver folds dangling mass into each step; the oracle instead
-    # solves the chain whose dangling rows are replaced by the uniform row
-    networks = [
-        normalize(scenario_by_id[sid].survey.competence) for sid in (1, 2)
-    ]
-    assert networks[0].dangling == frozenset({7})
-    assert networks[1].dangling == frozenset()
+def test_build_stochastic_patches_dangling_row(scenario_by_id):
+    # the solver folds dangling mass into each step; its result must be the
+    # stationary distribution of the walk whose dangling row 7 is uniform
+    normalized = normalize(scenario_by_id[1].survey.competence)
+    assert normalized.dangling == frozenset({7})
+    walk = walk_matrix(normalized.entries)
+    assert np.allclose(walk[7], 0.1, atol=1e-15)
+    # non-dangling rows pass through untouched
+    mask = np.ones(10, dtype=bool)
+    mask[7] = False
+    assert np.array_equal(walk[mask], normalized.entries[mask])
+    for alpha in (0.5, 0.85, 0.99):
+        iterated = stationary_distribution(normalized, alpha, max_iter=5000)
+        direct = stationary_oracle(walk, alpha)
+        assert np.abs(iterated.values - direct).sum() <= 1e-12
+
+
+def test_build_stochastic_identity_when_no_dangling(scenario_by_id):
+    # with no dangling row the walk is the normalized matrix itself
+    normalized = normalize(scenario_by_id[2].survey.competence)
+    assert normalized.dangling == frozenset()
+    assert np.array_equal(walk_matrix(normalized.entries), normalized.entries)
+    for alpha in (0.5, 0.85, 0.99):
+        iterated = stationary_distribution(normalized, alpha, max_iter=5000)
+        direct = stationary_oracle(normalized.entries, alpha)
+        assert np.abs(iterated.values - direct).sum() <= 1e-12
+
+
+def test_dangling_rows_match_the_patched_walk():
+    # random networks with forced dangling rows against the patched-walk oracle
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(3, 12))
@@ -47,8 +69,7 @@ def test_dangling_rows_match_the_patched_walk(scenario_by_id):
         if not matrix.any():
             keep = int(rng.choice(np.setdiff1d(np.arange(n), forced)))
             matrix[keep, (keep + 1) % n] = 1
-        networks.append(_normalized(matrix))
-    for normalized in networks:
+        normalized = _normalized(matrix)
         for alpha in (0.5, 0.85, 0.99):
             iterated = stationary_distribution(normalized, alpha, max_iter=5000)
             direct = stationary_oracle(walk_matrix(normalized.entries), alpha)
