@@ -146,7 +146,9 @@ def _add_walk_flags(parser) -> None:
         "--tol",
         type=float,
         default=DEFAULT_TOL,
-        help="L1 convergence tolerance (default 1e-12)",
+        help="stop once the L1 change between power-iteration steps is at "
+        "most TOL (default 1e-12); the influence vector is then within "
+        "alpha/(1-alpha)*TOL of exact in L1",
     )
     parser.add_argument(
         "--max-iter",

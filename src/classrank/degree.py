@@ -52,7 +52,7 @@ def degree_weights(normalized: NormalizedMatrix) -> WeightVector:
     Raises DegenerateNetwork when the matrix has no endorsements at all,
     since then there is no mass to distribute.
     """
-    column_mass = normalized.entries.sum(axis=0)
+    column_mass = np.bincount(normalized.targets, normalized.shares, normalized.n)
     total = column_mass.sum()
     if total <= 0.0:
         raise DegenerateNetwork("no student endorses any other")

@@ -1,9 +1,10 @@
 """Eigenfactor-style weights from a teleported random walk.
 
-The walk runs on the row-normalized competence matrix. A dangling student,
-one who endorses nobody, hands their visit mass on uniformly: at every step
-that mass is spread over all n students, as if the zero row were the
-uniform row. With teleportation probability 1 - alpha the walker jumps to a
+The walk runs on the row-normalized competence matrix, kept as its list of
+endorsements, so each step costs O(nnz). A dangling student, one who
+endorses nobody, hands their visit mass on uniformly: at every step that
+mass is spread over all n students, as if the zero row were the uniform
+row. With teleportation probability 1 - alpha the walker jumps to a
 uniformly random student, which makes the chain primitive and its
 stationary distribution unique and strictly positive. A student's weight is
 then the stationary-visit-weighted incoming mass, so endorsements from
@@ -63,14 +64,18 @@ def stationary_distribution(
 ) -> InfluenceVector:
     """Power iteration for the stationary distribution of the chain.
 
-    Each step is ``y = alpha * (x @ N) + (1 - alpha) / n`` followed by
-    ``y += (1 - sum(y)) / n``. The added term is exactly the dangling mass
-    ``alpha * (x . d) / n`` plus any floating-point drift, so the patched
-    walk matrix is never built (the rank-one dangling-node treatment of
-    Langville & Meyer, "Deeper Inside PageRank", 2004). Starts from the
-    uniform distribution and stops once the L1 change drops to ``tol``.
-    The run is deterministic: fixed start, fixed operation order. Raises
-    NoConvergence if ``max_iter`` steps are not enough.
+    Each step follows every endorsement once: ``y[j]`` collects
+    ``alpha * x[i] * share`` over the edges i -> j, then every entry gains
+    ``(1 - sum(y)) / n``. That term is exactly the teleport mass
+    ``(1 - alpha) / n`` plus the dangling mass ``alpha * (x . d) / n`` plus
+    any floating-point drift, so no walk matrix is ever built (the rank-one
+    dangling-node treatment of Langville & Meyer, "Deeper Inside PageRank",
+    2004) and a step costs O(nnz). Starts from the uniform distribution and
+    stops once the L1 change between steps drops to ``tol``; the map
+    contracts by ``alpha`` in L1, so the result is then within
+    ``alpha / (1 - alpha) * tol`` of the exact distribution. The run is
+    deterministic: fixed start, fixed operation order. Raises NoConvergence
+    if ``max_iter`` steps are not enough.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
@@ -79,13 +84,16 @@ def stationary_distribution(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = normalized.n
-    teleport = (1.0 - alpha) / n
+    sources, targets = normalized.sources, normalized.targets
+    shares = alpha * normalized.shares
+    total = np.add.reduce
     current = np.full(n, 1.0 / n)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        advanced = alpha * (current @ normalized.entries) + teleport
-        advanced += (1.0 - advanced.sum()) / n
-        residual = float(np.abs(advanced - current).sum())
+        advanced = np.bincount(targets, current[sources] * shares, n)
+        # not in place: a network without edges gets an int64 bincount
+        advanced = advanced + (1.0 - total(advanced)) / n
+        residual = float(total(np.abs(advanced - current)))
         current = advanced
         if residual <= tol:
             return InfluenceVector(
@@ -108,7 +116,11 @@ def eigenfactor_weights(
         raise DimensionMismatch(
             f"{influence.n} influence entries vs {normalized.n} students"
         )
-    mass = influence.values @ normalized.entries
+    mass = np.bincount(
+        normalized.targets,
+        influence.values[normalized.sources] * normalized.shares,
+        normalized.n,
+    )
     total = mass.sum()
     if total <= 0.0:
         raise DegenerateNetwork("no student endorses any other")

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .degree import WeightVector, degree_weights, weighted_rating
 from .eigenfactor import (
     DEFAULT_ALPHA,
@@ -102,10 +100,6 @@ def rate_survey(
     )
 
 
-def _floats(array: np.ndarray) -> list[float]:
-    return [float(value) for value in array]
-
-
 def rating_report_dict(report: WeightedRatingReport, config: dict) -> dict:
     survey = report.survey
     return {
@@ -116,15 +110,15 @@ def rating_report_dict(report: WeightedRatingReport, config: dict) -> dict:
         "arithmetic_mean": report.arithmetic_mean,
         "degree": {
             "method": "degree",
-            "weights": _floats(report.degree.weights),
+            "weights": report.degree.weights.tolist(),
             "weighted_rating": report.degree_rating,
             "arithmetic_mean": report.arithmetic_mean,
         },
         "eigenfactor": {
             "method": "eigenfactor",
             "alpha": report.alpha,
-            "weights": _floats(report.eigenfactor.weights),
-            "influence": _floats(report.influence.values),
+            "weights": report.eigenfactor.weights.tolist(),
+            "influence": report.influence.values.tolist(),
             "iterations": report.influence.iterations,
             "residual": report.influence.residual,
             "weighted_rating": report.eigenfactor_rating,
@@ -163,7 +157,7 @@ def dispersion_report_dict(rows, aggregate, excluded, config: dict) -> dict:
 
 def scenario_report_dict(results, summary, config: dict) -> dict:
     def optional_floats(array):
-        return None if array is None else _floats(array)
+        return None if array is None else array.tolist()
 
     reductions = {entry.id: entry for entry in summary.per_scenario}
     rows = []

@@ -123,7 +123,8 @@ def run_scenario(
         raise EmptyInput("cannot exclude the only rating")
     values = ratings.values
     arithmetic_mean = float(values.mean())
-    unbiased_mean = float(np.delete(values, scenario.biased_index).mean())
+    i = scenario.biased_index
+    unbiased_mean = float(np.concatenate((values[:i], values[i + 1 :])).mean())
     err_mean = abs(arithmetic_mean - unbiased_mean)
 
     _, degree_step, eigenfactor_step = _method_steps(

@@ -3,8 +3,9 @@
 A survey couples one rating per student with an n x n binary matrix of
 student-to-student competence perceptions: entry (i, j) is 1 when student i
 considers student j competent to judge the course. The diagonal is zero and
-blank answers count as "not competent". Row-normalizing that matrix is the
-shared entry point for both weighting methods.
+blank answers count as "not competent". Row-normalizing that matrix, kept
+as its list of endorsements, is the shared entry point for both weighting
+methods.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ class CompetenceMatrix:
             raise DimensionMismatch("competence matrix must be square")
         if entries.shape[0] == 0:
             raise DimensionMismatch("competence matrix must be nonempty")
-        values_ok = np.isin(entries, (0, 1))
-        if not values_ok.all():
-            bad = entries[~values_ok].ravel()[0]
+        # elementwise for numbers and objects, all True for string cells
+        invalid = (entries != 0) & (entries != 1)
+        if invalid.any():
+            bad = entries[invalid].ravel()[0]
             raise NonBinaryEntry(f"matrix entries must be 0 or 1, found {bad!r}")
         entries = entries.astype(np.int64)  # always a private copy
         if np.any(np.diag(entries) != 0):
@@ -91,25 +93,30 @@ class CompetenceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class NormalizedMatrix:
-    """Row-normalized competence matrix, built by ``normalize``.
+    """Row-normalized competence matrix as an edge list, built by ``normalize``.
 
-    Rows of endorsing students sum to 1; rows of students who endorse nobody
-    (the dangling set) stay all zero. ``row_sums`` keeps the original
-    endorsement counts.
+    Endorsement k runs from student ``sources[k]`` to student ``targets[k]``
+    and carries ``shares[k]``, one over the endorsement count of its source,
+    so each endorsing student hands out a total of 1. Edges are in row-major
+    order. ``row_sums`` keeps the endorsement counts; students who endorse
+    nobody (the dangling set) have no edges. Every sum over the matrix is a
+    sum over edges, O(nnz) rather than O(n^2).
     """
 
-    entries: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+    shares: np.ndarray
     row_sums: np.ndarray
     dangling: frozenset[int]
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.row_sums.size
 
     @property
     def total(self) -> float:
-        """Sum of all entries; equals n minus the number of dangling rows."""
-        return float(self.entries.sum())
+        """Sum of all shares; equals n minus the number of dangling rows."""
+        return float(self.shares.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,13 +200,22 @@ def validate_survey(
 
 
 def normalize(competence: CompetenceMatrix) -> NormalizedMatrix:
-    """Divide each row by its endorsement count; rows of zeros stay zero."""
-    counts = competence.entries.sum(axis=1)
-    dangling = frozenset(np.flatnonzero(counts == 0).tolist())
-    divisor = np.where(counts == 0, 1, counts)
-    entries = competence.entries / divisor[:, None]
+    """Divide each row by its endorsement count; rows of zeros stay zero.
+
+    One pass over the 0/1 matrix lists its endorsements; no n x n float
+    matrix is built.
+    """
+    n = competence.n
+    # row-major cell numbers of the endorsements; a 1-d flatnonzero of the
+    # bool mask is several times cheaper than a 2-d np.nonzero
+    sources, targets = np.divmod(np.flatnonzero(competence.entries != 0), n)
+    counts = np.bincount(sources, minlength=n)
     return NormalizedMatrix(
-        entries=_readonly(entries), row_sums=_readonly(counts), dangling=dangling
+        sources=_readonly(sources),
+        targets=_readonly(targets),
+        shares=_readonly(1.0 / counts[sources]),
+        row_sums=_readonly(counts),
+        dangling=frozenset(np.flatnonzero(counts == 0).tolist()),
     )
 
 
@@ -237,9 +253,16 @@ def _document_scale(data: dict) -> tuple[float, float]:
 def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyInstance:
     """validate_survey on parsed JSON values.
 
-    Null competence cells mean "no answer", which counts as 0. Content that
-    is not numeric raises MalformedInput naming ``kind``.
+    Ratings must be JSON numbers: a string such as "4" or a boolean is not
+    read as one. Null competence cells mean "no answer", which counts as 0.
+    Content that is not numeric raises MalformedInput naming ``kind``.
     """
+    if not isinstance(ratings, list):
+        raise MalformedInput(f"{kind} ratings are not numeric: expected a list")
+    # exact types: bool is a subclass of int, and JSON has no other numbers
+    odd = [value for value in ratings if type(value) not in (int, float)]
+    if odd:
+        raise MalformedInput(f"{kind} ratings are not numeric: found {odd[0]!r}")
     if not isinstance(competence, list) or not all(
         isinstance(row, list) for row in competence
     ):

@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check the solvers.
 
 The oracles deliberately avoid the code paths they are checking: the
+normalized matrix is a dense row division instead of an edge list, the
 stationary oracle solves a dense linear system over an explicitly patched
 walk matrix instead of iterating with the dangling mass folded in, and the
 degree oracle works in exact rational arithmetic straight from the raw
@@ -25,6 +26,16 @@ def stationary_oracle(walk_entries: np.ndarray, alpha: float) -> np.ndarray:
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     return np.linalg.solve(system, rhs)
+
+
+def dense_normalized(raw_matrix) -> np.ndarray:
+    """Row-normalized n x n float matrix straight from a raw 0/1 matrix.
+
+    Each row is divided by its endorsement count; rows of zeros stay zero.
+    """
+    matrix = np.array(raw_matrix, dtype=float)
+    counts = matrix.sum(axis=1)
+    return matrix / np.where(counts == 0, 1.0, counts)[:, None]
 
 
 def walk_matrix(normalized_entries) -> np.ndarray:

@@ -29,7 +29,12 @@ from classrank import (
 from classrank.cli import main
 from classrank.data import clarity_counts_path, helpfulness_counts_path
 from goldens import CLARITY, HELPFULNESS, PCT_TOL, SCENARIO_EXPECTED
-from oracles import random_binary_matrix, stationary_oracle, walk_matrix
+from oracles import (
+    dense_normalized,
+    random_binary_matrix,
+    stationary_oracle,
+    walk_matrix,
+)
 
 RATING_TOL = 1e-3
 WEIGHT_TOL = 5e-4
@@ -158,7 +163,7 @@ def test_criterion_5_oracle_equivalence():
         iterated = stationary_distribution(
             normalized, alpha, tol=1e-12, max_iter=5000
         )
-        direct = stationary_oracle(walk_matrix(normalized.entries), alpha)
+        direct = stationary_oracle(walk_matrix(dense_normalized(matrix)), alpha)
         deviation = float(np.abs(iterated.values - direct).sum())
         worst = max(worst, deviation)
         assert deviation <= 1e-9

@@ -124,6 +124,16 @@ def test_rate_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("rating", ["4", True])
+def test_rate_non_number_rating_exits_2(tmp_path, capsys, rating):
+    doc = {"ratings": [rating, 4], "competence": [[0, 1], [1, 0]]}
+    path = tmp_path / "survey.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "rate", "--survey", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "ratings are not numeric" in err
+
+
 def test_rate_strict_likert_flag(tmp_path, capsys):
     doc = {"ratings": [3.5, 4], "competence": [[0, 1], [1, 0]]}
     path = tmp_path / "survey.json"
@@ -285,8 +295,10 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
         ({"scale": 5}, "scale"),
         ({"ratings": {"a": 4, "b": 5}}, "not numeric"),
         ({"scenarios": [{"id": 1, "competence": [[0, 1], [1, 0]]}] * 2}, "id 1"),
+        ({"ratings": ["4", 5]}, "not numeric: found '4'"),
+        ({"ratings": [4, True]}, "not numeric: found True"),
     ],
-    ids=["scalar-scale", "object-ratings", "duplicate-id"],
+    ids=["scalar-scale", "object-ratings", "duplicate-id", "string-rating", "bool-rating"],
 )
 def test_scenarios_malformed_bundle_exits_2(tmp_path, capsys, change, message):
     doc = {

@@ -18,6 +18,7 @@ from goldens import (
     WEIGHT_TOL,
 )
 from oracles import (
+    dense_normalized,
     materialize_transition,
     random_binary_matrix,
     stationary_oracle,
@@ -33,14 +34,16 @@ def _normalized(matrix):
 def test_build_stochastic_patches_dangling_row(scenario_by_id):
     # the solver folds dangling mass into each step; its result must be the
     # stationary distribution of the walk whose dangling row 7 is uniform
-    normalized = normalize(scenario_by_id[1].survey.competence)
+    competence = scenario_by_id[1].survey.competence
+    normalized = normalize(competence)
     assert normalized.dangling == frozenset({7})
-    walk = walk_matrix(normalized.entries)
+    dense = dense_normalized(competence.entries)
+    walk = walk_matrix(dense)
     assert np.allclose(walk[7], 0.1, atol=1e-15)
     # non-dangling rows pass through untouched
     mask = np.ones(10, dtype=bool)
     mask[7] = False
-    assert np.array_equal(walk[mask], normalized.entries[mask])
+    assert np.array_equal(walk[mask], dense[mask])
     for alpha in (0.5, 0.85, 0.99):
         iterated = stationary_distribution(normalized, alpha, max_iter=5000)
         direct = stationary_oracle(walk, alpha)
@@ -49,12 +52,14 @@ def test_build_stochastic_patches_dangling_row(scenario_by_id):
 
 def test_build_stochastic_identity_when_no_dangling(scenario_by_id):
     # with no dangling row the walk is the normalized matrix itself
-    normalized = normalize(scenario_by_id[2].survey.competence)
+    competence = scenario_by_id[2].survey.competence
+    normalized = normalize(competence)
     assert normalized.dangling == frozenset()
-    assert np.array_equal(walk_matrix(normalized.entries), normalized.entries)
+    dense = dense_normalized(competence.entries)
+    assert np.array_equal(walk_matrix(dense), dense)
     for alpha in (0.5, 0.85, 0.99):
         iterated = stationary_distribution(normalized, alpha, max_iter=5000)
-        direct = stationary_oracle(normalized.entries, alpha)
+        direct = stationary_oracle(dense, alpha)
         assert np.abs(iterated.values - direct).sum() <= 1e-12
 
 
@@ -72,8 +77,23 @@ def test_dangling_rows_match_the_patched_walk():
         normalized = _normalized(matrix)
         for alpha in (0.5, 0.85, 0.99):
             iterated = stationary_distribution(normalized, alpha, max_iter=5000)
-            direct = stationary_oracle(walk_matrix(normalized.entries), alpha)
+            direct = stationary_oracle(walk_matrix(dense_normalized(matrix)), alpha)
             assert np.abs(iterated.values - direct).sum() <= 1e-12
+
+
+def test_stated_accuracy_bound(scenario_by_id):
+    # the map contracts by alpha in L1, so the distance to the fixed point
+    # is at most alpha / (1 - alpha) times the last step's change
+    rng = np.random.default_rng(17)
+    raws = [scenario.survey.competence.entries for scenario in scenario_by_id.values()]
+    raws += [random_binary_matrix(rng, int(rng.integers(2, 30))) for _ in range(20)]
+    for raw in raws:
+        normalized = _normalized(raw)
+        for alpha in (0.5, 0.85, 0.99):
+            result = stationary_distribution(normalized, alpha, max_iter=5000)
+            direct = stationary_oracle(walk_matrix(dense_normalized(raw)), alpha)
+            error = np.abs(result.values - direct).sum()
+            assert error <= alpha / (1 - alpha) * result.residual + 1e-14
 
 
 def test_single_node_walk():
@@ -101,18 +121,20 @@ def test_uniform_network_has_uniform_influence():
 
 
 def test_stationarity_of_the_result(scenario_by_id):
-    normalized = normalize(scenario_by_id[1].survey.competence)
-    result = stationary_distribution(normalized, 0.85, tol=1e-12)
-    dense = materialize_transition(walk_matrix(normalized.entries), 0.85)
+    competence = scenario_by_id[1].survey.competence
+    result = stationary_distribution(normalize(competence), 0.85, tol=1e-12)
+    walk = walk_matrix(dense_normalized(competence.entries))
+    dense = materialize_transition(walk, 0.85)
     assert np.abs(dense @ result.values - result.values).sum() <= 1e-11
 
 
 def test_materialized_transition_is_column_stochastic(scenario_by_id):
     for sid in (1, 3, 5):
-        normalized = normalize(scenario_by_id[sid].survey.competence)
-        dense = materialize_transition(walk_matrix(normalized.entries), 0.85)
+        competence = scenario_by_id[sid].survey.competence
+        walk = walk_matrix(dense_normalized(competence.entries))
+        dense = materialize_transition(walk, 0.85)
         assert np.allclose(dense.sum(axis=0), 1.0, atol=1e-12)
-        result = stationary_distribution(normalized, 0.85)
+        result = stationary_distribution(normalize(competence), 0.85)
         assert np.abs(dense @ result.values - result.values).max() <= 1e-11
 
 
@@ -129,12 +151,13 @@ def test_influence_meets_teleportation_floor():
 
 def test_power_iteration_matches_dense_solve():
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(2, 9))
-        matrix = random_binary_matrix(rng, n)
-        normalized = _normalized(matrix)
-        iterated = stationary_distribution(normalized, 0.85).values
-        direct = stationary_oracle(walk_matrix(normalized.entries), 0.85)
+    matrices = [random_binary_matrix(rng, int(rng.integers(2, 9))) for _ in range(50)]
+    # and one network of a large class, sparse, with dangling rows
+    large = random_binary_matrix(rng, 400, density=0.02)
+    large[rng.choice(400, 40, replace=False)] = 0
+    for matrix in matrices + [large]:
+        iterated = stationary_distribution(_normalized(matrix), 0.85).values
+        direct = stationary_oracle(walk_matrix(dense_normalized(matrix)), 0.85)
         assert np.abs(iterated - direct).sum() <= 1e-9
 
 
@@ -203,8 +226,16 @@ def test_near_zero_alpha_recovers_degree_weights(scenario_by_id):
 
 
 def test_degenerate_network_raises():
-    survey = validate_survey([4, 5], [[0, 0], [0, 0]])
-    normalized = normalize(survey.competence)
-    influence = stationary_distribution(normalized, 0.85)
-    with pytest.raises(DegenerateNetwork):
-        eigenfactor_weights(influence, normalized)
+    # a network without edges: the solver still returns the uniform float
+    # distribution, and both weightings refuse it
+    for n in (1, 2, 5, 30):
+        normalized = _normalized(np.zeros((n, n), dtype=int))
+        assert normalized.sources.size == 0
+        influence = stationary_distribution(normalized, 0.85)
+        assert influence.values.dtype == np.float64
+        assert np.allclose(influence.values, 1.0 / n, rtol=0, atol=1e-15)
+        assert influence.iterations == 1
+        with pytest.raises(DegenerateNetwork):
+            eigenfactor_weights(influence, normalized)
+        with pytest.raises(DegenerateNetwork):
+            degree_weights(normalized)

@@ -97,8 +97,12 @@ def test_degenerate_scenario_records_failures_without_aborting():
     result = run_scenario(Scenario(id=2, survey=survey, biased_index=1))
     assert result.degree_rating is None
     assert result.eigenfactor_rating is None
-    assert result.degree_failure
-    assert result.eigenfactor_failure
+    assert result.degree_weights is None and result.err_degree is None
+    assert result.eigenfactor_weights is None and result.err_eigenfactor is None
+    assert result.influence is None and result.iterations is None
+    assert result.degree_failure == "no student endorses any other"
+    assert result.eigenfactor_failure == "no student endorses any other"
+    assert (result.arithmetic_mean, result.unbiased_mean) == (4.5, 4.0)
     summary = error_reduction_summary([result])
     assert summary.per_scenario[0].winner is None
     assert summary.mean_degree_reduction is None
@@ -180,6 +184,9 @@ def test_loader_validates_document(tmp_path):
         load_scenarios(_bundle(scale=5))
     with pytest.raises(MalformedInput, match="not numeric"):
         load_scenarios(_bundle(ratings={"a": 4, "b": 5, "c": 3}))
+    for rating in ("4", True):
+        with pytest.raises(MalformedInput, match="ratings are not numeric"):
+            load_scenarios(_bundle(ratings=[rating, 5, 3]))
     twice = [{"id": 1, "competence": TRIANGLE}, {"id": 1, "competence": TRIANGLE}]
     with pytest.raises(MalformedInput, match="repeats id 1"):
         load_scenarios(_bundle(scenarios=twice))

@@ -16,6 +16,7 @@ from classrank import (
     normalize,
     validate_survey,
 )
+from oracles import dense_normalized, random_binary_matrix
 
 
 def test_validate_accepts_fixture_shapes(scenario_bundle):
@@ -46,6 +47,19 @@ def test_non_binary_entry_rejected_under_both_policies():
     for policy in ("coerce", "reject"):
         with pytest.raises(NonBinaryEntry):
             validate_survey([4, 4], [[0, 2], [1, 0]], diagonal_policy=policy)
+
+
+@pytest.mark.parametrize(
+    "cell, first",
+    [(2, (0, 1)), (0.5, (0, 1)), (float("nan"), (0, 1)), ({}, (0, 1)), ("1", (0, 0))],
+)
+def test_non_binary_entry_names_the_first_bad_cell(cell, first):
+    # a string anywhere makes every cell a string, so the first cell is bad
+    matrix = np.array([[0, cell], [1, 0]])
+    with pytest.raises(NonBinaryEntry) as excinfo:
+        CompetenceMatrix(matrix)
+    expected = f"matrix entries must be 0 or 1, found {matrix[first]!r}"
+    assert str(excinfo.value) == expected
 
 
 def test_unknown_diagonal_policy():
@@ -102,13 +116,23 @@ def test_arrays_are_frozen(scenario_bundle):
         survey.ratings.values[0] = 2.0
 
 
+def _edges(normalized):
+    return sorted(
+        zip(
+            normalized.sources.tolist(),
+            normalized.targets.tolist(),
+            normalized.shares.tolist(),
+        )
+    )
+
+
 def test_normalize_uniform_matrix():
     n = 4
     matrix = CompetenceMatrix(np.ones((n, n), dtype=int) - np.eye(n, dtype=int))
     normalized = normalize(matrix)
-    off = normalized.entries[~np.eye(n, dtype=bool)]
-    assert np.allclose(off, 1.0 / (n - 1), atol=1e-15)
-    assert np.all(np.diag(normalized.entries) == 0)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    assert [(i, j) for i, j, _ in _edges(normalized)] == pairs
+    assert np.allclose(normalized.shares, 1.0 / (n - 1), atol=1e-15)
     assert normalized.dangling == frozenset()
     assert normalized.total == pytest.approx(n, abs=1e-12)
 
@@ -116,7 +140,7 @@ def test_normalize_uniform_matrix():
 def test_normalize_rows_sum_to_one_or_zero(scenario_bundle):
     for scenario in scenario_bundle:
         normalized = normalize(scenario.survey.competence)
-        sums = normalized.entries.sum(axis=1)
+        sums = np.bincount(normalized.sources, normalized.shares, normalized.n)
         for i, total in enumerate(sums):
             if i in normalized.dangling:
                 assert total == 0.0
@@ -128,16 +152,16 @@ def test_normalize_rows_sum_to_one_or_zero(scenario_bundle):
 def test_normalize_three_endorsements_gives_thirds(scenario_bundle):
     # row 6 (0-based 5) endorses exactly three students
     normalized = normalize(scenario_bundle[0].survey.competence)
-    row = normalized.entries[5]
+    row = normalized.shares[normalized.sources == 5]
     assert normalized.row_sums[5] == 3
-    assert np.allclose(row[row > 0], 1 / 3, atol=1e-15)
-    assert np.count_nonzero(row) == 3
+    assert np.allclose(row, 1 / 3, atol=1e-15)
+    assert row.size == 3
 
 
 def test_normalize_keeps_dangling_row_zero(scenario_bundle):
     normalized = normalize(scenario_bundle[0].survey.competence)
     assert normalized.dangling == frozenset({7})
-    assert not normalized.entries[7].any()
+    assert 7 not in normalized.sources
 
 
 def test_normalize_permutation_equivariant():
@@ -147,9 +171,33 @@ def test_normalize_permutation_equivariant():
         matrix = (rng.random((n, n)) < 0.5).astype(int)
         np.fill_diagonal(matrix, 0)
         perm = rng.permutation(n)
-        base = normalize(CompetenceMatrix(matrix)).entries
-        permuted = normalize(CompetenceMatrix(matrix[np.ix_(perm, perm)])).entries
-        assert np.allclose(base[np.ix_(perm, perm)], permuted, atol=1e-15)
+        base = _edges(normalize(CompetenceMatrix(matrix)))
+        permuted = normalize(CompetenceMatrix(matrix[np.ix_(perm, perm)]))
+        relabelled = sorted(
+            (int(perm[i]), int(perm[j]), share) for i, j, share in _edges(permuted)
+        )
+        assert relabelled == base
+
+
+def test_normalize_edge_list_scatters_to_the_dense_oracle(scenario_bundle):
+    rng = np.random.default_rng(13)
+    raws = [scenario.survey.competence.entries for scenario in scenario_bundle]
+    for _ in range(20):
+        matrix = random_binary_matrix(rng, int(rng.integers(2, 12)))
+        matrix[rng.random(len(matrix)) < 0.3] = 0  # dangling rows
+        raws.append(matrix)
+    raws += [np.zeros((1, 1), dtype=int), np.zeros((5, 5), dtype=int)]
+    for raw in raws:
+        normalized = normalize(CompetenceMatrix(raw))
+        n = len(raw)
+        assert normalized.sources.size == np.count_nonzero(raw)  # no repeats
+        assert normalized.shares.dtype == np.float64
+        for array in (normalized.sources, normalized.targets, normalized.shares):
+            assert not array.flags.writeable
+        assert np.array_equal(normalized.row_sums, raw.sum(axis=1))
+        dense = np.zeros((n, n))
+        dense[normalized.sources, normalized.targets] = normalized.shares
+        assert np.array_equal(dense, dense_normalized(raw))
 
 
 def test_load_survey_json_roundtrip(tmp_path):
@@ -172,6 +220,16 @@ def test_load_survey_json_defaults_scale():
     survey = load_survey_json({"ratings": [1, 5], "competence": [[0, 1], [1, 0]]})
     assert survey.ratings.scale_min == 1.0
     assert survey.ratings.scale_max == 5.0
+
+
+@pytest.mark.parametrize("rating", ["4", True, None, [4], {"value": 4}])
+def test_load_survey_json_rejects_non_number_ratings(rating):
+    # a JSON string or boolean is not silently read as a number
+    doc = {"ratings": [rating, 5], "competence": [[0, 1], [1, 0]]}
+    with pytest.raises(MalformedInput, match="ratings are not numeric"):
+        load_survey_json(doc)
+    with pytest.raises(MalformedInput, match="ratings are not numeric"):
+        load_survey_json({**doc, "ratings": "45"})
 
 
 def test_load_survey_json_missing_keys():
