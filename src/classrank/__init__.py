@@ -39,12 +39,10 @@ from .scenarios import (
 )
 from .survey import (
     CompetenceMatrix,
-    NormalizedMatrix,
     RatingVector,
     SurveyInstance,
     load_survey_csv,
     load_survey_json,
-    normalize,
     validate_survey,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "NoConvergence",
     "NonBinaryEntry",
     "NonZeroDiagonal",
-    "NormalizedMatrix",
     "RatingVector",
     "ReductionSummary",
     "ScaleViolation",
@@ -84,7 +81,6 @@ __all__ = [
     "load_survey_csv",
     "load_survey_json",
     "mode_of",
-    "normalize",
     "rate_survey",
     "read_dispersion_csv",
     "run_scenario",

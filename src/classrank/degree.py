@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNetwork, DimensionMismatch
-from .survey import NormalizedMatrix, RatingVector
+from .survey import CompetenceMatrix, RatingVector
 
 WEIGHT_SUM_TOL = 1e-9
 METHODS = ("degree", "eigenfactor")
@@ -46,13 +46,13 @@ class WeightVector:
         return self.weights.size
 
 
-def degree_weights(normalized: NormalizedMatrix) -> WeightVector:
+def degree_weights(competence: CompetenceMatrix) -> WeightVector:
     """Weights proportional to incoming normalized-endorsement mass.
 
     Raises DegenerateNetwork when the matrix has no endorsements at all,
     since then there is no mass to distribute.
     """
-    column_mass = np.bincount(normalized.targets, normalized.shares, normalized.n)
+    column_mass = np.bincount(competence.targets, competence.shares, competence.n)
     total = column_mass.sum()
     if total <= 0.0:
         raise DegenerateNetwork("no student endorses any other")

@@ -8,11 +8,11 @@ of all ratings.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 from .errors import EmptyInput, MalformedInput
+from .survey import _csv_reader
 
 TIEBREAKS = ("smallest", "largest")
 LONG_HEADER = ("label", "rating")
@@ -96,9 +96,9 @@ def aggregate(rows) -> DispersionAggregate:
         total_n=total_n,
         total_dev2=total_dev2,
         total_dev3plus=total_dev3plus,
-        pct_dev2=100.0 * total_dev2 / total_n,
-        pct_dev3plus=100.0 * total_dev3plus / total_n,
-        pct_dev2plus=100.0 * (total_dev2 + total_dev3plus) / total_n,
+        pct_dev2=100 * total_dev2 / total_n,
+        pct_dev3plus=100 * total_dev3plus / total_n,
+        pct_dev2plus=100 * (total_dev2 + total_dev3plus) / total_n,
     )
 
 
@@ -121,8 +121,7 @@ def read_dispersion_csv(
     pre-counted rows. Returns the retained rows plus the labels excluded for
     having fewer than ``min_n`` ratings.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:

@@ -1,14 +1,14 @@
 """Eigenfactor-style weights from a teleported random walk.
 
-The walk runs on the row-normalized competence matrix, kept as its list of
-endorsements, so each step costs O(nnz). A dangling student, one who
-endorses nobody, hands their visit mass on uniformly: at every step that
-mass is spread over all n students, as if the zero row were the uniform
-row. With teleportation probability 1 - alpha the walker jumps to a
-uniformly random student, which makes the chain primitive and its
-stationary distribution unique and strictly positive. A student's weight is
-then the stationary-visit-weighted incoming mass, so endorsements from
-influential students count for more.
+The walk runs on the row-normalized competence matrix, which validation
+keeps as its list of endorsements (a CompetenceMatrix), so each step costs
+O(nnz). A dangling student, one who endorses nobody, hands their visit mass
+on uniformly: at every step that mass is spread over all n students, as if
+the zero row were the uniform row. With teleportation probability
+1 - alpha the walker jumps to a uniformly random student, which makes the
+chain primitive and its stationary distribution unique and strictly
+positive. A student's weight is then the stationary-visit-weighted incoming
+mass, so endorsements from influential students count for more.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .degree import WeightVector
 from .errors import DegenerateNetwork, DimensionMismatch, NoConvergence
-from .survey import NormalizedMatrix
+from .survey import CompetenceMatrix
 
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
@@ -57,7 +57,7 @@ class InfluenceVector:
 
 
 def stationary_distribution(
-    normalized: NormalizedMatrix,
+    competence: CompetenceMatrix,
     alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -83,9 +83,9 @@ def stationary_distribution(
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    n = normalized.n
-    sources, targets = normalized.sources, normalized.targets
-    shares = alpha * normalized.shares
+    n = competence.n
+    sources, targets = competence.sources, competence.targets
+    shares = alpha * competence.shares
     total = np.add.reduce
     current = np.full(n, 1.0 / n)
     residual = np.inf
@@ -105,21 +105,21 @@ def stationary_distribution(
 
 
 def eigenfactor_weights(
-    influence: InfluenceVector, normalized: NormalizedMatrix
+    influence: InfluenceVector, competence: CompetenceMatrix
 ) -> WeightVector:
     """Weights proportional to influence-weighted incoming mass.
 
     A student endorsed by nobody keeps weight exactly zero: every term of
     the corresponding column is zero before any rescaling happens.
     """
-    if influence.n != normalized.n:
+    if influence.n != competence.n:
         raise DimensionMismatch(
-            f"{influence.n} influence entries vs {normalized.n} students"
+            f"{influence.n} influence entries vs {competence.n} students"
         )
     mass = np.bincount(
-        normalized.targets,
-        influence.values[normalized.sources] * normalized.shares,
-        normalized.n,
+        competence.targets,
+        influence.values[competence.sources] * competence.shares,
+        competence.n,
     )
     total = mass.sum()
     if total <= 0.0:

@@ -8,7 +8,6 @@ json.loads reproduces bit-identical values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .degree import WeightVector, degree_weights, weighted_rating
 from .eigenfactor import (
@@ -19,7 +18,7 @@ from .eigenfactor import (
     eigenfactor_weights,
     stationary_distribution,
 )
-from .survey import NormalizedMatrix, RatingVector, SurveyInstance, normalize
+from .survey import SurveyInstance
 
 SCHEMA_VERSION = 1
 
@@ -39,38 +38,19 @@ class WeightedRatingReport:
     dangling: tuple[int, ...]
 
 
-def _degree_step(
-    normalized: NormalizedMatrix, ratings: RatingVector
-) -> tuple[WeightVector, float]:
-    weights = degree_weights(normalized)
-    return weights, weighted_rating(ratings, weights)
+# rate_survey and run_scenario both score a survey through these two steps;
+# only what they do with a failing step differs
+def _degree_step(survey: SurveyInstance) -> tuple[WeightVector, float]:
+    weights = degree_weights(survey.competence)
+    return weights, weighted_rating(survey.ratings, weights)
 
 
 def _eigenfactor_step(
-    normalized: NormalizedMatrix,
-    ratings: RatingVector,
-    alpha: float,
-    tol: float,
-    max_iter: int,
+    survey: SurveyInstance, alpha: float, tol: float, max_iter: int
 ) -> tuple[WeightVector, float, InfluenceVector]:
-    influence = stationary_distribution(normalized, alpha, tol, max_iter)
-    weights = eigenfactor_weights(influence, normalized)
-    return weights, weighted_rating(ratings, weights), influence
-
-
-def _method_steps(survey: SurveyInstance, alpha: float, tol: float, max_iter: int):
-    """Normalize once; return the dangling set and one step per method.
-
-    Each step is a zero-argument callable. ``rate_survey`` and
-    ``run_scenario`` both score a survey through these steps; only what
-    they do with a failing step differs.
-    """
-    normalized = normalize(survey.competence)
-    return (
-        normalized.dangling,
-        partial(_degree_step, normalized, survey.ratings),
-        partial(_eigenfactor_step, normalized, survey.ratings, alpha, tol, max_iter),
-    )
+    influence = stationary_distribution(survey.competence, alpha, tol, max_iter)
+    weights = eigenfactor_weights(influence, survey.competence)
+    return weights, weighted_rating(survey.ratings, weights), influence
 
 
 def rate_survey(
@@ -80,13 +60,12 @@ def rate_survey(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> WeightedRatingReport:
     """Compute degree and eigenfactor weighted ratings for one survey."""
-    dangling, degree_step, eigenfactor_step = _method_steps(
-        survey, alpha, tol, max_iter
-    )
     # the solver validates alpha, tol and max_iter, so it runs first: a bad
     # setting is reported before a degenerate network is
-    eigenfactor, eigenfactor_rating, influence = eigenfactor_step()
-    degree, degree_rating = degree_step()
+    eigenfactor, eigenfactor_rating, influence = _eigenfactor_step(
+        survey, alpha, tol, max_iter
+    )
+    degree, degree_rating = _degree_step(survey)
     return WeightedRatingReport(
         survey=survey,
         arithmetic_mean=float(survey.ratings.values.mean()),
@@ -96,7 +75,7 @@ def rate_survey(
         eigenfactor_rating=eigenfactor_rating,
         influence=influence,
         alpha=alpha,
-        dangling=tuple(sorted(dangling)),
+        dangling=tuple(sorted(survey.competence.dangling)),
     )
 
 

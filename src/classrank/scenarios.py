@@ -22,7 +22,7 @@ from .errors import (
     NoConvergence,
     ScaleViolation,
 )
-from .report import _method_steps
+from .report import _degree_step, _eigenfactor_step
 from .survey import (
     RatingVector,
     SurveyInstance,
@@ -127,14 +127,10 @@ def run_scenario(
     unbiased_mean = float(np.concatenate((values[:i], values[i + 1 :])).mean())
     err_mean = abs(arithmetic_mean - unbiased_mean)
 
-    _, degree_step, eigenfactor_step = _method_steps(
-        scenario.survey, alpha, tol, max_iter
-    )
-
     d_weights = d_rating = d_error = None
     degree_failure = None
     try:
-        weights, d_rating = degree_step()
+        weights, d_rating = _degree_step(scenario.survey)
         d_weights = weights.weights
         d_error = abs(d_rating - unbiased_mean)
     except DegenerateNetwork as exc:
@@ -144,7 +140,9 @@ def run_scenario(
     influence = iterations = residual = None
     eigenfactor_failure = None
     try:
-        weights, e_rating, stationary = eigenfactor_step()
+        weights, e_rating, stationary = _eigenfactor_step(
+            scenario.survey, alpha, tol, max_iter
+        )
         influence = stationary.values
         iterations = stationary.iterations
         residual = stationary.residual

@@ -3,16 +3,17 @@
 A survey couples one rating per student with an n x n binary matrix of
 student-to-student competence perceptions: entry (i, j) is 1 when student i
 considers student j competent to judge the course. The diagonal is zero and
-blank answers count as "not competent". Row-normalizing that matrix, kept
-as its list of endorsements, is the shared entry point for both weighting
-methods.
+blank answers count as "not competent". Validation checks that matrix once
+and keeps only its row-normalized list of endorsements, the shared input of
+both weighting methods; no n x n array outlives it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from .errors import (
 
 DEFAULT_SCALE = (1.0, 5.0)
 DIAGONAL_POLICIES = ("coerce", "reject")
+# the types of JSON numbers, matched exactly: bool is a subclass of int
+_NUMBERS = frozenset((int, float))
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -65,58 +68,57 @@ class RatingVector:
 
 @dataclass(frozen=True, eq=False)
 class CompetenceMatrix:
-    """Square binary matrix of peer competence perceptions, zero diagonal."""
+    """Square 0/1 matrix of peer competence perceptions, kept as its edges.
 
-    entries: np.ndarray
+    ``CompetenceMatrix(entries)`` checks the raw n x n matrix: square and
+    nonempty, cells 0 or 1, zero diagonal. It keeps only the endorsements:
+    endorsement k runs from student ``sources[k]`` to student ``targets[k]``
+    and carries ``shares[k]``, one over the endorsement count of its source,
+    so each endorsing student hands out a total of 1 and the edges are the
+    row-normalized matrix. Edges are in row-major order. ``row_sums`` keeps
+    the endorsement counts; students who endorse nobody (the dangling set)
+    have no edges. Every sum over the matrix is a sum over edges, O(nnz)
+    rather than O(n^2).
+    """
 
-    def __post_init__(self):
-        entries = np.asarray(self.entries)
+    entries: InitVar[np.ndarray]
+    sources: np.ndarray = field(init=False)
+    targets: np.ndarray = field(init=False)
+    shares: np.ndarray = field(init=False)
+    row_sums: np.ndarray = field(init=False)
+    dangling: frozenset[int] = field(init=False)
+
+    def __post_init__(self, entries):
+        entries = np.asarray(entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionMismatch("competence matrix must be square")
-        if entries.shape[0] == 0:
+        n = entries.shape[0]
+        if n == 0:
             raise DimensionMismatch("competence matrix must be nonempty")
         # elementwise for numbers and objects, all True for string cells
-        invalid = (entries != 0) & (entries != 1)
+        nonzero = entries != 0
+        invalid = nonzero & (entries != 1)
         if invalid.any():
             bad = entries[invalid].ravel()[0]
             raise NonBinaryEntry(f"matrix entries must be 0 or 1, found {bad!r}")
-        entries = entries.astype(np.int64)  # always a private copy
-        if np.any(np.diag(entries) != 0):
-            where = np.flatnonzero(np.diag(entries)).tolist()
+        # row-major cell numbers of the endorsements; a 1-d flatnonzero of the
+        # mask is several times cheaper than a 2-d np.nonzero
+        sources, targets = np.divmod(np.flatnonzero(nonzero), n)
+        loops = sources == targets
+        if loops.any():
+            where = sources[loops].tolist()
             raise NonZeroDiagonal(f"self-endorsement at index {where}")
-        object.__setattr__(self, "entries", _readonly(entries))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedMatrix:
-    """Row-normalized competence matrix as an edge list, built by ``normalize``.
-
-    Endorsement k runs from student ``sources[k]`` to student ``targets[k]``
-    and carries ``shares[k]``, one over the endorsement count of its source,
-    so each endorsing student hands out a total of 1. Edges are in row-major
-    order. ``row_sums`` keeps the endorsement counts; students who endorse
-    nobody (the dangling set) have no edges. Every sum over the matrix is a
-    sum over edges, O(nnz) rather than O(n^2).
-    """
-
-    sources: np.ndarray
-    targets: np.ndarray
-    shares: np.ndarray
-    row_sums: np.ndarray
-    dangling: frozenset[int]
+        counts = np.bincount(sources, minlength=n)
+        dangling = frozenset(np.flatnonzero(counts == 0).tolist())
+        object.__setattr__(self, "sources", _readonly(sources))
+        object.__setattr__(self, "targets", _readonly(targets))
+        object.__setattr__(self, "shares", _readonly(1.0 / counts[sources]))
+        object.__setattr__(self, "row_sums", _readonly(counts))
+        object.__setattr__(self, "dangling", dangling)
 
     @property
     def n(self) -> int:
         return self.row_sums.size
-
-    @property
-    def total(self) -> float:
-        """Sum of all shares; equals n minus the number of dangling rows."""
-        return float(self.shares.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +156,9 @@ def validate_survey(
     Entries other than 0/1 are rejected in both policies. ``strict_likert``
     additionally requires every rating to be an integer.
 
-    Validation is idempotent: feeding back the arrays of a valid instance
-    reproduces it unchanged, with no warnings. CompetenceMatrix makes every
-    other matrix check.
+    Validation is idempotent: a matrix that passed (after any diagonal
+    coercion) validates again to the same edge list, with no warnings.
+    CompetenceMatrix makes every other matrix check.
     """
     if diagonal_policy not in DIAGONAL_POLICIES:
         raise ValueError(f"unknown diagonal policy {diagonal_policy!r}")
@@ -199,26 +201,6 @@ def validate_survey(
     )
 
 
-def normalize(competence: CompetenceMatrix) -> NormalizedMatrix:
-    """Divide each row by its endorsement count; rows of zeros stay zero.
-
-    One pass over the 0/1 matrix lists its endorsements; no n x n float
-    matrix is built.
-    """
-    n = competence.n
-    # row-major cell numbers of the endorsements; a 1-d flatnonzero of the
-    # bool mask is several times cheaper than a 2-d np.nonzero
-    sources, targets = np.divmod(np.flatnonzero(competence.entries != 0), n)
-    counts = np.bincount(sources, minlength=n)
-    return NormalizedMatrix(
-        sources=_readonly(sources),
-        targets=_readonly(targets),
-        shares=_readonly(1.0 / counts[sources]),
-        row_sums=_readonly(counts),
-        dangling=frozenset(np.flatnonzero(counts == 0).tolist()),
-    )
-
-
 def _read_document(source, kind: str, required: tuple[str, ...]) -> dict:
     """Parse a JSON document from a path, or take an already-parsed dict.
 
@@ -227,7 +209,9 @@ def _read_document(source, kind: str, required: tuple[str, ...]) -> dict:
     if isinstance(source, (str, Path)):
         try:
             data = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        # decode errors are ValueErrors; nesting too deep for the parser
+        # raises RecursionError
+        except (ValueError, RecursionError) as exc:
             raise MalformedInput(f"invalid JSON in {source}: {exc}") from exc
     else:
         data = source
@@ -240,37 +224,59 @@ def _read_document(source, kind: str, required: tuple[str, ...]) -> dict:
 
 
 def _document_scale(data: dict) -> tuple[float, float]:
-    """The two-element ``scale`` of a document, [1, 5] when absent."""
+    """The two-element ``scale`` of a document, [1, 5] when absent.
+
+    Both entries must be JSON numbers, as ratings must.
+    """
     scale = data.get("scale", list(DEFAULT_SCALE))
     if not (isinstance(scale, list) and len(scale) == 2):
         raise MalformedInput("scale must be a two-element list")
+    odd = [value for value in scale if type(value) not in _NUMBERS]
+    if odd:
+        raise MalformedInput(f"scale is not numeric: found {odd[0]!r}")
     try:
         return float(scale[0]), float(scale[1])
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"scale is not numeric: {exc}") from exc
+    except OverflowError as exc:
+        raise MalformedInput(f"scale is out of range: {exc}") from exc
+
+
+def _answers(row: list, kind: str) -> list:
+    """A competence row with its null cells, "no answer", read as 0."""
+    odd = [cell for cell in row if cell is not None and type(cell) not in _NUMBERS]
+    if odd:
+        raise MalformedInput(
+            f"{kind} competence cells are not numeric: found {odd[0]!r}"
+        )
+    return [0 if cell is None else cell for cell in row]
 
 
 def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyInstance:
     """validate_survey on parsed JSON values.
 
-    Ratings must be JSON numbers: a string such as "4" or a boolean is not
-    read as one. Null competence cells mean "no answer", which counts as 0.
-    Content that is not numeric raises MalformedInput naming ``kind``.
+    Ratings and competence cells must be JSON numbers: a string such as "4"
+    or a boolean is not read as one. Null competence cells mean "no answer",
+    which counts as 0. Content that is not numeric raises MalformedInput
+    naming ``kind``.
     """
     if not isinstance(ratings, list):
         raise MalformedInput(f"{kind} ratings are not numeric: expected a list")
-    # exact types: bool is a subclass of int, and JSON has no other numbers
-    odd = [value for value in ratings if type(value) not in (int, float)]
+    odd = [value for value in ratings if type(value) not in _NUMBERS]
     if odd:
         raise MalformedInput(f"{kind} ratings are not numeric: found {odd[0]!r}")
     if not isinstance(competence, list) or not all(
         isinstance(row, list) for row in competence
     ):
         raise MalformedInput(f"{kind} competence must be a list of lists")
-    grid = [[0 if cell is None else cell for cell in row] for row in competence]
+    # a row of numbers only passes as it is; a type set test per cell is
+    # several times cheaper than a Python-level test
+    grid = [
+        row if _NUMBERS.issuperset(map(type, row)) else _answers(row, kind)
+        for row in competence
+    ]
     try:
         return validate_survey(ratings, grid, **options)
-    except (TypeError, ValueError) as exc:
+    # OverflowError: an integer rating too large for a float
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"{kind} is not numeric: {exc}") from exc
 
 
@@ -296,11 +302,25 @@ def load_survey_json(
     )
 
 
+@contextmanager
+def _csv_reader(path):
+    """A csv reader over a UTF-8 file, closed on leaving the block.
+
+    A file that is not UTF-8, or that the csv module cannot split (a field
+    longer than its field size limit, say), raises MalformedInput.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
+        try:
+            yield csv.reader(handle)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise MalformedInput(f"unreadable CSV {path}: {exc}") from exc
+
+
 def load_competence_csv(path) -> np.ndarray:
     """Read an n x n matrix of 0/1 cells; blank cells count as 0."""
     rows = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        for record in csv.reader(handle):
+    with _csv_reader(path) as reader:
+        for record in reader:
             if not record or all(not cell.strip() for cell in record):
                 continue
             try:
@@ -320,8 +340,8 @@ def load_competence_csv(path) -> np.ndarray:
 def load_ratings_csv(path) -> list[float]:
     """Read a single-column list of ratings, one per line."""
     values = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        for record in csv.reader(handle):
+    with _csv_reader(path) as reader:
+        for record in reader:
             if not record or all(not cell.strip() for cell in record):
                 continue
             if len(record) != 1:

@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from classrank import data, load_scenarios, run_scenario
@@ -6,6 +9,15 @@ from classrank import data, load_scenarios, run_scenario
 @pytest.fixture(scope="session")
 def scenario_bundle():
     return load_scenarios(data.scenario_fixture_path())
+
+
+@pytest.fixture(scope="session")
+def scenario_matrices():
+    """Raw 0/1 competence matrix of each fixture scenario, by id, as stored."""
+    document = json.loads(data.scenario_fixture_path().read_text(encoding="utf-8"))
+    return {
+        entry["id"]: np.array(entry["competence"]) for entry in document["scenarios"]
+    }
 
 
 @pytest.fixture(scope="session")

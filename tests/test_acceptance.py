@@ -17,7 +17,6 @@ from classrank import (
     eigenfactor_weights,
     error_reduction_summary,
     inject_bias,
-    normalize,
     rate_survey,
     read_dispersion_csv,
     run_scenario,
@@ -88,10 +87,10 @@ def test_criterion_2_zero_weight_rule(scenario_by_id):
         assert base.eigenfactor_weights[7] == 0.0
         for value in (1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0):
             ratings = inject_bias(scenario.survey.ratings, 7, value)
-            normalized = normalize(scenario.survey.competence)
-            degree = degree_weights(normalized)
-            influence = stationary_distribution(normalized, 0.85)
-            eigen = eigenfactor_weights(influence, normalized)
+            competence = scenario.survey.competence
+            degree = degree_weights(competence)
+            influence = stationary_distribution(competence, 0.85)
+            eigen = eigenfactor_weights(influence, competence)
             assert weighted_rating(ratings, degree) == base.degree_rating
             assert weighted_rating(ratings, eigen) == base.eigenfactor_rating
             checked += 1
@@ -157,11 +156,10 @@ def test_criterion_5_oracle_equivalence():
         alpha = alphas[index % len(alphas)]
         matrix = random_binary_matrix(rng, n)
         survey = validate_survey([3.0] * n, matrix)
-        normalized = normalize(survey.competence)
         # alpha = 0.99 on near-periodic walks needs more than the default
         # 1000 iterations to push the residual to 1e-12
         iterated = stationary_distribution(
-            normalized, alpha, tol=1e-12, max_iter=5000
+            survey.competence, alpha, tol=1e-12, max_iter=5000
         )
         direct = stationary_oracle(walk_matrix(dense_normalized(matrix)), alpha)
         deviation = float(np.abs(iterated.values - direct).sum())
@@ -185,10 +183,10 @@ def test_criterion_6_property_suite():
         values = np.round(rng.uniform(1.0, 5.0, size=n), 3)
         survey = validate_survey(values, matrix)
 
-        normalized = normalize(survey.competence)
-        degree = degree_weights(normalized)
-        influence = stationary_distribution(normalized, 0.85)
-        eigen = eigenfactor_weights(influence, normalized)
+        competence = survey.competence
+        degree = degree_weights(competence)
+        influence = stationary_distribution(competence, 0.85)
+        eigen = eigenfactor_weights(influence, competence)
 
         for weights in (degree, eigen):
             assert np.all(weights.weights >= 0.0)
@@ -207,10 +205,10 @@ def test_criterion_6_property_suite():
         # permutation equivariance
         perm = rng.permutation(n)
         permuted = validate_survey(values[perm], matrix[np.ix_(perm, perm)])
-        normalized_p = normalize(permuted.competence)
-        degree_p = degree_weights(normalized_p)
+        competence_p = permuted.competence
+        degree_p = degree_weights(competence_p)
         eigen_p = eigenfactor_weights(
-            stationary_distribution(normalized_p, 0.85), normalized_p
+            stationary_distribution(competence_p, 0.85), competence_p
         )
         assert np.max(np.abs(degree_p.weights - degree.weights[perm])) <= 1e-9
         assert np.max(np.abs(eigen_p.weights - eigen.weights[perm])) <= 1e-9
@@ -244,7 +242,7 @@ def test_criterion_6_property_suite():
 def test_criterion_7_degenerate_handling(tmp_path, capsys):
     survey = validate_survey([4, 5, 3], np.zeros((3, 3), dtype=int))
     with pytest.raises(DegenerateNetwork):
-        degree_weights(normalize(survey.competence))
+        degree_weights(survey.competence)
     with pytest.raises(DegenerateNetwork):
         rate_survey(survey)
 

@@ -21,6 +21,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_input_error(result, message):
+    """Exit 2, no report, and one ``error:`` line holding ``message``."""
+    code, out, err = result
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# a field past the csv module's default limit of 131072 characters
+OVERLONG_FIELD = "1" * 200_000
+# nesting far deeper than the JSON parser's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def test_rate_survey_json(capsys):
     code, out, err = run_cli(capsys, "rate", "--survey", str(example_survey_path()))
     assert code == 0
@@ -134,6 +148,41 @@ def test_rate_non_number_rating_exits_2(tmp_path, capsys, rating):
     assert err.startswith("error:") and "ratings are not numeric" in err
 
 
+@pytest.mark.parametrize("cell", [True, "1"])
+def test_rate_non_number_cell_exits_2(tmp_path, capsys, cell):
+    doc = {"ratings": [4, 4], "competence": [[0, cell], [1, 0]]}
+    path = tmp_path / "survey.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli(capsys, "rate", "--survey", str(path))
+    assert_input_error(result, "competence cells are not numeric")
+
+
+@pytest.mark.parametrize("which", ["competence", "ratings"])
+def test_rate_overlong_csv_field_exits_2(tmp_path, capsys, which):
+    files = {"competence": "0\n", "ratings": "4\n"}
+    files[which] = OVERLONG_FIELD + "\n"
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text, encoding="utf-8")
+    result = run_cli(
+        capsys,
+        "rate",
+        "--competence-csv",
+        str(paths["competence"]),
+        "--ratings-csv",
+        str(paths["ratings"]),
+    )
+    assert_input_error(result, "field larger than field limit")
+
+
+def test_rate_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "survey.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    result = run_cli(capsys, "rate", "--survey", str(path))
+    assert_input_error(result, "invalid JSON")
+
+
 def test_rate_strict_likert_flag(tmp_path, capsys):
     doc = {"ratings": [3.5, 4], "competence": [[0, 1], [1, 0]]}
     path = tmp_path / "survey.json"
@@ -239,6 +288,25 @@ def test_dispersion_all_rows_filtered_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_dispersion_overlong_csv_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text(f"label,rating\na,{OVERLONG_FIELD}\n", encoding="utf-8")
+    result = run_cli(capsys, "dispersion", "--ratings-csv", str(path))
+    assert_input_error(result, "field larger than field limit")
+
+
+def test_dispersion_huge_counts_do_not_overflow(tmp_path, capsys):
+    # percentages of counts too large for a float are still exact ratios
+    huge = 10**400
+    path = tmp_path / "huge.csv"
+    path.write_text(
+        f"label,n,mode,dev2,dev3plus\na,{huge},3,{huge // 4},0\n", encoding="utf-8"
+    )
+    code, out, _ = run_cli(capsys, "dispersion", "--ratings-csv", str(path))
+    assert code == 0
+    assert json.loads(out)["aggregate"]["pct_dev2"] == 25.0
+
+
 def test_scenarios_default_fixture(capsys):
     code, out, err = run_cli(capsys, "scenarios")
     assert code == 0
@@ -297,8 +365,20 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
         ({"scenarios": [{"id": 1, "competence": [[0, 1], [1, 0]]}] * 2}, "id 1"),
         ({"ratings": ["4", 5]}, "not numeric: found '4'"),
         ({"ratings": [4, True]}, "not numeric: found True"),
+        ({"scenarios": [{"competence": [[0, True], [1, 0]]}]}, "found True"),
+        ({"scale": [True, "5"]}, "scale is not numeric: found True"),
+        ({"ratings": [4, 10**400]}, "too large"),
     ],
-    ids=["scalar-scale", "object-ratings", "duplicate-id", "string-rating", "bool-rating"],
+    ids=[
+        "scalar-scale",
+        "object-ratings",
+        "duplicate-id",
+        "string-rating",
+        "bool-rating",
+        "bool-cell",
+        "non-number-scale",
+        "huge-rating",
+    ],
 )
 def test_scenarios_malformed_bundle_exits_2(tmp_path, capsys, change, message):
     doc = {
@@ -313,6 +393,13 @@ def test_scenarios_malformed_bundle_exits_2(tmp_path, capsys, change, message):
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_scenarios_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    result = run_cli(capsys, "scenarios", "--scenario-file", str(path))
+    assert_input_error(result, "invalid JSON")
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -9,7 +9,6 @@ from classrank import (
     RatingVector,
     WeightVector,
     degree_weights,
-    normalize,
     validate_survey,
     weighted_rating,
 )
@@ -40,7 +39,7 @@ def test_uniform_matrix_gives_uniform_weights():
         survey = validate_survey(
             [3.0] * n, np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
         )
-        weights = degree_weights(normalize(survey.competence))
+        weights = degree_weights(survey.competence)
         assert np.allclose(weights.weights, 1.0 / n, atol=1e-12)
 
 
@@ -48,7 +47,7 @@ def test_uniform_weights_reproduce_the_mean():
     survey = validate_survey(
         [4, 2, 5, 3], np.ones((4, 4), dtype=int) - np.eye(4, dtype=int)
     )
-    weights = degree_weights(normalize(survey.competence))
+    weights = degree_weights(survey.competence)
     rating = weighted_rating(survey.ratings, weights)
     assert rating == pytest.approx(3.5, abs=1e-12)
 
@@ -56,18 +55,18 @@ def test_uniform_weights_reproduce_the_mean():
 def test_degenerate_network_raises():
     survey = validate_survey([4, 5], [[0, 0], [0, 0]])
     with pytest.raises(DegenerateNetwork):
-        degree_weights(normalize(survey.competence))
+        degree_weights(survey.competence)
 
 
 def test_single_student_is_degenerate():
     survey = validate_survey([4.0], [[0]])
     with pytest.raises(DegenerateNetwork):
-        degree_weights(normalize(survey.competence))
+        degree_weights(survey.competence)
 
 
 def test_length_mismatch_rejected():
     survey = validate_survey([4, 5], [[0, 1], [1, 0]])
-    weights = degree_weights(normalize(survey.competence))
+    weights = degree_weights(survey.competence)
     with pytest.raises(DimensionMismatch):
         weighted_rating(RatingVector([4, 5, 3]), weights)
 
@@ -84,7 +83,7 @@ def test_weight_vector_validation():
 def test_rating_stays_within_bounds_even_when_all_equal():
     # weights summing to 1+ulp must not push the rating past the maximum
     survey = validate_survey([4, 4, 4], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    weights = degree_weights(normalize(survey.competence))
+    weights = degree_weights(survey.competence)
     rating = weighted_rating(survey.ratings, weights)
     assert rating == 4.0
 
@@ -92,14 +91,12 @@ def test_rating_stays_within_bounds_even_when_all_equal():
 def _check_against_oracle(matrix):
     expected = degree_oracle(matrix)
     survey_matrix = np.array(matrix)
-    normalized = normalize(
-        validate_survey([3.0] * len(matrix), survey_matrix).competence
-    )
+    competence = validate_survey([3.0] * len(matrix), survey_matrix).competence
     if expected is None:
         with pytest.raises(DegenerateNetwork):
-            degree_weights(normalized)
+            degree_weights(competence)
         return
-    weights = degree_weights(normalized)
+    weights = degree_weights(competence)
     deviation = max(
         abs(w - float(e)) for w, e in zip(weights.weights, expected)
     )

@@ -6,7 +6,6 @@ from classrank import (
     NoConvergence,
     degree_weights,
     eigenfactor_weights,
-    normalize,
     stationary_distribution,
     validate_survey,
 )
@@ -26,18 +25,16 @@ from oracles import (
 )
 
 
-def _normalized(matrix):
-    survey = validate_survey([3.0] * len(matrix), matrix)
-    return normalize(survey.competence)
+def _competence(matrix):
+    return validate_survey([3.0] * len(matrix), matrix).competence
 
 
-def test_build_stochastic_patches_dangling_row(scenario_by_id):
+def test_build_stochastic_patches_dangling_row(scenario_by_id, scenario_matrices):
     # the solver folds dangling mass into each step; its result must be the
     # stationary distribution of the walk whose dangling row 7 is uniform
     competence = scenario_by_id[1].survey.competence
-    normalized = normalize(competence)
-    assert normalized.dangling == frozenset({7})
-    dense = dense_normalized(competence.entries)
+    assert competence.dangling == frozenset({7})
+    dense = dense_normalized(scenario_matrices[1])
     walk = walk_matrix(dense)
     assert np.allclose(walk[7], 0.1, atol=1e-15)
     # non-dangling rows pass through untouched
@@ -45,20 +42,19 @@ def test_build_stochastic_patches_dangling_row(scenario_by_id):
     mask[7] = False
     assert np.array_equal(walk[mask], dense[mask])
     for alpha in (0.5, 0.85, 0.99):
-        iterated = stationary_distribution(normalized, alpha, max_iter=5000)
+        iterated = stationary_distribution(competence, alpha, max_iter=5000)
         direct = stationary_oracle(walk, alpha)
         assert np.abs(iterated.values - direct).sum() <= 1e-12
 
 
-def test_build_stochastic_identity_when_no_dangling(scenario_by_id):
+def test_build_stochastic_identity_when_no_dangling(scenario_by_id, scenario_matrices):
     # with no dangling row the walk is the normalized matrix itself
     competence = scenario_by_id[2].survey.competence
-    normalized = normalize(competence)
-    assert normalized.dangling == frozenset()
-    dense = dense_normalized(competence.entries)
+    assert competence.dangling == frozenset()
+    dense = dense_normalized(scenario_matrices[2])
     assert np.array_equal(walk_matrix(dense), dense)
     for alpha in (0.5, 0.85, 0.99):
-        iterated = stationary_distribution(normalized, alpha, max_iter=5000)
+        iterated = stationary_distribution(competence, alpha, max_iter=5000)
         direct = stationary_oracle(dense, alpha)
         assert np.abs(iterated.values - direct).sum() <= 1e-12
 
@@ -74,67 +70,68 @@ def test_dangling_rows_match_the_patched_walk():
         if not matrix.any():
             keep = int(rng.choice(np.setdiff1d(np.arange(n), forced)))
             matrix[keep, (keep + 1) % n] = 1
-        normalized = _normalized(matrix)
+        competence = _competence(matrix)
         for alpha in (0.5, 0.85, 0.99):
-            iterated = stationary_distribution(normalized, alpha, max_iter=5000)
+            iterated = stationary_distribution(competence, alpha, max_iter=5000)
             direct = stationary_oracle(walk_matrix(dense_normalized(matrix)), alpha)
             assert np.abs(iterated.values - direct).sum() <= 1e-12
 
 
-def test_stated_accuracy_bound(scenario_by_id):
+def test_stated_accuracy_bound(scenario_matrices):
     # the map contracts by alpha in L1, so the distance to the fixed point
     # is at most alpha / (1 - alpha) times the last step's change
     rng = np.random.default_rng(17)
-    raws = [scenario.survey.competence.entries for scenario in scenario_by_id.values()]
+    raws = list(scenario_matrices.values())
     raws += [random_binary_matrix(rng, int(rng.integers(2, 30))) for _ in range(20)]
     for raw in raws:
-        normalized = _normalized(raw)
+        competence = _competence(raw)
         for alpha in (0.5, 0.85, 0.99):
-            result = stationary_distribution(normalized, alpha, max_iter=5000)
+            result = stationary_distribution(competence, alpha, max_iter=5000)
             direct = stationary_oracle(walk_matrix(dense_normalized(raw)), alpha)
             error = np.abs(result.values - direct).sum()
             assert error <= alpha / (1 - alpha) * result.residual + 1e-14
 
 
 def test_single_node_walk():
-    result = stationary_distribution(_normalized([[0]]))
+    result = stationary_distribution(_competence([[0]]))
     assert result.values.tolist() == [1.0]
     assert result.iterations == 1
 
 
 def test_alpha_range_enforced():
-    normalized = _normalized([[0, 1], [1, 0]])
+    competence = _competence([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
-        stationary_distribution(normalized, alpha=1.0)
+        stationary_distribution(competence, alpha=1.0)
     with pytest.raises(ValueError):
-        stationary_distribution(normalized, alpha=-0.05)
+        stationary_distribution(competence, alpha=-0.05)
     with pytest.raises(ValueError):
-        stationary_distribution(normalized, alpha=float("nan"))
-    stationary_distribution(normalized, alpha=0.0)
+        stationary_distribution(competence, alpha=float("nan"))
+    stationary_distribution(competence, alpha=0.0)
 
 
 def test_uniform_network_has_uniform_influence():
     for n in (2, 5, 8):
         matrix = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
-        result = stationary_distribution(_normalized(matrix))
+        result = stationary_distribution(_competence(matrix))
         assert np.allclose(result.values, 1.0 / n, atol=1e-12)
 
 
-def test_stationarity_of_the_result(scenario_by_id):
+def test_stationarity_of_the_result(scenario_by_id, scenario_matrices):
     competence = scenario_by_id[1].survey.competence
-    result = stationary_distribution(normalize(competence), 0.85, tol=1e-12)
-    walk = walk_matrix(dense_normalized(competence.entries))
+    result = stationary_distribution(competence, 0.85, tol=1e-12)
+    walk = walk_matrix(dense_normalized(scenario_matrices[1]))
     dense = materialize_transition(walk, 0.85)
     assert np.abs(dense @ result.values - result.values).sum() <= 1e-11
 
 
-def test_materialized_transition_is_column_stochastic(scenario_by_id):
+def test_materialized_transition_is_column_stochastic(
+    scenario_by_id, scenario_matrices
+):
     for sid in (1, 3, 5):
-        competence = scenario_by_id[sid].survey.competence
-        walk = walk_matrix(dense_normalized(competence.entries))
+        walk = walk_matrix(dense_normalized(scenario_matrices[sid]))
         dense = materialize_transition(walk, 0.85)
         assert np.allclose(dense.sum(axis=0), 1.0, atol=1e-12)
-        result = stationary_distribution(normalize(competence), 0.85)
+        result = stationary_distribution(scenario_by_id[sid].survey.competence, 0.85)
         assert np.abs(dense @ result.values - result.values).max() <= 1e-11
 
 
@@ -143,8 +140,8 @@ def test_influence_meets_teleportation_floor():
     for _ in range(25):
         n = int(rng.integers(2, 10))
         alpha = float(rng.choice([0.5, 0.85, 0.99]))
-        normalized = _normalized(random_binary_matrix(rng, n))
-        result = stationary_distribution(normalized, alpha, max_iter=5000)
+        competence = _competence(random_binary_matrix(rng, n))
+        result = stationary_distribution(competence, alpha, max_iter=5000)
         assert np.all(result.values >= (1.0 - alpha) / n - 1e-12)
         assert abs(result.values.sum() - 1.0) <= 1e-12
 
@@ -156,33 +153,33 @@ def test_power_iteration_matches_dense_solve():
     large = random_binary_matrix(rng, 400, density=0.02)
     large[rng.choice(400, 40, replace=False)] = 0
     for matrix in matrices + [large]:
-        iterated = stationary_distribution(_normalized(matrix), 0.85).values
+        iterated = stationary_distribution(_competence(matrix), 0.85).values
         direct = stationary_oracle(walk_matrix(dense_normalized(matrix)), 0.85)
         assert np.abs(iterated - direct).sum() <= 1e-9
 
 
 def test_deterministic_reruns(scenario_by_id):
-    normalized = normalize(scenario_by_id[1].survey.competence)
-    first = stationary_distribution(normalized, 0.85)
-    second = stationary_distribution(normalized, 0.85)
+    competence = scenario_by_id[1].survey.competence
+    first = stationary_distribution(competence, 0.85)
+    second = stationary_distribution(competence, 0.85)
     assert np.array_equal(first.values, second.values)
     assert first.iterations == second.iterations
     assert first.residual == second.residual
 
 
 def test_no_convergence_guard(scenario_by_id):
-    normalized = normalize(scenario_by_id[1].survey.competence)
+    competence = scenario_by_id[1].survey.competence
     with pytest.raises(NoConvergence):
-        stationary_distribution(normalized, 0.85, tol=1e-12, max_iter=2)
+        stationary_distribution(competence, 0.85, tol=1e-12, max_iter=2)
 
 
 def test_solver_parameter_validation(scenario_by_id):
-    normalized = normalize(scenario_by_id[1].survey.competence)
+    competence = scenario_by_id[1].survey.competence
     for tol in (0.0, -1e-12, float("nan")):
         with pytest.raises(ValueError):
-            stationary_distribution(normalized, tol=tol)
+            stationary_distribution(competence, tol=tol)
     with pytest.raises(ValueError):
-        stationary_distribution(normalized, max_iter=0)
+        stationary_distribution(competence, max_iter=0)
 
 
 def test_golden_weights_most_scenarios(result_by_id):
@@ -218,10 +215,10 @@ def test_unendorsed_student_gets_exact_zero(result_by_id):
 def test_near_zero_alpha_recovers_degree_weights(scenario_by_id):
     # with a nearly uniform influence vector the incoming-mass weighting
     # collapses to the degree one
-    normalized = normalize(scenario_by_id[1].survey.competence)
-    influence = stationary_distribution(normalized, alpha=1e-6)
-    eigen = eigenfactor_weights(influence, normalized)
-    degree = degree_weights(normalized)
+    competence = scenario_by_id[1].survey.competence
+    influence = stationary_distribution(competence, alpha=1e-6)
+    eigen = eigenfactor_weights(influence, competence)
+    degree = degree_weights(competence)
     assert np.max(np.abs(eigen.weights - degree.weights)) <= 1e-4
 
 
@@ -229,13 +226,13 @@ def test_degenerate_network_raises():
     # a network without edges: the solver still returns the uniform float
     # distribution, and both weightings refuse it
     for n in (1, 2, 5, 30):
-        normalized = _normalized(np.zeros((n, n), dtype=int))
-        assert normalized.sources.size == 0
-        influence = stationary_distribution(normalized, 0.85)
+        competence = _competence(np.zeros((n, n), dtype=int))
+        assert competence.sources.size == 0
+        influence = stationary_distribution(competence, 0.85)
         assert influence.values.dtype == np.float64
         assert np.allclose(influence.values, 1.0 / n, rtol=0, atol=1e-15)
         assert influence.iterations == 1
         with pytest.raises(DegenerateNetwork):
-            eigenfactor_weights(influence, normalized)
+            eigenfactor_weights(influence, competence)
         with pytest.raises(DegenerateNetwork):
-            degree_weights(normalized)
+            degree_weights(competence)

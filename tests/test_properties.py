@@ -9,7 +9,6 @@ from classrank import (
     degree_weights,
     eigenfactor_weights,
     mode_of,
-    normalize,
     rate_survey,
     stationary_distribution,
     validate_survey,
@@ -20,7 +19,8 @@ ratings_values = st.floats(min_value=1.0, max_value=5.0, allow_nan=False)
 
 
 @st.composite
-def surveys(draw, min_n=2, max_n=8):
+def networks(draw, min_n=2, max_n=8):
+    """Ratings and a zero-diagonal 0/1 matrix with at least one endorsement."""
     n = draw(st.integers(min_n, max_n))
     cells = draw(
         st.lists(st.booleans(), min_size=n * (n - 1), max_size=n * (n - 1))
@@ -34,21 +34,25 @@ def surveys(draw, min_n=2, max_n=8):
                 matrix[i, j] = int(cells[index])
                 index += 1
     ratings = draw(st.lists(ratings_values, min_size=n, max_size=n))
-    return validate_survey(ratings, matrix)
+    return ratings, matrix
+
+
+@st.composite
+def surveys(draw, min_n=2, max_n=8):
+    return validate_survey(*draw(networks(min_n, max_n)))
 
 
 @st.composite
 def surveys_with_permutations(draw):
-    survey = draw(surveys())
-    perm = draw(st.permutations(range(survey.n)))
-    return survey, list(perm)
+    ratings, matrix = draw(networks())
+    perm = draw(st.permutations(range(len(ratings))))
+    return validate_survey(ratings, matrix), matrix, list(perm)
 
 
 def both_weightings(survey):
-    normalized = normalize(survey.competence)
-    degree = degree_weights(normalized)
-    influence = stationary_distribution(normalized, 0.85)
-    eigen = eigenfactor_weights(influence, normalized)
+    degree = degree_weights(survey.competence)
+    influence = stationary_distribution(survey.competence, 0.85)
+    eigen = eigenfactor_weights(influence, survey.competence)
     return degree, eigen
 
 
@@ -73,10 +77,10 @@ def test_weighted_ratings_stay_in_bounds(survey):
 @given(surveys_with_permutations())
 @settings(deadline=None)
 def test_permutation_equivariance(survey_and_perm):
-    survey, perm = survey_and_perm
+    survey, matrix, perm = survey_and_perm
     permuted = validate_survey(
         survey.ratings.values[perm],
-        survey.competence.entries[np.ix_(perm, perm)],
+        matrix[np.ix_(perm, perm)],
     )
     base_degree, base_eigen = both_weightings(survey)
     perm_degree, perm_eigen = both_weightings(permuted)
@@ -122,13 +126,12 @@ def test_affine_equivariance(survey, scale_factor, shift, negate):
 
 @st.composite
 def surveys_with_unendorsed_student(draw):
-    survey = draw(surveys(min_n=2, max_n=8))
-    target = draw(st.integers(0, survey.n - 1))
-    matrix = np.array(survey.competence.entries)
+    ratings, matrix = draw(networks(min_n=2, max_n=8))
+    target = draw(st.integers(0, len(ratings) - 1))
     matrix[:, target] = 0
     assume(matrix.any())
     replacement = draw(ratings_values)
-    return validate_survey(survey.ratings.values, matrix), target, replacement
+    return validate_survey(ratings, matrix), target, replacement
 
 
 @given(surveys_with_unendorsed_student())

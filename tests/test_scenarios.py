@@ -192,6 +192,15 @@ def test_loader_validates_document(tmp_path):
         load_scenarios(_bundle(scenarios=twice))
 
 
+def test_loader_rejects_non_number_cells_and_scale():
+    for cell in (True, "1"):
+        scenarios = [{"id": 1, "competence": [[0, 1, cell], [1, 0, 1], [1, 1, 0]]}]
+        with pytest.raises(MalformedInput, match="competence cells are not numeric"):
+            load_scenarios(_bundle(scenarios=scenarios))
+    with pytest.raises(MalformedInput, match="scale is not numeric: found True"):
+        load_scenarios(_bundle(scale=[True, "5"]))
+
+
 def test_loader_orders_by_id():
     doc = {
         "ratings": [4, 5],
@@ -210,5 +219,11 @@ def test_loader_counts_null_cells_as_zero_like_the_survey_loader():
     scenarios = [{"id": 1, "competence": competence}]
     (scenario,) = load_scenarios(_bundle(scenarios=scenarios))
     survey = load_survey_json({"ratings": [4, 5, 3], "competence": competence})
-    assert np.array_equal(scenario.survey.competence.entries, survey.competence.entries)
-    assert scenario.survey.competence.entries[0, 2] == 0
+    for name in ("sources", "targets", "shares", "row_sums"):
+        assert np.array_equal(
+            getattr(scenario.survey.competence, name),
+            getattr(survey.competence, name),
+        )
+    # the null cells (0, 2) and (2, 0) are no endorsements
+    edges = zip(survey.competence.sources.tolist(), survey.competence.targets.tolist())
+    assert list(edges) == [(0, 1), (1, 0), (1, 2), (2, 1)]

@@ -13,10 +13,23 @@ from classrank import (
     ScaleViolation,
     load_survey_csv,
     load_survey_json,
-    normalize,
     validate_survey,
 )
 from oracles import dense_normalized, random_binary_matrix
+
+
+def _edges(competence):
+    return sorted(
+        zip(
+            competence.sources.tolist(),
+            competence.targets.tolist(),
+            competence.shares.tolist(),
+        )
+    )
+
+
+def _pairs(competence):
+    return [(i, j) for i, j, _ in _edges(competence)]
 
 
 def test_validate_accepts_fixture_shapes(scenario_bundle):
@@ -28,7 +41,7 @@ def test_validate_accepts_fixture_shapes(scenario_bundle):
 def test_single_student_survey_is_valid():
     survey = validate_survey([3.0], [[0]])
     assert survey.n == 1
-    assert normalize(survey.competence).dangling == frozenset({0})
+    assert survey.competence.dangling == frozenset({0})
 
 
 def test_reject_policy_raises_on_self_endorsement():
@@ -38,7 +51,8 @@ def test_reject_policy_raises_on_self_endorsement():
 
 def test_coerce_policy_zeroes_diagonal_and_warns():
     survey = validate_survey([4, 4], [[1, 1], [0, 0]], diagonal_policy="coerce")
-    assert survey.competence.entries[0, 0] == 0
+    # the self-endorsement (0, 0) is dropped, (0, 1) is kept
+    assert _pairs(survey.competence) == [(0, 1)]
     assert len(survey.warnings) == 1
     assert "0" in survey.warnings[0]
 
@@ -95,73 +109,74 @@ def test_dimension_mismatches():
         RatingVector([])
 
 
-def test_validation_is_idempotent(scenario_bundle):
-    survey = scenario_bundle[0].survey
+def test_validation_is_idempotent(scenario_bundle, scenario_matrices):
+    scenario = scenario_bundle[0]
+    survey = scenario.survey
     again = validate_survey(
         survey.ratings.values,
-        survey.competence.entries,
+        scenario_matrices[scenario.id],
         scale=(survey.ratings.scale_min, survey.ratings.scale_max),
         label=survey.label,
     )
     assert np.array_equal(again.ratings.values, survey.ratings.values)
-    assert np.array_equal(again.competence.entries, survey.competence.entries)
+    for name in ("sources", "targets", "shares", "row_sums"):
+        assert np.array_equal(
+            getattr(again.competence, name), getattr(survey.competence, name)
+        )
+    assert again.competence.dangling == survey.competence.dangling
     assert again.warnings == ()
 
 
 def test_arrays_are_frozen(scenario_bundle):
     survey = scenario_bundle[0].survey
-    with pytest.raises(ValueError):
-        survey.competence.entries[0, 1] = 0
+    competence = survey.competence
+    for array in (
+        competence.sources,
+        competence.targets,
+        competence.shares,
+        competence.row_sums,
+    ):
+        with pytest.raises(ValueError):
+            array[0] = 0
     with pytest.raises(ValueError):
         survey.ratings.values[0] = 2.0
 
 
-def _edges(normalized):
-    return sorted(
-        zip(
-            normalized.sources.tolist(),
-            normalized.targets.tolist(),
-            normalized.shares.tolist(),
-        )
-    )
-
-
 def test_normalize_uniform_matrix():
     n = 4
-    matrix = CompetenceMatrix(np.ones((n, n), dtype=int) - np.eye(n, dtype=int))
-    normalized = normalize(matrix)
+    competence = CompetenceMatrix(np.ones((n, n), dtype=int) - np.eye(n, dtype=int))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    assert [(i, j) for i, j, _ in _edges(normalized)] == pairs
-    assert np.allclose(normalized.shares, 1.0 / (n - 1), atol=1e-15)
-    assert normalized.dangling == frozenset()
-    assert normalized.total == pytest.approx(n, abs=1e-12)
+    assert _pairs(competence) == pairs
+    assert np.allclose(competence.shares, 1.0 / (n - 1), atol=1e-15)
+    assert competence.dangling == frozenset()
+    assert competence.shares.sum() == pytest.approx(n, abs=1e-12)
 
 
 def test_normalize_rows_sum_to_one_or_zero(scenario_bundle):
     for scenario in scenario_bundle:
-        normalized = normalize(scenario.survey.competence)
-        sums = np.bincount(normalized.sources, normalized.shares, normalized.n)
+        competence = scenario.survey.competence
+        sums = np.bincount(competence.sources, competence.shares, competence.n)
         for i, total in enumerate(sums):
-            if i in normalized.dangling:
+            if i in competence.dangling:
                 assert total == 0.0
             else:
                 assert abs(total - 1.0) <= 1e-12
-        assert 0 < normalized.total <= scenario.survey.n
+        assert 0 < competence.shares.sum() <= scenario.survey.n
 
 
 def test_normalize_three_endorsements_gives_thirds(scenario_bundle):
     # row 6 (0-based 5) endorses exactly three students
-    normalized = normalize(scenario_bundle[0].survey.competence)
-    row = normalized.shares[normalized.sources == 5]
-    assert normalized.row_sums[5] == 3
+    competence = scenario_bundle[0].survey.competence
+    row = competence.shares[competence.sources == 5]
+    assert competence.row_sums[5] == 3
     assert np.allclose(row, 1 / 3, atol=1e-15)
     assert row.size == 3
 
 
 def test_normalize_keeps_dangling_row_zero(scenario_bundle):
-    normalized = normalize(scenario_bundle[0].survey.competence)
-    assert normalized.dangling == frozenset({7})
-    assert 7 not in normalized.sources
+    competence = scenario_bundle[0].survey.competence
+    assert competence.dangling == frozenset({7})
+    assert 7 not in competence.sources
 
 
 def test_normalize_permutation_equivariant():
@@ -171,32 +186,32 @@ def test_normalize_permutation_equivariant():
         matrix = (rng.random((n, n)) < 0.5).astype(int)
         np.fill_diagonal(matrix, 0)
         perm = rng.permutation(n)
-        base = _edges(normalize(CompetenceMatrix(matrix)))
-        permuted = normalize(CompetenceMatrix(matrix[np.ix_(perm, perm)]))
+        base = _edges(CompetenceMatrix(matrix))
+        permuted = CompetenceMatrix(matrix[np.ix_(perm, perm)])
         relabelled = sorted(
             (int(perm[i]), int(perm[j]), share) for i, j, share in _edges(permuted)
         )
         assert relabelled == base
 
 
-def test_normalize_edge_list_scatters_to_the_dense_oracle(scenario_bundle):
+def test_normalize_edge_list_scatters_to_the_dense_oracle(scenario_matrices):
     rng = np.random.default_rng(13)
-    raws = [scenario.survey.competence.entries for scenario in scenario_bundle]
+    raws = list(scenario_matrices.values())
     for _ in range(20):
         matrix = random_binary_matrix(rng, int(rng.integers(2, 12)))
         matrix[rng.random(len(matrix)) < 0.3] = 0  # dangling rows
         raws.append(matrix)
     raws += [np.zeros((1, 1), dtype=int), np.zeros((5, 5), dtype=int)]
     for raw in raws:
-        normalized = normalize(CompetenceMatrix(raw))
+        competence = CompetenceMatrix(raw)
         n = len(raw)
-        assert normalized.sources.size == np.count_nonzero(raw)  # no repeats
-        assert normalized.shares.dtype == np.float64
-        for array in (normalized.sources, normalized.targets, normalized.shares):
+        assert competence.sources.size == np.count_nonzero(raw)  # no repeats
+        assert competence.shares.dtype == np.float64
+        for array in (competence.sources, competence.targets, competence.shares):
             assert not array.flags.writeable
-        assert np.array_equal(normalized.row_sums, raw.sum(axis=1))
+        assert np.array_equal(competence.row_sums, raw.sum(axis=1))
         dense = np.zeros((n, n))
-        dense[normalized.sources, normalized.targets] = normalized.shares
+        dense[competence.sources, competence.targets] = competence.shares
         assert np.array_equal(dense, dense_normalized(raw))
 
 
@@ -212,8 +227,8 @@ def test_load_survey_json_roundtrip(tmp_path):
     survey = load_survey_json(path)
     assert survey.label == "tiny"
     assert survey.n == 3
-    # null cells count as "not competent"
-    assert survey.competence.entries[1, 2] == 0
+    # null cells count as "not competent": no edge (1, 2)
+    assert _pairs(survey.competence) == [(0, 1), (0, 2), (1, 0), (2, 1)]
 
 
 def test_load_survey_json_defaults_scale():
@@ -230,6 +245,29 @@ def test_load_survey_json_rejects_non_number_ratings(rating):
         load_survey_json(doc)
     with pytest.raises(MalformedInput, match="ratings are not numeric"):
         load_survey_json({**doc, "ratings": "45"})
+
+
+@pytest.mark.parametrize("cell", [True, False, "1", [1], {"value": 1}])
+def test_load_survey_json_rejects_non_number_cells(cell):
+    # a boolean or a string cell is not silently read as 0 or 1
+    doc = {"ratings": [4, 5], "competence": [[0, cell], [1, 0]]}
+    with pytest.raises(MalformedInput, match="competence cells are not numeric"):
+        load_survey_json(doc)
+
+
+@pytest.mark.parametrize("scale", [[True, "5"], [1, "5"], [None, 5], [1, [5]]])
+def test_load_survey_json_rejects_non_number_scale(scale):
+    doc = {"scale": scale, "ratings": [4, 5], "competence": [[0, 1], [1, 0]]}
+    with pytest.raises(MalformedInput, match="scale is not numeric"):
+        load_survey_json(doc)
+
+
+def test_load_survey_json_rejects_numbers_too_large_for_a_float():
+    doc = {"ratings": [4, 5], "competence": [[0, 1], [1, 0]]}
+    with pytest.raises(MalformedInput, match="scale is out of range"):
+        load_survey_json({**doc, "scale": [1, 10**400]})
+    with pytest.raises(MalformedInput, match="too large"):
+        load_survey_json({**doc, "ratings": [4, 10**400]})
 
 
 def test_load_survey_json_missing_keys():
@@ -252,8 +290,8 @@ def test_load_survey_csv_blank_cells_count_as_zero(tmp_path):
     ratings_path = tmp_path / "ratings.csv"
     ratings_path.write_text("4\n2\n5\n", encoding="utf-8")
     survey = load_survey_csv(matrix_path, ratings_path)
-    assert survey.competence.entries[1, 2] == 0
-    assert survey.competence.entries[2, 0] == 0
+    # no edges (1, 2) and (2, 0)
+    assert _pairs(survey.competence) == [(0, 1), (0, 2), (1, 0), (2, 1)]
     assert survey.ratings.values.tolist() == [4.0, 2.0, 5.0]
 
 
