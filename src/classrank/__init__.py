@@ -27,7 +27,7 @@ from .errors import (
     NonZeroDiagonal,
     ScaleViolation,
 )
-from .report import WeightedRatingReport, rate_survey
+from .report import MethodResult, WeightedRatingReport, rate_survey
 from .scenarios import (
     ReductionSummary,
     Scenario,
@@ -60,6 +60,7 @@ __all__ = [
     "InfluenceVector",
     "InstructorRecord",
     "MalformedInput",
+    "MethodResult",
     "NoConvergence",
     "NonBinaryEntry",
     "NonZeroDiagonal",

@@ -17,6 +17,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import data as bundled_data
+from .degree import METHODS
 from .dispersion import DEFAULT_MIN_N, TIEBREAKS, aggregate, read_dispersion_csv
 from .eigenfactor import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ClassrankError, DegenerateNetwork, NoConvergence
@@ -203,9 +204,9 @@ def _cmd_rate(args) -> int:
     print(
         f"{survey.label or 'survey'}: n={survey.n} "
         f"mean={report.arithmetic_mean:.4f} "
-        f"degree={report.degree_rating:.4f} "
-        f"eigenfactor={report.eigenfactor_rating:.4f} "
-        f"({report.influence.iterations} iterations)",
+        f"degree={report.degree.rating:.4f} "
+        f"eigenfactor={report.eigenfactor.rating:.4f} "
+        f"({report.eigenfactor.influence.iterations} iterations)",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -251,14 +252,14 @@ def _cmd_scenarios(args) -> int:
     ]
     summary = error_reduction_summary(results)
     _emit(scenario_report_dict(results, summary, asdict(config)), args.output)
-    for result, reduction in zip(results, summary.per_scenario):
+    for result in results:
         parts = [f"scenario {result.id}: mean={result.arithmetic_mean:.4f}"]
-        if result.degree_rating is not None:
-            parts.append(f"degree={result.degree_rating:.4f}")
-        if result.eigenfactor_rating is not None:
-            parts.append(f"eigenfactor={result.eigenfactor_rating:.4f}")
-        if reduction.winner:
-            parts.append(f"winner={reduction.winner}")
+        for method in METHODS:
+            scored = getattr(result, method)
+            if scored is not None:
+                parts.append(f"{method}={scored.rating:.4f}")
+        if result.winner:
+            parts.append(f"winner={result.winner}")
         print(" ".join(parts), file=sys.stderr)
     if summary.mean_degree_reduction is not None:
         print(

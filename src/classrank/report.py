@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .degree import WeightVector, degree_weights, weighted_rating
+import numpy as np
+
+from .degree import degree_weights, weighted_rating
 from .eigenfactor import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
@@ -24,33 +26,50 @@ SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
+class MethodResult:
+    """One weighting method applied to one survey: the read-only weights,
+    the weighted rating they give and, for eigenfactor only, the influence
+    (stationary distribution) they come from."""
+
+    weights: np.ndarray
+    rating: float
+    influence: InfluenceVector | None = None
+
+
+def score_method(
+    survey: SurveyInstance,
+    method: str,
+    alpha: float = DEFAULT_ALPHA,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> MethodResult:
+    """Score ``survey`` with ``method``, "degree" or "eigenfactor".
+
+    Raises DegenerateNetwork when nobody endorses anybody; the eigenfactor
+    solver raises ValueError on a bad setting and NoConvergence.
+    """
+    influence = None
+    if method == "degree":
+        weights = degree_weights(survey.competence)
+    else:
+        influence = stationary_distribution(survey.competence, alpha, tol, max_iter)
+        weights = eigenfactor_weights(influence, survey.competence)
+    rating = weighted_rating(survey.ratings, weights)
+    return MethodResult(weights.weights, rating, influence)
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedRatingReport:
     """Both weighting methods applied to one survey."""
 
     survey: SurveyInstance
-    arithmetic_mean: float
-    degree: WeightVector
-    degree_rating: float
-    eigenfactor: WeightVector
-    eigenfactor_rating: float
-    influence: InfluenceVector
     alpha: float
-    dangling: tuple[int, ...]
+    degree: MethodResult
+    eigenfactor: MethodResult
 
-
-# rate_survey and run_scenario both score a survey through these two steps;
-# only what they do with a failing step differs
-def _degree_step(survey: SurveyInstance) -> tuple[WeightVector, float]:
-    weights = degree_weights(survey.competence)
-    return weights, weighted_rating(survey.ratings, weights)
-
-
-def _eigenfactor_step(
-    survey: SurveyInstance, alpha: float, tol: float, max_iter: int
-) -> tuple[WeightVector, float, InfluenceVector]:
-    influence = stationary_distribution(survey.competence, alpha, tol, max_iter)
-    weights = eigenfactor_weights(influence, survey.competence)
-    return weights, weighted_rating(survey.ratings, weights), influence
+    @property
+    def arithmetic_mean(self) -> float:
+        return float(self.survey.ratings.values.mean())
 
 
 def rate_survey(
@@ -62,21 +81,9 @@ def rate_survey(
     """Compute degree and eigenfactor weighted ratings for one survey."""
     # the solver validates alpha, tol and max_iter, so it runs first: a bad
     # setting is reported before a degenerate network is
-    eigenfactor, eigenfactor_rating, influence = _eigenfactor_step(
-        survey, alpha, tol, max_iter
-    )
-    degree, degree_rating = _degree_step(survey)
-    return WeightedRatingReport(
-        survey=survey,
-        arithmetic_mean=float(survey.ratings.values.mean()),
-        degree=degree,
-        degree_rating=degree_rating,
-        eigenfactor=eigenfactor,
-        eigenfactor_rating=eigenfactor_rating,
-        influence=influence,
-        alpha=alpha,
-        dangling=tuple(sorted(survey.competence.dangling)),
-    )
+    eigenfactor = score_method(survey, "eigenfactor", alpha, tol, max_iter)
+    degree = score_method(survey, "degree")
+    return WeightedRatingReport(survey, alpha, degree, eigenfactor)
 
 
 def rating_report_dict(report: WeightedRatingReport, config: dict) -> dict:
@@ -90,19 +97,19 @@ def rating_report_dict(report: WeightedRatingReport, config: dict) -> dict:
         "degree": {
             "method": "degree",
             "weights": report.degree.weights.tolist(),
-            "weighted_rating": report.degree_rating,
+            "weighted_rating": report.degree.rating,
             "arithmetic_mean": report.arithmetic_mean,
         },
         "eigenfactor": {
             "method": "eigenfactor",
             "alpha": report.alpha,
             "weights": report.eigenfactor.weights.tolist(),
-            "influence": report.influence.values.tolist(),
-            "iterations": report.influence.iterations,
-            "residual": report.influence.residual,
-            "weighted_rating": report.eigenfactor_rating,
+            "influence": report.eigenfactor.influence.values.tolist(),
+            "iterations": report.eigenfactor.influence.iterations,
+            "residual": report.eigenfactor.influence.residual,
+            "weighted_rating": report.eigenfactor.rating,
         },
-        "dangling": list(report.dangling),
+        "dangling": sorted(survey.competence.dangling),
         "warnings": list(survey.warnings),
         "config": config,
     }
@@ -134,43 +141,39 @@ def dispersion_report_dict(rows, aggregate, excluded, config: dict) -> dict:
     }
 
 
-def scenario_report_dict(results, summary, config: dict) -> dict:
-    def optional_floats(array):
-        return None if array is None else array.tolist()
+def _scenario_method(result, method: str) -> dict:
+    """One method's block of a scenario row; null fields where it failed."""
+    scored = getattr(result, method)
+    block = {
+        "method": method,
+        "weights": None if scored is None else scored.weights.tolist(),
+        "weighted_rating": None if scored is None else scored.rating,
+        "error": result.error(method),
+        "error_reduction_pct": result.reduction(method),
+    }
+    if method == "eigenfactor":
+        influence = None if scored is None else scored.influence
+        block["influence"] = None if influence is None else influence.values.tolist()
+        block["iterations"] = None if influence is None else influence.iterations
+        block["residual"] = None if influence is None else influence.residual
+    block["failure"] = getattr(result, f"{method}_failure")
+    return block
 
-    reductions = {entry.id: entry for entry in summary.per_scenario}
-    rows = []
-    for result in sorted(results, key=lambda r: r.id):
-        reduction = reductions[result.id]
-        rows.append(
-            {
-                "id": result.id,
-                "arithmetic_mean": result.arithmetic_mean,
-                "unbiased_mean": result.unbiased_mean,
-                "err_mean": result.err_mean,
-                "degree": {
-                    "method": "degree",
-                    "weights": optional_floats(result.degree_weights),
-                    "weighted_rating": result.degree_rating,
-                    "error": result.err_degree,
-                    "error_reduction_pct": reduction.degree_reduction,
-                    "failure": result.degree_failure,
-                },
-                "eigenfactor": {
-                    "method": "eigenfactor",
-                    "weights": optional_floats(result.eigenfactor_weights),
-                    "weighted_rating": result.eigenfactor_rating,
-                    "error": result.err_eigenfactor,
-                    "error_reduction_pct": reduction.eigenfactor_reduction,
-                    "influence": optional_floats(result.influence),
-                    "iterations": result.iterations,
-                    "residual": result.residual,
-                    "failure": result.eigenfactor_failure,
-                },
-                "winner": reduction.winner,
-                "zero_baseline": reduction.zero_baseline,
-            }
-        )
+
+def scenario_report_dict(results, summary, config: dict) -> dict:
+    rows = [
+        {
+            "id": result.id,
+            "arithmetic_mean": result.arithmetic_mean,
+            "unbiased_mean": result.unbiased_mean,
+            "err_mean": result.err_mean,
+            "degree": _scenario_method(result, "degree"),
+            "eigenfactor": _scenario_method(result, "eigenfactor"),
+            "winner": result.winner,
+            "zero_baseline": result.zero_baseline,
+        }
+        for result in sorted(results, key=lambda r: r.id)
+    ]
     return {
         "schema": SCHEMA_VERSION,
         "results": rows,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .degree import METHODS
 from .eigenfactor import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import (
     DegenerateNetwork,
@@ -22,7 +23,7 @@ from .errors import (
     NoConvergence,
     ScaleViolation,
 )
-from .report import _degree_step, _eigenfactor_step
+from .report import MethodResult, score_method
 from .survey import (
     RatingVector,
     SurveyInstance,
@@ -53,44 +54,57 @@ class Scenario:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """Ratings and errors of one scenario run.
+    """Both weighting methods scored on one scenario.
 
-    A weighting method that fails (degenerate network, no convergence)
-    leaves its fields None and records the reason in its failure slot; the
-    other method still runs.
+    A method that fails (degenerate network, no convergence) leaves its
+    result None and records the reason in its failure slot; the other still
+    runs. The scores are derived from these fields on access, which costs
+    less than caching them would.
     """
 
     id: int
     arithmetic_mean: float
     unbiased_mean: float
-    err_mean: float
-    degree_weights: np.ndarray | None
-    degree_rating: float | None
-    err_degree: float | None
-    eigenfactor_weights: np.ndarray | None
-    eigenfactor_rating: float | None
-    err_eigenfactor: float | None
-    influence: np.ndarray | None
-    iterations: int | None
-    residual: float | None
+    degree: MethodResult | None = None
+    eigenfactor: MethodResult | None = None
     degree_failure: str | None = None
     eigenfactor_failure: str | None = None
 
+    @property
+    def err_mean(self) -> float:
+        """Distance of the arithmetic mean from the leave-one-out mean."""
+        return abs(self.arithmetic_mean - self.unbiased_mean)
 
-@dataclass(frozen=True)
-class ScenarioReduction:
-    """Share of the mean's error removed by each method, in percent."""
+    @property
+    def zero_baseline(self) -> bool:
+        """A zero baseline error cannot be scored as a ratio."""
+        return self.err_mean == 0.0
 
-    id: int
-    degree_reduction: float | None
-    eigenfactor_reduction: float | None
-    winner: str | None
-    zero_baseline: bool
+    def error(self, method: str) -> float | None:
+        """Distance of the method's rating from the leave-one-out mean."""
+        scored = getattr(self, method)
+        return None if scored is None else abs(scored.rating - self.unbiased_mean)
+
+    def reduction(self, method: str) -> float | None:
+        """Percent of the mean's error the method removes."""
+        error = self.error(method)
+        if error is None or self.zero_baseline:
+            return None
+        return 100.0 * (1.0 - error / self.err_mean)
+
+    @property
+    def winner(self) -> str | None:
+        """The method with the smaller error, "tie", or None if both failed."""
+        degree, eigenfactor = self.error("degree"), self.error("eigenfactor")
+        if degree == eigenfactor:
+            return None if degree is None else "tie"
+        if eigenfactor is None or (degree is not None and degree < eigenfactor):
+            return "degree"
+        return "eigenfactor"
 
 
 @dataclass(frozen=True)
 class ReductionSummary:
-    per_scenario: tuple[ScenarioReduction, ...]
     mean_degree_reduction: float | None
     mean_eigenfactor_reduction: float | None
 
@@ -118,112 +132,41 @@ def run_scenario(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ScenarioResult:
     """Score both weighting methods against the leave-one-out mean."""
-    ratings = scenario.survey.ratings
-    if ratings.n < 2:
+    survey = scenario.survey
+    if survey.n < 2:
         raise EmptyInput("cannot exclude the only rating")
-    values = ratings.values
-    arithmetic_mean = float(values.mean())
+    values = survey.ratings.values
     i = scenario.biased_index
-    unbiased_mean = float(np.concatenate((values[:i], values[i + 1 :])).mean())
-    err_mean = abs(arithmetic_mean - unbiased_mean)
-
-    d_weights = d_rating = d_error = None
-    degree_failure = None
-    try:
-        weights, d_rating = _degree_step(scenario.survey)
-        d_weights = weights.weights
-        d_error = abs(d_rating - unbiased_mean)
-    except DegenerateNetwork as exc:
-        degree_failure = str(exc)
-
-    e_weights = e_rating = e_error = None
-    influence = iterations = residual = None
-    eigenfactor_failure = None
-    try:
-        weights, e_rating, stationary = _eigenfactor_step(
-            scenario.survey, alpha, tol, max_iter
-        )
-        influence = stationary.values
-        iterations = stationary.iterations
-        residual = stationary.residual
-        e_weights = weights.weights
-        e_error = abs(e_rating - unbiased_mean)
-    except (DegenerateNetwork, NoConvergence) as exc:
-        eigenfactor_failure = str(exc)
-
+    # each method's MethodResult, or the reason it failed, by field name
+    outcome = {}
+    for method in METHODS:
+        try:
+            outcome[method] = score_method(survey, method, alpha, tol, max_iter)
+        except (DegenerateNetwork, NoConvergence) as exc:
+            outcome[f"{method}_failure"] = str(exc)
     return ScenarioResult(
         id=scenario.id,
-        arithmetic_mean=arithmetic_mean,
-        unbiased_mean=unbiased_mean,
-        err_mean=err_mean,
-        degree_weights=d_weights,
-        degree_rating=d_rating,
-        err_degree=d_error,
-        eigenfactor_weights=e_weights,
-        eigenfactor_rating=e_rating,
-        err_eigenfactor=e_error,
-        influence=influence,
-        iterations=iterations,
-        residual=residual,
-        degree_failure=degree_failure,
-        eigenfactor_failure=eigenfactor_failure,
+        arithmetic_mean=float(values.mean()),
+        unbiased_mean=float(np.concatenate((values[:i], values[i + 1 :])).mean()),
+        **outcome,
     )
 
 
-def _winner(result: ScenarioResult) -> str | None:
-    if result.err_degree is None and result.err_eigenfactor is None:
-        return None
-    if result.err_eigenfactor is None:
-        return "degree"
-    if result.err_degree is None:
-        return "eigenfactor"
-    if result.err_degree == result.err_eigenfactor:
-        return "tie"
-    return "degree" if result.err_degree < result.err_eigenfactor else "eigenfactor"
-
-
 def error_reduction_summary(results) -> ReductionSummary:
-    """Percent of the mean's error removed per scenario, plus the means.
+    """Mean percent of the mean's error each method removes.
 
-    A scenario whose baseline error is zero cannot be scored as a ratio; it
-    is flagged with ``zero_baseline`` and left out of the mean reductions.
+    Scenarios where a method failed, or whose baseline error is zero (see
+    ``ScenarioResult.zero_baseline``), are left out of that method's mean.
     """
     results = list(results)
     if not results:
         raise EmptyInput("no scenario results to summarize")
-    per_scenario = []
-    degree_values = []
-    eigen_values = []
-    for result in results:
-        zero_baseline = result.err_mean == 0.0
-        degree_reduction = eigen_reduction = None
-        if not zero_baseline:
-            if result.err_degree is not None:
-                degree_reduction = 100.0 * (1.0 - result.err_degree / result.err_mean)
-                degree_values.append(degree_reduction)
-            if result.err_eigenfactor is not None:
-                eigen_reduction = 100.0 * (
-                    1.0 - result.err_eigenfactor / result.err_mean
-                )
-                eigen_values.append(eigen_reduction)
-        per_scenario.append(
-            ScenarioReduction(
-                id=result.id,
-                degree_reduction=degree_reduction,
-                eigenfactor_reduction=eigen_reduction,
-                winner=_winner(result),
-                zero_baseline=zero_baseline,
-            )
-        )
-    return ReductionSummary(
-        per_scenario=tuple(per_scenario),
-        mean_degree_reduction=(
-            sum(degree_values) / len(degree_values) if degree_values else None
-        ),
-        mean_eigenfactor_reduction=(
-            sum(eigen_values) / len(eigen_values) if eigen_values else None
-        ),
-    )
+    means = {}
+    for method in METHODS:
+        reductions = [r.reduction(method) for r in results]
+        kept = [value for value in reductions if value is not None]
+        means[f"mean_{method}_reduction"] = sum(kept) / len(kept) if kept else None
+    return ReductionSummary(**means)
 
 
 def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:

@@ -180,21 +180,17 @@ def validate_survey(
             f"zeroed diagonal entries at indices {nonzero_diag.tolist()}"
         )
 
-    ratings = np.array(raw_ratings, dtype=float)
+    ratings = RatingVector(raw_ratings, scale_min=scale[0], scale_max=scale[1])
     if strict_likert:
-        if ratings.ndim != 1 or not np.all(np.isfinite(ratings)):
-            raise ScaleViolation("ratings must be finite numbers")
-        fractional = ratings != np.floor(ratings)
+        fractional = ratings.values != np.floor(ratings.values)
         if fractional.any():
             raise ScaleViolation(
-                f"non-integer rating {ratings[fractional].ravel()[0]!r} "
+                f"non-integer rating {ratings.values[fractional][0]!r} "
                 "with strict_likert enabled"
             )
-
-    rating_vector = RatingVector(ratings, scale_min=scale[0], scale_max=scale[1])
     competence = CompetenceMatrix(matrix)
     return SurveyInstance(
-        ratings=rating_vector,
+        ratings=ratings,
         competence=competence,
         label=label,
         warnings=tuple(warnings),
@@ -273,6 +269,8 @@ def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyIn
         row if _NUMBERS.issuperset(map(type, row)) else _answers(row, kind)
         for row in competence
     ]
+    if len({len(row) for row in grid}) > 1:
+        raise MalformedInput(f"{kind} competence rows are ragged")
     try:
         return validate_survey(ratings, grid, **options)
     # OverflowError: an integer rating too large for a float

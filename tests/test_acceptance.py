@@ -49,27 +49,27 @@ def test_criterion_1_golden_reproduction(result_by_id):
         expected = SCENARIO_EXPECTED[sid]
         result = result_by_id[sid]
         assert result.arithmetic_mean == 3.7
-        assert result.degree_rating == pytest.approx(
+        assert result.degree.rating == pytest.approx(
             expected["degree_rating"], abs=RATING_TOL
         )
-        assert result.eigenfactor_rating == pytest.approx(
+        assert result.eigenfactor.rating == pytest.approx(
             expected["eigenfactor_rating"], abs=RATING_TOL
         )
         assert (
-            np.max(np.abs(result.degree_weights - expected["degree_weights"]))
+            np.max(np.abs(result.degree.weights - expected["degree_weights"]))
             <= WEIGHT_TOL
         )
         assert (
             np.max(
                 np.abs(
-                    result.eigenfactor_weights - expected["eigenfactor_weights"]
+                    result.eigenfactor.weights - expected["eigenfactor_weights"]
                 )
             )
             <= WEIGHT_TOL
         )
     for sid in (4, 6):
-        assert result_by_id[sid].degree_weights[7] == 0.0
-        assert result_by_id[sid].eigenfactor_weights[7] == 0.0
+        assert result_by_id[sid].degree.weights[7] == 0.0
+        assert result_by_id[sid].eigenfactor.weights[7] == 0.0
     elapsed = time.monotonic() - started
     _passed(
         1,
@@ -83,16 +83,16 @@ def test_criterion_2_zero_weight_rule(scenario_by_id):
     for sid in (4, 5, 6):
         scenario = scenario_by_id[sid]
         base = run_scenario(scenario)
-        assert base.degree_weights[7] == 0.0
-        assert base.eigenfactor_weights[7] == 0.0
+        assert base.degree.weights[7] == 0.0
+        assert base.eigenfactor.weights[7] == 0.0
         for value in (1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 5.0):
             ratings = inject_bias(scenario.survey.ratings, 7, value)
             competence = scenario.survey.competence
             degree = degree_weights(competence)
             influence = stationary_distribution(competence, 0.85)
             eigen = eigenfactor_weights(influence, competence)
-            assert weighted_rating(ratings, degree) == base.degree_rating
-            assert weighted_rating(ratings, eigen) == base.eigenfactor_rating
+            assert weighted_rating(ratings, degree) == base.degree.rating
+            assert weighted_rating(ratings, eigen) == base.eigenfactor.rating
             checked += 1
     _passed(
         2,
@@ -106,7 +106,7 @@ def test_criterion_3_error_reduction(scenario_results):
     assert summary.mean_degree_reduction >= 85.0
     assert summary.mean_eigenfactor_reduction >= 85.0
     for result in scenario_results:
-        assert result.err_eigenfactor <= result.err_degree
+        assert result.error("eigenfactor") <= result.error("degree")
     _passed(
         3,
         f"mean error reduction degree {summary.mean_degree_reduction:.2f}% / "
@@ -199,8 +199,8 @@ def test_criterion_6_property_suite():
             values, np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
         )
         report = rate_survey(uniform)
-        assert abs(report.degree_rating - report.arithmetic_mean) <= 1e-12
-        assert abs(report.eigenfactor_rating - report.arithmetic_mean) <= 1e-12
+        assert abs(report.degree.rating - report.arithmetic_mean) <= 1e-12
+        assert abs(report.eigenfactor.rating - report.arithmetic_mean) <= 1e-12
 
         # permutation equivariance
         perm = rng.permutation(n)

@@ -223,12 +223,12 @@ def test_rate_output_file_roundtrip(tmp_path, capsys):
     from classrank import load_survey_json
 
     fresh = rate_survey(load_survey_json(example_survey_path()))
-    assert report["degree"]["weighted_rating"] == fresh.degree_rating
-    assert report["eigenfactor"]["weighted_rating"] == fresh.eigenfactor_rating
+    assert report["degree"]["weighted_rating"] == fresh.degree.rating
+    assert report["eigenfactor"]["weighted_rating"] == fresh.eigenfactor.rating
     assert report["eigenfactor"]["influence"] == [
-        float(v) for v in fresh.influence.values
+        float(v) for v in fresh.eigenfactor.influence.values
     ]
-    assert report["eigenfactor"]["residual"] == fresh.influence.residual
+    assert report["eigenfactor"]["residual"] == fresh.eigenfactor.influence.residual
 
 
 def test_dispersion_counted_fixture(capsys):
@@ -368,6 +368,7 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
         ({"scenarios": [{"competence": [[0, True], [1, 0]]}]}, "found True"),
         ({"scale": [True, "5"]}, "scale is not numeric: found True"),
         ({"ratings": [4, 10**400]}, "too large"),
+        ({"scenarios": [{"competence": [[0, 1], [1]]}]}, "rows are ragged"),
     ],
     ids=[
         "scalar-scale",
@@ -378,6 +379,7 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
         "bool-cell",
         "non-number-scale",
         "huge-rating",
+        "ragged-rows",
     ],
 )
 def test_scenarios_malformed_bundle_exits_2(tmp_path, capsys, change, message):

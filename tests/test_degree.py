@@ -18,20 +18,20 @@ from oracles import degree_oracle
 
 def test_golden_weights_all_scenarios(result_by_id):
     for sid, expected in SCENARIO_EXPECTED.items():
-        weights = result_by_id[sid].degree_weights
+        weights = result_by_id[sid].degree.weights
         assert np.max(np.abs(weights - expected["degree_weights"])) <= WEIGHT_TOL
 
 
 def test_golden_ratings_all_scenarios(result_by_id):
     for sid, expected in SCENARIO_EXPECTED.items():
-        assert result_by_id[sid].degree_rating == pytest.approx(
+        assert result_by_id[sid].degree.rating == pytest.approx(
             expected["degree_rating"], abs=RATING_TOL
         )
 
 
 def test_unendorsed_student_gets_exact_zero(result_by_id):
     for sid in (4, 5, 6):
-        assert result_by_id[sid].degree_weights[7] == 0.0
+        assert result_by_id[sid].degree.weights[7] == 0.0
 
 
 def test_uniform_matrix_gives_uniform_weights():

@@ -186,7 +186,7 @@ def test_golden_weights_most_scenarios(result_by_id):
     for sid, expected in SCENARIO_EXPECTED.items():
         if sid == 3:
             continue
-        weights = result_by_id[sid].eigenfactor_weights
+        weights = result_by_id[sid].eigenfactor.weights
         assert np.max(np.abs(weights - expected["eigenfactor_weights"])) <= WEIGHT_TOL
 
 
@@ -195,21 +195,21 @@ def test_golden_weights_scenario_3_documented_slack(result_by_id):
     # inconsistent (sums to 1.0001), see data/NOTES.md; the matrix is pinned
     # by the degree column, which matches to 4e-5
     expected = SCENARIO_EXPECTED[3]["eigenfactor_weights"]
-    weights = result_by_id[3].eigenfactor_weights
+    weights = result_by_id[3].eigenfactor.weights
     assert np.max(np.abs(weights - expected)) <= S3_EIGEN_WEIGHT_TOL
 
 
 def test_golden_ratings(result_by_id):
     for sid, expected in SCENARIO_EXPECTED.items():
         tol = S3_EIGEN_RATING_TOL if sid == 3 else RATING_TOL
-        assert result_by_id[sid].eigenfactor_rating == pytest.approx(
+        assert result_by_id[sid].eigenfactor.rating == pytest.approx(
             expected["eigenfactor_rating"], abs=tol
         )
 
 
 def test_unendorsed_student_gets_exact_zero(result_by_id):
     for sid in (4, 5, 6):
-        assert result_by_id[sid].eigenfactor_weights[7] == 0.0
+        assert result_by_id[sid].eigenfactor.weights[7] == 0.0
 
 
 def test_near_zero_alpha_recovers_degree_weights(scenario_by_id):

@@ -159,8 +159,8 @@ def test_uniform_network_reproduces_the_mean(values):
         values, np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
     )
     report = rate_survey(survey)
-    assert abs(report.degree_rating - report.arithmetic_mean) <= 1e-12
-    assert abs(report.eigenfactor_rating - report.arithmetic_mean) <= 1e-12
+    assert abs(report.degree.rating - report.arithmetic_mean) <= 1e-12
+    assert abs(report.eigenfactor.rating - report.arithmetic_mean) <= 1e-12
 
 
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=40))

@@ -38,17 +38,17 @@ def test_means_are_exact(scenario_results):
 def test_golden_errors(result_by_id):
     for sid, expected in SCENARIO_EXPECTED.items():
         tol = 1e-3 if sid == 3 else 5e-4
-        assert result_by_id[sid].err_degree == pytest.approx(
+        assert result_by_id[sid].error("degree") == pytest.approx(
             expected["err_degree"], abs=5e-4
         )
-        assert result_by_id[sid].err_eigenfactor == pytest.approx(
+        assert result_by_id[sid].error("eigenfactor") == pytest.approx(
             expected["err_eigenfactor"], abs=tol
         )
 
 
 def test_eigenfactor_beats_degree_everywhere(scenario_results):
     for result in scenario_results:
-        assert result.err_eigenfactor <= result.err_degree
+        assert result.error("eigenfactor") <= result.error("degree")
 
 
 def test_reduction_summary(scenario_results):
@@ -56,10 +56,10 @@ def test_reduction_summary(scenario_results):
     assert summary.mean_degree_reduction >= 85.0
     assert summary.mean_eigenfactor_reduction >= 85.0
     assert summary.mean_eigenfactor_reduction > summary.mean_degree_reduction
-    for entry in summary.per_scenario:
-        assert entry.winner == "eigenfactor"
-        assert not entry.zero_baseline
-        assert entry.eigenfactor_reduction >= entry.degree_reduction
+    for result in scenario_results:
+        assert result.winner == "eigenfactor"
+        assert not result.zero_baseline
+        assert result.reduction("eigenfactor") >= result.reduction("degree")
 
 
 def test_reduction_handles_zero_baseline():
@@ -69,9 +69,8 @@ def test_reduction_handles_zero_baseline():
     result = run_scenario(Scenario(id=9, survey=survey, biased_index=0))
     assert result.err_mean == 0.0
     summary = error_reduction_summary([result])
-    entry = summary.per_scenario[0]
-    assert entry.zero_baseline
-    assert entry.degree_reduction is None
+    assert result.zero_baseline
+    assert result.reduction("degree") is None
     assert summary.mean_degree_reduction is None
 
 
@@ -88,23 +87,21 @@ def test_unbiased_survey_measures_against_leave_one_out():
     assert result.unbiased_mean == pytest.approx(3.0, abs=1e-12)
     assert result.err_mean == pytest.approx(0.5, abs=1e-12)
     # uniform network: both methods reproduce the arithmetic mean
-    assert result.degree_rating == pytest.approx(3.5, abs=1e-12)
-    assert result.eigenfactor_rating == pytest.approx(3.5, abs=1e-12)
+    assert result.degree.rating == pytest.approx(3.5, abs=1e-12)
+    assert result.eigenfactor.rating == pytest.approx(3.5, abs=1e-12)
 
 
 def test_degenerate_scenario_records_failures_without_aborting():
     survey = validate_survey([4, 5], [[0, 0], [0, 0]])
     result = run_scenario(Scenario(id=2, survey=survey, biased_index=1))
-    assert result.degree_rating is None
-    assert result.eigenfactor_rating is None
-    assert result.degree_weights is None and result.err_degree is None
-    assert result.eigenfactor_weights is None and result.err_eigenfactor is None
-    assert result.influence is None and result.iterations is None
+    # no weights, rating or influence for either method
+    assert result.degree is None and result.error("degree") is None
+    assert result.eigenfactor is None and result.error("eigenfactor") is None
     assert result.degree_failure == "no student endorses any other"
     assert result.eigenfactor_failure == "no student endorses any other"
     assert (result.arithmetic_mean, result.unbiased_mean) == (4.5, 4.0)
     summary = error_reduction_summary([result])
-    assert summary.per_scenario[0].winner is None
+    assert result.winner is None
     assert summary.mean_degree_reduction is None
 
 
@@ -150,9 +147,12 @@ def test_inject_bias_validation():
 def test_run_scenario_is_deterministic(scenario_bundle):
     first = run_scenario(scenario_bundle[0])
     second = run_scenario(scenario_bundle[0])
-    assert np.array_equal(first.eigenfactor_weights, second.eigenfactor_weights)
-    assert first.eigenfactor_rating == second.eigenfactor_rating
-    assert first.iterations == second.iterations
+    assert np.array_equal(first.eigenfactor.weights, second.eigenfactor.weights)
+    assert first.eigenfactor.rating == second.eigenfactor.rating
+    assert (
+        first.eigenfactor.influence.iterations
+        == second.eigenfactor.influence.iterations
+    )
 
 
 TRIANGLE = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]

@@ -100,6 +100,20 @@ def test_strict_likert_flag():
     assert survey.ratings.values[0] == 3.5
 
 
+def test_strict_likert_keeps_the_rating_checks_of_the_default():
+    # a 2-d or non-finite rating vector fails as it does without the flag,
+    # with the same message; the flag only adds the integer check
+    for raw, error in (([[4, 5]], DimensionMismatch), ([4, np.nan], ScaleViolation)):
+        messages = set()
+        for strict in (False, True):
+            with pytest.raises(error) as excinfo:
+                validate_survey(raw, [[0, 1], [1, 0]], strict_likert=strict)
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1
+    with pytest.raises(ScaleViolation, match="non-integer rating"):
+        validate_survey([4.5, 5], [[0, 1], [1, 0]], strict_likert=True)
+
+
 def test_dimension_mismatches():
     with pytest.raises(DimensionMismatch):
         validate_survey([4, 4, 4], [[0, 1], [1, 0]])
@@ -275,6 +289,12 @@ def test_load_survey_json_missing_keys():
         load_survey_json({"ratings": [1, 2]})
     with pytest.raises(MalformedInput):
         load_survey_json({"competence": [[0]]})
+
+
+def test_load_survey_json_rejects_ragged_rows():
+    document = {"ratings": [4, 5], "competence": [[0, 1], [1]]}
+    with pytest.raises(MalformedInput, match="competence rows are ragged"):
+        load_survey_json(document)
 
 
 def test_load_survey_json_bad_file(tmp_path):
