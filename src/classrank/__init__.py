@@ -1,6 +1,6 @@
 """Bias-robust weighted course ratings from peer competence networks."""
 
-from .degree import WeightVector, degree_weights, weighted_rating
+from .degree import degree_weights, weighted_rating
 from .dispersion import (
     DispersionAggregate,
     DispersionRow,
@@ -70,7 +70,6 @@ __all__ = [
     "Scenario",
     "ScenarioResult",
     "SurveyInstance",
-    "WeightVector",
     "WeightedRatingReport",
     "aggregate",
     "degree_weights",

@@ -17,11 +17,11 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import data as bundled_data
-from .degree import METHODS
 from .dispersion import DEFAULT_MIN_N, TIEBREAKS, aggregate, read_dispersion_csv
 from .eigenfactor import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import ClassrankError, DegenerateNetwork, NoConvergence
 from .report import (
+    METHODS,
     dispersion_report_dict,
     rate_survey,
     rating_report_dict,

@@ -9,68 +9,45 @@ exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateNetwork, DimensionMismatch
 from .survey import CompetenceMatrix, RatingVector
 
-WEIGHT_SUM_TOL = 1e-9
-METHODS = ("degree", "eigenfactor")
 
-
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Nonnegative per-student weights summing to one."""
-
-    weights: np.ndarray
-    method: str
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown weighting method {self.method!r}")
-        weights = np.array(self.weights, dtype=float)
-        if weights.ndim != 1 or weights.size == 0:
-            raise DimensionMismatch("weights must form a nonempty 1-d sequence")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        total = weights.sum()
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {total!r}, not 1")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def n(self) -> int:
-        return self.weights.size
-
-
-def degree_weights(competence: CompetenceMatrix) -> WeightVector:
+def degree_weights(competence: CompetenceMatrix) -> np.ndarray:
     """Weights proportional to incoming normalized-endorsement mass.
 
-    Raises DegenerateNetwork when the matrix has no endorsements at all,
-    since then there is no mass to distribute.
+    Returns a read-only float array of ``competence.n`` nonnegative weights
+    that sum to 1 within 1e-9, with exactly 0 for a student nobody
+    endorses: a bincount of endorsement shares divided by its own sum. The
+    tests ``test_weights_are_convex_coefficients`` and
+    ``test_unendorsed_student_rating_is_irrelevant`` in
+    ``tests/test_properties.py`` pin these invariants. Raises
+    DegenerateNetwork when the matrix has no endorsements at all, since then
+    there is no mass to distribute.
     """
     column_mass = np.bincount(competence.targets, competence.shares, competence.n)
     total = column_mass.sum()
     if total <= 0.0:
         raise DegenerateNetwork("no student endorses any other")
-    return WeightVector(weights=column_mass / total, method="degree")
+    weights = column_mass / total
+    weights.setflags(write=False)
+    return weights
 
 
-def weighted_rating(ratings: RatingVector, weights: WeightVector) -> float:
+def weighted_rating(ratings: RatingVector, weights: np.ndarray) -> float:
     """Convex combination of the ratings under the given weights.
 
     The result is clamped to [min(ratings), max(ratings)]: mathematically it
     always lies there, and the clamp keeps the guarantee under floating-point
     roundoff.
     """
-    if ratings.n != weights.n:
+    if ratings.n != weights.size:
         raise DimensionMismatch(
-            f"{ratings.n} ratings vs {weights.n} weights"
+            f"{ratings.n} ratings vs {weights.size} weights"
         )
-    value = float(weights.weights @ ratings.values)
+    value = float(weights @ ratings.values)
     low = float(ratings.values.min())
     high = float(ratings.values.max())
     return min(max(value, low), high)

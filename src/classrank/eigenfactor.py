@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import WeightVector
 from .errors import DegenerateNetwork, DimensionMismatch, NoConvergence
 from .survey import CompetenceMatrix
 
@@ -25,35 +24,19 @@ DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 
-DISTRIBUTION_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class InfluenceVector:
     """Stationary distribution of the teleported chain, with diagnostics.
 
-    ``iterations`` counts the power-iteration steps taken and ``residual``
-    is the final L1 change between successive iterates.
+    ``values`` is the read-only distribution, ``iterations`` counts the
+    power-iteration steps taken and ``residual`` is the final L1 change
+    between successive iterates.
     """
 
     values: np.ndarray
     iterations: int
     residual: float
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise DimensionMismatch("influence must form a nonempty 1-d sequence")
-        if np.any(values <= 0):
-            raise ValueError("influence entries must be strictly positive")
-        if abs(values.sum() - 1.0) > DISTRIBUTION_TOL:
-            raise ValueError("influence must sum to 1")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 def stationary_distribution(
@@ -76,6 +59,12 @@ def stationary_distribution(
     ``alpha / (1 - alpha) * tol`` of the exact distribution. The run is
     deterministic: fixed start, fixed operation order. Raises NoConvergence
     if ``max_iter`` steps are not enough.
+
+    The returned ``values`` are strictly positive (each entry holds at
+    least the teleport mass ``(1 - alpha) / n``) and sum to 1 within 1e-12,
+    as ``tests/test_properties.py::test_weights_are_convex_coefficients``
+    and ``tests/test_eigenfactor.py::test_influence_meets_teleportation_floor``
+    pin.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
@@ -96,9 +85,8 @@ def stationary_distribution(
         residual = float(total(np.abs(advanced - current)))
         current = advanced
         if residual <= tol:
-            return InfluenceVector(
-                values=current, iterations=iteration, residual=residual
-            )
+            current.setflags(write=False)
+            return InfluenceVector(current, iteration, residual)
     raise NoConvergence(
         f"residual {residual:.3e} still above {tol:.3e} after {max_iter} iterations"
     )
@@ -106,15 +94,19 @@ def stationary_distribution(
 
 def eigenfactor_weights(
     influence: InfluenceVector, competence: CompetenceMatrix
-) -> WeightVector:
+) -> np.ndarray:
     """Weights proportional to influence-weighted incoming mass.
 
-    A student endorsed by nobody keeps weight exactly zero: every term of
-    the corresponding column is zero before any rescaling happens.
+    Returns a read-only float array of ``competence.n`` nonnegative weights
+    that sum to 1 within 1e-9. A student endorsed by nobody keeps weight
+    exactly zero: every term of the corresponding column is zero before any
+    rescaling happens. The tests ``test_weights_are_convex_coefficients``
+    and ``test_unendorsed_student_rating_is_irrelevant`` in
+    ``tests/test_properties.py`` pin these invariants.
     """
-    if influence.n != competence.n:
+    if influence.values.size != competence.n:
         raise DimensionMismatch(
-            f"{influence.n} influence entries vs {competence.n} students"
+            f"{influence.values.size} influence entries vs {competence.n} students"
         )
     mass = np.bincount(
         competence.targets,
@@ -124,4 +116,6 @@ def eigenfactor_weights(
     total = mass.sum()
     if total <= 0.0:
         raise DegenerateNetwork("no student endorses any other")
-    return WeightVector(weights=mass / total, method="eigenfactor")
+    weights = mass / total
+    weights.setflags(write=False)
+    return weights

@@ -23,6 +23,8 @@ from .eigenfactor import (
 from .survey import SurveyInstance
 
 SCHEMA_VERSION = 1
+# the weighting methods score_method dispatches on, in report order
+METHODS = ("degree", "eigenfactor")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +57,7 @@ def score_method(
         influence = stationary_distribution(survey.competence, alpha, tol, max_iter)
         weights = eigenfactor_weights(influence, survey.competence)
     rating = weighted_rating(survey.ratings, weights)
-    return MethodResult(weights.weights, rating, influence)
+    return MethodResult(weights, rating, influence)
 
 
 @dataclass(frozen=True, eq=False)

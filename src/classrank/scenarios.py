@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import METHODS
 from .eigenfactor import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import (
     DegenerateNetwork,
@@ -23,7 +22,7 @@ from .errors import (
     NoConvergence,
     ScaleViolation,
 )
-from .report import MethodResult, score_method
+from .report import METHODS, MethodResult, score_method
 from .survey import (
     RatingVector,
     SurveyInstance,

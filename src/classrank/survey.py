@@ -273,8 +273,10 @@ def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyIn
         raise MalformedInput(f"{kind} competence rows are ragged")
     try:
         return validate_survey(ratings, grid, **options)
-    # OverflowError: an integer rating too large for a float
-    except (TypeError, ValueError, OverflowError) as exc:
+    # an integer rating too large for a float
+    except OverflowError as exc:
+        raise MalformedInput(f"{kind} ratings are out of range: {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise MalformedInput(f"{kind} is not numeric: {exc}") from exc
 
 

@@ -189,8 +189,8 @@ def test_criterion_6_property_suite():
         eigen = eigenfactor_weights(influence, competence)
 
         for weights in (degree, eigen):
-            assert np.all(weights.weights >= 0.0)
-            assert abs(weights.weights.sum() - 1.0) <= 1e-9
+            assert np.all(weights >= 0.0)
+            assert abs(weights.sum() - 1.0) <= 1e-9
             rating = weighted_rating(survey.ratings, weights)
             assert values.min() <= rating <= values.max()
 
@@ -210,8 +210,8 @@ def test_criterion_6_property_suite():
         eigen_p = eigenfactor_weights(
             stationary_distribution(competence_p, 0.85), competence_p
         )
-        assert np.max(np.abs(degree_p.weights - degree.weights[perm])) <= 1e-9
-        assert np.max(np.abs(eigen_p.weights - eigen.weights[perm])) <= 1e-9
+        assert np.max(np.abs(degree_p - degree[perm])) <= 1e-9
+        assert np.max(np.abs(eigen_p - eigen[perm])) <= 1e-9
         assert (
             abs(
                 weighted_rating(permuted.ratings, degree_p)

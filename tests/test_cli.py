@@ -157,6 +157,14 @@ def test_rate_non_number_cell_exits_2(tmp_path, capsys, cell):
     assert_input_error(result, "competence cells are not numeric")
 
 
+def test_rate_out_of_range_rating_exits_2(tmp_path, capsys):
+    doc = {"ratings": [4, 10**400], "competence": [[0, 1], [1, 0]]}
+    path = tmp_path / "survey.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli(capsys, "rate", "--survey", str(path))
+    assert_input_error(result, "ratings are out of range")
+
+
 @pytest.mark.parametrize("which", ["competence", "ratings"])
 def test_rate_overlong_csv_field_exits_2(tmp_path, capsys, which):
     files = {"competence": "0\n", "ratings": "4\n"}
@@ -367,7 +375,7 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
         ({"ratings": [4, True]}, "not numeric: found True"),
         ({"scenarios": [{"competence": [[0, True], [1, 0]]}]}, "found True"),
         ({"scale": [True, "5"]}, "scale is not numeric: found True"),
-        ({"ratings": [4, 10**400]}, "too large"),
+        ({"ratings": [4, 10**400]}, "ratings are out of range"),
         ({"scenarios": [{"competence": [[0, 1], [1]]}]}, "rows are ragged"),
     ],
     ids=[

@@ -219,7 +219,7 @@ def test_near_zero_alpha_recovers_degree_weights(scenario_by_id):
     influence = stationary_distribution(competence, alpha=1e-6)
     eigen = eigenfactor_weights(influence, competence)
     degree = degree_weights(competence)
-    assert np.max(np.abs(eigen.weights - degree.weights)) <= 1e-4
+    assert np.max(np.abs(eigen - degree)) <= 1e-4
 
 
 def test_degenerate_network_raises():

@@ -280,7 +280,7 @@ def test_load_survey_json_rejects_numbers_too_large_for_a_float():
     doc = {"ratings": [4, 5], "competence": [[0, 1], [1, 0]]}
     with pytest.raises(MalformedInput, match="scale is out of range"):
         load_survey_json({**doc, "scale": [1, 10**400]})
-    with pytest.raises(MalformedInput, match="too large"):
+    with pytest.raises(MalformedInput, match="ratings are out of range"):
         load_survey_json({**doc, "ratings": [4, 10**400]})
 
 
