@@ -26,6 +26,7 @@ from .report import METHODS, MethodResult, score_method
 from .survey import (
     RatingVector,
     SurveyInstance,
+    _document_label,
     _document_scale,
     _read_document,
     _survey_from_document,
@@ -176,7 +177,7 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
     if not isinstance(data["scenarios"], list) or not data["scenarios"]:
         raise MalformedInput("scenario document holds no scenarios")
     scale = _document_scale(data)
-    label = str(data.get("label", "scenario"))
+    label = _document_label(data, "scenario")
     biased_index = data["biased_index"]
     if not isinstance(biased_index, int) or isinstance(biased_index, bool):
         raise MalformedInput("biased_index must be an integer")

@@ -6,6 +6,13 @@ considers student j competent to judge the course. The diagonal is zero and
 blank answers count as "not competent". Validation checks that matrix once
 and keeps only its row-normalized list of endorsements, the shared input of
 both weighting methods; no n x n array outlives it.
+
+The document and CSV loaders hand validation one byte per cell: a grid of
+0/1 cells (JSON integers and nulls, or CSV ``0``, ``1`` and empty cells) is
+packed into a single read-only uint8 buffer instead of being converted to
+an n x n int64 or float64 array. Any other cell (``1.0``, ``2``, ``300``
+and so on) sends its grid down the general path through ``np.asarray`` or
+``float()``, so it is accepted or rejected as before, never truncated.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import csv
 import json
 from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +38,8 @@ DEFAULT_SCALE = (1.0, 5.0)
 DIAGONAL_POLICIES = ("coerce", "reject")
 # the types of JSON numbers, matched exactly: bool is a subclass of int
 _NUMBERS = frozenset((int, float))
+# the competence CSV cells packed as they are; any other cell is parsed
+_CSV_CELLS = {"0": 0, "1": 1, "": 0}
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -99,7 +109,8 @@ class CompetenceMatrix:
         nonzero = entries != 0
         invalid = nonzero & (entries != 1)
         if invalid.any():
-            bad = entries[invalid].ravel()[0]
+            # the first bad cell as a plain Python value, whatever the dtype
+            bad = entries[invalid][:1].tolist()[0]
             raise NonBinaryEntry(f"matrix entries must be 0 or 1, found {bad!r}")
         # row-major cell numbers of the endorsements; a 1-d flatnonzero of the
         # mask is several times cheaper than a 2-d np.nonzero
@@ -236,6 +247,18 @@ def _document_scale(data: dict) -> tuple[float, float]:
         raise MalformedInput(f"scale is out of range: {exc}") from exc
 
 
+def _document_label(data: dict, default: str) -> str:
+    """The ``label`` of a document, ``default`` when absent.
+
+    A label that is present must be a JSON string: null, a number or a list
+    is rejected, not turned into its repr.
+    """
+    label = data.get("label", default)
+    if not isinstance(label, str):
+        raise MalformedInput(f"label must be a string: found {label!r}")
+    return label
+
+
 def _answers(row: list, kind: str) -> list:
     """A competence row with its null cells, "no answer", read as 0."""
     odd = [cell for cell in row if cell is not None and type(cell) not in _NUMBERS]
@@ -246,6 +269,24 @@ def _answers(row: list, kind: str) -> list:
     return [0 if cell is None else cell for cell in row]
 
 
+def _packed(grid: list) -> np.ndarray:
+    """A rectangular grid of numbers as a 2-d array for validation.
+
+    Integer cells in 0..255, which hold the 0/1 answers of a survey, are
+    packed by ``bytes`` into one read-only uint8 buffer, one byte a cell and
+    no copy after the join. ``bytes`` raises on a float cell and on any
+    other integer; only then is the grid converted by ``np.asarray``, so a
+    ``1.0`` cell is still accepted and a ``0.5`` or ``300`` cell rejected by
+    CompetenceMatrix, never truncated.
+    """
+    try:
+        cells = b"".join(map(bytes, grid))
+        return np.frombuffer(cells, np.uint8).reshape(len(grid), -1)
+    # a float or out-of-range cell; reshape of an empty grid is ambiguous
+    except (TypeError, ValueError):
+        return np.asarray(grid)
+
+
 def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyInstance:
     """validate_survey on parsed JSON values.
 
@@ -253,6 +294,12 @@ def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyIn
     or a boolean is not read as one. Null competence cells mean "no answer",
     which counts as 0. Content that is not numeric raises MalformedInput
     naming ``kind``.
+
+    One type scan over all cells lets a grid of numbers through as it is;
+    only a grid with null or other cells goes row by row through
+    ``_answers``. The grid is then packed one byte a cell (``_packed``), so
+    validation reads a uint8 buffer, not an n x n int64 array, and copies
+    it only to zero a diagonal.
     """
     if not isinstance(ratings, list):
         raise MalformedInput(f"{kind} ratings are not numeric: expected a list")
@@ -263,16 +310,14 @@ def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyIn
         isinstance(row, list) for row in competence
     ):
         raise MalformedInput(f"{kind} competence must be a list of lists")
-    # a row of numbers only passes as it is; a type set test per cell is
-    # several times cheaper than a Python-level test
-    grid = [
-        row if _NUMBERS.issuperset(map(type, row)) else _answers(row, kind)
-        for row in competence
-    ]
-    if len({len(row) for row in grid}) > 1:
+    # a type set test over all cells at once is several times cheaper than a
+    # Python-level test per cell or per row
+    if not _NUMBERS.issuperset(map(type, chain.from_iterable(competence))):
+        competence = [_answers(row, kind) for row in competence]
+    if len({len(row) for row in competence}) > 1:
         raise MalformedInput(f"{kind} competence rows are ragged")
     try:
-        return validate_survey(ratings, grid, **options)
+        return validate_survey(ratings, _packed(competence), **options)
     # an integer rating too large for a float
     except OverflowError as exc:
         raise MalformedInput(f"{kind} ratings are out of range: {exc}") from exc
@@ -298,7 +343,7 @@ def load_survey_json(
         scale=_document_scale(data),
         diagonal_policy=diagonal_policy,
         strict_likert=strict_likert,
-        label=str(data.get("label", "")),
+        label=_document_label(data, ""),
     )
 
 
@@ -317,24 +362,31 @@ def _csv_reader(path):
 
 
 def load_competence_csv(path) -> np.ndarray:
-    """Read an n x n matrix of 0/1 cells; blank cells count as 0."""
-    rows = []
+    """Read an n x n matrix of 0/1 cells; blank cells count as 0.
+
+    A file of ``0``, ``1`` and empty cells only, as programs write it, is
+    packed one byte a cell into a read-only uint8 array. Any other cell
+    (``1.0``, `` 1 ``, ``1e0``, a whitespace-only cell) sends the whole
+    file through ``float()`` into a float array, which accepts the same
+    cells as ever: one that is not a number raises MalformedInput, and a
+    number other than 0 or 1 is left for validation to reject.
+    """
     with _csv_reader(path) as reader:
-        for record in reader:
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            try:
-                rows.append(
-                    [float(cell) if cell.strip() else 0.0 for cell in record]
-                )
-            except ValueError as exc:
-                raise MalformedInput(f"non-numeric matrix cell in {path}") from exc
+        rows = [record for record in reader if any(cell.strip() for cell in record)]
     if not rows:
         raise MalformedInput(f"no matrix rows in {path}")
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
+    if len({len(row) for row in rows}) != 1:
         raise MalformedInput(f"ragged matrix rows in {path}")
-    return np.array(rows)
+    try:
+        cells = b"".join(bytes(map(_CSV_CELLS.__getitem__, row)) for row in rows)
+    except KeyError:
+        try:
+            return np.array(
+                [[float(cell) if cell.strip() else 0.0 for cell in row] for row in rows]
+            )
+        except ValueError as exc:
+            raise MalformedInput(f"non-numeric matrix cell in {path}") from exc
+    return np.frombuffer(cells, np.uint8).reshape(len(rows), -1)
 
 
 def load_ratings_csv(path) -> list[float]:

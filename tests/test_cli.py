@@ -157,6 +157,15 @@ def test_rate_non_number_cell_exits_2(tmp_path, capsys, cell):
     assert_input_error(result, "competence cells are not numeric")
 
 
+@pytest.mark.parametrize("label", [None, [1, {}]])
+def test_rate_non_string_label_exits_2(tmp_path, capsys, label):
+    doc = {"label": label, "ratings": [4, 4], "competence": [[0, 1], [1, 0]]}
+    path = tmp_path / "survey.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli(capsys, "rate", "--survey", str(path))
+    assert_input_error(result, "label must be a string")
+
+
 def test_rate_out_of_range_rating_exits_2(tmp_path, capsys):
     doc = {"ratings": [4, 10**400], "competence": [[0, 1], [1, 0]]}
     path = tmp_path / "survey.json"
@@ -377,6 +386,8 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
         ({"scale": [True, "5"]}, "scale is not numeric: found True"),
         ({"ratings": [4, 10**400]}, "ratings are out of range"),
         ({"scenarios": [{"competence": [[0, 1], [1]]}]}, "rows are ragged"),
+        ({"label": None}, "label must be a string: found None"),
+        ({"label": [1, {}]}, "label must be a string: found [1, {}]"),
     ],
     ids=[
         "scalar-scale",
@@ -388,6 +399,8 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
         "non-number-scale",
         "huge-rating",
         "ragged-rows",
+        "null-label",
+        "list-label",
     ],
 )
 def test_scenarios_malformed_bundle_exits_2(tmp_path, capsys, change, message):

@@ -1,13 +1,16 @@
 """Property-based checks over randomly generated surveys."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from classrank import (
+    NonBinaryEntry,
     RatingVector,
     degree_weights,
     eigenfactor_weights,
+    load_survey_json,
     mode_of,
     rate_survey,
     stationary_distribution,
@@ -46,6 +49,43 @@ def networks_with_permutations(draw):
     ratings, matrix = draw(networks())
     perm = draw(st.permutations(range(len(ratings))))
     return ratings, matrix, list(perm)
+
+
+@st.composite
+def competence_documents(draw, max_n=8):
+    """Ratings and a grid of JSON cells: 0, 1, null or 1.0.
+
+    The diagonal is drawn from the same cells, so most grids plant at least
+    one self-endorsement for the default policy to zero. Also draws one cell
+    position.
+    """
+    n = draw(st.integers(1, max_n))
+    cell = st.sampled_from([0, 1, None, 1.0])
+    grid = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n))
+    ratings = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    position = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    return ratings, grid, position
+
+
+@given(competence_documents())
+@settings(deadline=None)
+def test_document_loader_matches_validation_of_a_float_array(document):
+    # the packed uint8 path (and its np.asarray fallback for 1.0 cells) gives
+    # the edge list and warnings of a plain float array with nulls read as 0
+    ratings, grid, (i, j) = document
+    loaded = load_survey_json({"ratings": ratings, "competence": grid})
+    dense = np.array([[0 if c is None else c for c in row] for row in grid], dtype=float)
+    expected = validate_survey(ratings, dense)
+    for name in ("sources", "targets", "shares", "row_sums"):
+        got, want = getattr(loaded.competence, name), getattr(expected.competence, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert loaded.competence.dangling == expected.competence.dangling
+    assert loaded.warnings == expected.warnings
+    # a fractional cell off the diagonal is rejected, not truncated to 0
+    if i != j:
+        grid[i][j] = 0.5
+        with pytest.raises(NonBinaryEntry, match="found 0.5$"):
+            load_survey_json({"ratings": ratings, "competence": grid})
 
 
 def both_weightings(survey):

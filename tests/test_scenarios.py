@@ -201,6 +201,17 @@ def test_loader_rejects_non_number_cells_and_scale():
         load_scenarios(_bundle(scale=[True, "5"]))
 
 
+@pytest.mark.parametrize("label", [None, [1, {}], 7])
+def test_loader_rejects_non_string_labels(label):
+    with pytest.raises(MalformedInput, match="label must be a string"):
+        load_scenarios(_bundle(label=label))
+
+
+def test_loader_labels_scenarios_by_bundle_label():
+    assert load_scenarios(_bundle())[0].survey.label == "scenario-1"
+    assert load_scenarios(_bundle(label="week 3"))[0].survey.label == "week 3-1"
+
+
 def test_loader_orders_by_id():
     doc = {
         "ratings": [4, 5],

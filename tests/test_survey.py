@@ -15,6 +15,7 @@ from classrank import (
     load_survey_json,
     validate_survey,
 )
+from classrank.survey import load_competence_csv
 from oracles import dense_normalized, random_binary_matrix
 
 
@@ -72,8 +73,22 @@ def test_non_binary_entry_names_the_first_bad_cell(cell, first):
     matrix = np.array([[0, cell], [1, 0]])
     with pytest.raises(NonBinaryEntry) as excinfo:
         CompetenceMatrix(matrix)
-    expected = f"matrix entries must be 0 or 1, found {matrix[first]!r}"
+    # named as a plain Python value under every numpy: found 2, found 0.5,
+    # found nan, found {}, found '0'; never np.int64(2) or np.str_('0')
+    i, j = first
+    expected = f"matrix entries must be 0 or 1, found {matrix.tolist()[i][j]!r}"
     assert str(excinfo.value) == expected
+
+
+@pytest.mark.parametrize(
+    "cell, found", [(2, "2"), (300, "300"), (0.5, "0.5"), (-1, "-1")]
+)
+def test_load_survey_json_names_the_first_bad_cell(cell, found):
+    # 2 is packed into the uint8 buffer; 300, 0.5 and -1 are not
+    doc = {"ratings": [4, 5], "competence": [[0, cell], [1, 0]]}
+    with pytest.raises(NonBinaryEntry) as excinfo:
+        load_survey_json(doc)
+    assert str(excinfo.value) == f"matrix entries must be 0 or 1, found {found}"
 
 
 def test_unknown_diagonal_policy():
@@ -245,6 +260,20 @@ def test_load_survey_json_roundtrip(tmp_path):
     assert _pairs(survey.competence) == [(0, 1), (0, 2), (1, 0), (2, 1)]
 
 
+@pytest.mark.parametrize("label", [None, [1, {}], 3, True, {"name": "x"}])
+def test_load_survey_json_rejects_non_string_labels(label):
+    # a label that is present must be a JSON string, not its repr
+    doc = {"label": label, "ratings": [4, 5], "competence": [[0, 1], [1, 0]]}
+    with pytest.raises(MalformedInput, match="label must be a string"):
+        load_survey_json(doc)
+
+
+def test_load_survey_json_label_defaults_to_empty():
+    doc = {"ratings": [4, 5], "competence": [[0, 1], [1, 0]]}
+    assert load_survey_json(doc).label == ""
+    assert load_survey_json({**doc, "label": ""}).label == ""
+
+
 def test_load_survey_json_defaults_scale():
     survey = load_survey_json({"ratings": [1, 5], "competence": [[0, 1], [1, 0]]})
     assert survey.ratings.scale_min == 1.0
@@ -321,4 +350,39 @@ def test_load_survey_csv_rejects_ragged_rows(tmp_path):
     ratings_path = tmp_path / "ratings.csv"
     ratings_path.write_text("4\n2\n", encoding="utf-8")
     with pytest.raises(MalformedInput):
+        load_survey_csv(matrix_path, ratings_path)
+
+
+def test_load_competence_csv_packs_plain_cells_into_bytes(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text("0,1,1\n1,0,\n\n,1,0\n", encoding="utf-8")
+    matrix = load_competence_csv(path)
+    assert matrix.dtype == np.uint8 and not matrix.flags.writeable
+    assert matrix.tolist() == [[0, 1, 1], [1, 0, 0], [0, 1, 0]]
+
+
+def test_load_survey_csv_spelled_out_cells_match_their_plain_twin(tmp_path):
+    # 1.0, padded, exponent and whitespace-only cells take the float() path
+    spelled = tmp_path / "spelled.csv"
+    spelled.write_text("0, 1 ,1e0\n1.0,0,  \n0.0,1,0\n", encoding="utf-8")
+    plain = tmp_path / "plain.csv"
+    plain.write_text("0,1,1\n1,0,0\n0,1,0\n", encoding="utf-8")
+    ratings_path = tmp_path / "ratings.csv"
+    ratings_path.write_text("4\n2\n5\n", encoding="utf-8")
+    spelled_survey = load_survey_csv(spelled, ratings_path)
+    plain_survey = load_survey_csv(plain, ratings_path)
+    assert load_competence_csv(spelled).dtype == np.float64
+    assert _edges(spelled_survey.competence) == _edges(plain_survey.competence)
+    assert np.array_equal(
+        spelled_survey.competence.row_sums, plain_survey.competence.row_sums
+    )
+
+
+@pytest.mark.parametrize("cell, error", [("2", NonBinaryEntry), ("x", MalformedInput)])
+def test_load_survey_csv_rejects_bad_cells(tmp_path, cell, error):
+    matrix_path = tmp_path / "matrix.csv"
+    matrix_path.write_text(f"0,{cell}\n1,0\n", encoding="utf-8")
+    ratings_path = tmp_path / "ratings.csv"
+    ratings_path.write_text("4\n2\n", encoding="utf-8")
+    with pytest.raises(error):
         load_survey_csv(matrix_path, ratings_path)
