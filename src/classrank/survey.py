@@ -89,6 +89,11 @@ class CompetenceMatrix:
     the endorsement counts; students who endorse nobody (the dangling set)
     have no edges. Every sum over the matrix is a sum over edges, O(nnz)
     rather than O(n^2).
+
+    Validation costs one n x n bool mask (the cells that are not 0; a
+    matrix not in C order adds a C-ordered copy of it) plus O(nnz) work on
+    those cells: only they are checked to be 1. The matrix is never copied
+    into an n x n int or float array.
     """
 
     entries: InitVar[np.ndarray]
@@ -105,16 +110,16 @@ class CompetenceMatrix:
         n = entries.shape[0]
         if n == 0:
             raise DimensionMismatch("competence matrix must be nonempty")
-        # elementwise for numbers and objects, all True for string cells
-        nonzero = entries != 0
-        invalid = nonzero & (entries != 1)
+        # the cells that are not 0 (every string cell), in row-major order,
+        # from a 1-d flatnonzero of one n x n mask; only they are read again,
+        # by a 2-d gather that copies no transposed (F-ordered) matrix
+        sources, targets = np.divmod(np.flatnonzero(entries != 0), n)
+        found = entries[sources, targets]
+        invalid = found != 1
         if invalid.any():
             # the first bad cell as a plain Python value, whatever the dtype
-            bad = entries[invalid][:1].tolist()[0]
+            bad = found[invalid][:1].tolist()[0]
             raise NonBinaryEntry(f"matrix entries must be 0 or 1, found {bad!r}")
-        # row-major cell numbers of the endorsements; a 1-d flatnonzero of the
-        # mask is several times cheaper than a 2-d np.nonzero
-        sources, targets = np.divmod(np.flatnonzero(nonzero), n)
         loops = sources == targets
         if loops.any():
             where = sources[loops].tolist()
@@ -162,10 +167,12 @@ def validate_survey(
 ) -> SurveyInstance:
     """Check raw survey arrays and build a SurveyInstance.
 
-    ``diagonal_policy`` decides what happens to self-endorsements: ``coerce``
-    zeroes them and records a warning, ``reject`` raises NonZeroDiagonal.
-    Entries other than 0/1 are rejected in both policies. ``strict_likert``
-    additionally requires every rating to be an integer.
+    ``diagonal_policy`` decides what happens to self-endorsements, the 1s on
+    the diagonal: ``coerce`` zeroes them and records a warning, ``reject``
+    raises NonZeroDiagonal. Entries other than 0/1 are rejected with
+    NonBinaryEntry in both policies, on the diagonal too, before any
+    coercion. ``strict_likert`` additionally requires every rating to be an
+    integer.
 
     Validation is idempotent: a matrix that passed (after any diagonal
     coercion) validates again to the same edge list, with no warnings.
@@ -176,11 +183,14 @@ def validate_survey(
 
     matrix = np.asarray(raw_matrix)
     warnings: list[str] = []
-    # any nonzero diagonal number is a self-endorsement; CompetenceMatrix
-    # rejects non-numeric and non-square matrices whatever their diagonal
+    # CompetenceMatrix rejects non-numeric and non-square matrices whatever
+    # their diagonal, and a nonzero diagonal number other than 1, which is no
+    # self-endorsement: such a matrix reaches it uncoerced, so the error names
+    # its first non-0/1 cell
     numeric = matrix.ndim == 2 and matrix.dtype.kind in "biuf"
-    nonzero_diag = np.flatnonzero(np.diagonal(matrix) != 0) if numeric else ()
-    if len(nonzero_diag):
+    diagonal = np.diagonal(matrix) if numeric else np.zeros(0)
+    nonzero_diag = np.flatnonzero(diagonal != 0)
+    if len(nonzero_diag) and (diagonal[nonzero_diag] == 1).all():
         if diagonal_policy == "reject":
             raise NonZeroDiagonal(
                 f"self-endorsement at index {nonzero_diag.tolist()}"

@@ -223,6 +223,18 @@ def test_rate_diagonal_policy_flag(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("policy", ["coerce", "reject"])
+def test_rate_non_binary_diagonal_cell_exits_2(tmp_path, capsys, policy):
+    # a 2 on the diagonal is no self-endorsement to zero: it is rejected
+    doc = {"ratings": [4, 5], "competence": [[2, 1], [1, 0]]}
+    path = tmp_path / "survey.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli(
+        capsys, "rate", "--survey", str(path), "--diagonal-policy", policy
+    )
+    assert_input_error(result, "matrix entries must be 0 or 1, found 2")
+
+
 def test_rate_output_file_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -81,11 +81,67 @@ def test_document_loader_matches_validation_of_a_float_array(document):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert loaded.competence.dangling == expected.competence.dangling
     assert loaded.warnings == expected.warnings
-    # a fractional cell off the diagonal is rejected, not truncated to 0
-    if i != j:
-        grid[i][j] = 0.5
-        with pytest.raises(NonBinaryEntry, match="found 0.5$"):
-            load_survey_json({"ratings": ratings, "competence": grid})
+    # a fractional cell anywhere, the diagonal too, is rejected, not
+    # truncated or zeroed
+    grid[i][j] = 0.5
+    with pytest.raises(NonBinaryEntry, match="found 0.5$"):
+        load_survey_json({"ratings": ratings, "competence": grid})
+
+
+# the slack of the perturbation bounds below: the degree bound is attained
+BOUND_SLACK = 1e-12
+
+
+@st.composite
+def rewirings(draw, max_rows=None):
+    """A network and a copy of its matrix whose rows in a set S are redrawn.
+
+    The new rows keep a zero diagonal and may endorse nobody. Returns
+    (ratings, matrix, rewired, rows).
+    """
+    ratings, matrix = draw(networks(max_n=10))
+    n = len(ratings)
+    rows = draw(
+        st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=max_rows or n, unique=True
+        )
+    )
+    rewired = matrix.copy()
+    for i in rows:
+        row = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rewired[i] = row
+        rewired[i, i] = 0
+    return ratings, matrix, rewired, rows
+
+
+@given(rewirings(), st.sampled_from([0.5, 0.85, 0.95]))
+@settings(deadline=None)
+def test_rewiring_moves_influence_at_most_by_the_bound(case, alpha):
+    # ||x' - x||_1 <= 2 alpha / (1 - alpha) * sum of x_i over the rewired
+    # rows (Ng, Zheng & Jordan, SIGIR 2001; the dangling patch keeps the
+    # walk stochastic). tol=1e-14 keeps both solver errors, each within
+    # alpha / (1 - alpha) * tol, below the slack.
+    ratings, matrix, rewired, rows = case
+    before = validate_survey(ratings, matrix).competence
+    after = validate_survey(ratings, rewired).competence
+    x = stationary_distribution(before, alpha, tol=1e-14).values
+    moved = stationary_distribution(after, alpha, tol=1e-14).values
+    bound = 2 * alpha / (1 - alpha) * x[rows].sum()
+    assert np.abs(moved - x).sum() <= bound + BOUND_SLACK
+
+
+@given(rewirings(max_rows=1))
+@settings(deadline=None)
+def test_rewiring_one_row_moves_degree_weights_at_most_by_the_bound(case):
+    # ||w' - w||_1 <= 2 / min(T, T'), T counting the endorsing students;
+    # the bound is attained, so the slack is additive only
+    ratings, matrix, rewired, _ = case
+    assume(rewired.any())
+    before = validate_survey(ratings, matrix).competence
+    after = validate_survey(ratings, rewired).competence
+    endorsing = min(np.count_nonzero(c.row_sums) for c in (before, after))
+    moved = np.abs(degree_weights(after) - degree_weights(before)).sum()
+    assert moved <= 2 / endorsing + BOUND_SLACK
 
 
 def both_weightings(survey):

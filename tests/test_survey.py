@@ -1,7 +1,11 @@
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classrank import (
     CompetenceMatrix,
@@ -62,6 +66,116 @@ def test_non_binary_entry_rejected_under_both_policies():
     for policy in ("coerce", "reject"):
         with pytest.raises(NonBinaryEntry):
             validate_survey([4, 4], [[0, 2], [1, 0]], diagonal_policy=policy)
+
+
+@pytest.mark.parametrize("policy", ["coerce", "reject"])
+@pytest.mark.parametrize("cell, found", [(2, "2"), (0.5, "0.5"), (np.nan, "nan")])
+def test_non_binary_diagonal_cell_rejected_under_both_policies(policy, cell, found):
+    # a diagonal cell other than 0 or 1 is no self-endorsement to zero or to
+    # report: it is a bad cell like any other, in arrays and in documents
+    message = f"matrix entries must be 0 or 1, found {found}"
+    with pytest.raises(NonBinaryEntry) as excinfo:
+        validate_survey([4, 4], [[0, 1], [1, cell]], diagonal_policy=policy)
+    assert str(excinfo.value) == message
+    doc = {"ratings": [4, 5], "competence": [[cell, 1], [1, 0]]}
+    with pytest.raises(NonBinaryEntry) as excinfo:
+        load_survey_json(doc, diagonal_policy=policy)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("policy", ["coerce", "reject"])
+def test_non_binary_diagonal_cell_beside_a_self_endorsement(policy):
+    # the 1 at (0, 0) is neither zeroed nor reported: the first cell other
+    # than 0 or 1 in row-major order is named, here one off the diagonal
+    matrix = [[1, 1, 0], [0, 0, 3], [1, 0, 2]]
+    with pytest.raises(NonBinaryEntry, match="found 3$"):
+        validate_survey([4, 4, 4], matrix, diagonal_policy=policy)
+
+
+def _two_mask_outcome(entries):
+    """What validating ``entries`` gave when the 0/1 check built two n x n
+    masks: the error type and message, or the edge fields."""
+    nonzero = entries != 0
+    invalid = nonzero & (entries != 1)
+    if invalid.any():
+        bad = entries[invalid][:1].tolist()[0]
+        return NonBinaryEntry, f"matrix entries must be 0 or 1, found {bad!r}"
+    sources, targets = np.nonzero(nonzero)
+    loops = sources == targets
+    if loops.any():
+        return NonZeroDiagonal, f"self-endorsement at index {sources[loops].tolist()}"
+    counts = nonzero.sum(axis=1)
+    return {
+        "sources": sources,
+        "targets": targets,
+        "shares": 1.0 / counts[sources],
+        "row_sums": counts,
+        "dangling": frozenset(np.flatnonzero(counts == 0).tolist()),
+    }
+
+
+# per dtype, the cells planted into a zero-diagonal 0/1 grid
+PLANTED_CELLS = {
+    "uint8": (np.uint8, [0, 1, 2, 255]),
+    "int8": (np.int8, [0, 1, -1, 2, -128]),
+    "int64": (np.int64, [0, 1, -1, 2, 2**40]),
+    "bool": (bool, [False, True]),
+    "float64": (np.float64, [0.0, 1.0, np.nan, -0.0, np.inf, 0.5]),
+    "object": (object, [0, 1, None, {}, Fraction(1), Fraction(0)]),
+    "str": (str, ["", "0", "1"]),
+}
+
+
+@pytest.mark.parametrize("kind", PLANTED_CELLS)
+@given(data=st.data())
+@settings(deadline=None)
+def test_accepted_cells_match_the_two_mask_check(kind, data):
+    # the 0/1 check reads only the cells that are not 0, yet accepts and
+    # rejects exactly what the two full-size masks did, for every dtype
+    dtype, cells = PLANTED_CELLS[kind]
+    n = data.draw(st.integers(1, 6))
+    grid = [
+        [0 if i == j else data.draw(st.sampled_from([0, 1])) for j in range(n)]
+        for i in range(n)
+    ]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        grid[i][j] = data.draw(st.sampled_from(cells))
+    entries = np.array(grid, dtype=dtype)
+    if data.draw(st.booleans()):
+        # a transposed view, F-ordered: cells still go in row-major order
+        entries = entries.T
+    expected = _two_mask_outcome(entries)
+    try:
+        competence = CompetenceMatrix(entries)
+    except (NonBinaryEntry, NonZeroDiagonal) as exc:
+        assert (type(exc), str(exc)) == expected
+        return
+    assert isinstance(expected, dict)
+    for name in ("sources", "targets", "shares", "row_sums"):
+        assert np.array_equal(getattr(competence, name), expected[name])
+    assert competence.dangling == expected["dangling"]
+
+
+@pytest.mark.parametrize("transposed, bound", [(False, 1.5), (True, 2.5)])
+def test_validation_allocates_bool_masks_only(transposed, bound):
+    # a sparse network, ~8 endorsements a row as in the surveys: the 0/1
+    # check allocates one n x n bool mask (n^2 bytes) plus O(nnz) arrays,
+    # and a transposed (F-ordered) view a C-ordered copy of that mask; a
+    # second full-size mask, or an int or float copy, would break the bound
+    n = 1500
+    rng = np.random.default_rng(0)
+    matrix = (rng.random((n, n)) < 8 / n).astype(np.int64)
+    np.fill_diagonal(matrix, 0)
+    if transposed:
+        matrix = matrix.T
+    tracemalloc.start()
+    try:
+        CompetenceMatrix(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * n * n
 
 
 @pytest.mark.parametrize(
