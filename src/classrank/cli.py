@@ -261,13 +261,11 @@ def _cmd_scenarios(args) -> int:
         if result.winner:
             parts.append(f"winner={result.winner}")
         print(" ".join(parts), file=sys.stderr)
-    if summary.mean_degree_reduction is not None:
-        print(
-            f"mean error reduction: degree "
-            f"{summary.mean_degree_reduction:.2f}%, eigenfactor "
-            f"{summary.mean_eigenfactor_reduction:.2f}%",
-            file=sys.stderr,
-        )
+    # a method that failed in every scenario has no mean
+    means = {name: getattr(summary, f"mean_{name}_reduction") for name in METHODS}
+    shown = [f"{name} {mean:.2f}%" for name, mean in means.items() if mean is not None]
+    if shown:
+        print(f"mean error reduction: {', '.join(shown)}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -54,7 +54,8 @@ def stationary_distribution(
     any floating-point drift, so no walk matrix is ever built (the rank-one
     dangling-node treatment of Langville & Meyer, "Deeper Inside PageRank",
     2004) and a step costs O(nnz). Starts from the uniform distribution and
-    stops once the L1 change between steps drops to ``tol``; the map
+    stops once the L1 change between steps drops to ``tol``, which must be
+    positive and finite (an infinite tol states no accuracy); the map
     contracts by ``alpha`` in L1, so the result is then within
     ``alpha / (1 - alpha) * tol`` of the exact distribution. The run is
     deterministic: fixed start, fixed operation order. Raises NoConvergence
@@ -68,8 +69,8 @@ def stationary_distribution(
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = competence.n

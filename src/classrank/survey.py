@@ -49,7 +49,7 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RatingVector:
-    """Per-student ratings of one course on a bounded scale."""
+    """Per-student ratings of one course on a finite, bounded scale."""
 
     values: np.ndarray
     scale_min: float = DEFAULT_SCALE[0]
@@ -62,6 +62,10 @@ class RatingVector:
         if not self.scale_min < self.scale_max:
             raise ScaleViolation(
                 f"scale [{self.scale_min}, {self.scale_max}] is not an interval"
+            )
+        if not np.isfinite([self.scale_min, self.scale_max]).all():
+            raise ScaleViolation(
+                f"scale [{self.scale_min}, {self.scale_max}] must be finite"
             )
         if not np.all(np.isfinite(values)):
             raise ScaleViolation("ratings must be finite numbers")
@@ -81,14 +85,19 @@ class CompetenceMatrix:
     """Square 0/1 matrix of peer competence perceptions, kept as its edges.
 
     ``CompetenceMatrix(entries)`` checks the raw n x n matrix: square and
-    nonempty, cells 0 or 1, zero diagonal. It keeps only the endorsements:
-    endorsement k runs from student ``sources[k]`` to student ``targets[k]``
-    and carries ``shares[k]``, one over the endorsement count of its source,
-    so each endorsing student hands out a total of 1 and the edges are the
+    nonempty, cells 0 or 1. It keeps only the endorsements: endorsement k
+    runs from student ``sources[k]`` to student ``targets[k]`` and carries
+    ``shares[k]``, one over the endorsement count of its source, so each
+    endorsing student hands out a total of 1 and the edges are the
     row-normalized matrix. Edges are in row-major order. ``row_sums`` keeps
     the endorsement counts; students who endorse nobody (the dangling set)
     have no edges. Every sum over the matrix is a sum over edges, O(nnz)
     rather than O(n^2).
+
+    ``diagonal_policy`` decides the fate of self-endorsements, 1s on the
+    diagonal, once every cell is 0 or 1: ``reject`` (the default) raises
+    NonZeroDiagonal; ``coerce`` leaves their edges out, which copies nothing
+    whatever the dtype, and lists their students in ``self_endorsers``.
 
     Validation costs one n x n bool mask (the cells that are not 0; a
     matrix not in C order adds a C-ordered copy of it) plus O(nnz) work on
@@ -97,13 +106,17 @@ class CompetenceMatrix:
     """
 
     entries: InitVar[np.ndarray]
+    diagonal_policy: InitVar[str] = "reject"
     sources: np.ndarray = field(init=False)
     targets: np.ndarray = field(init=False)
     shares: np.ndarray = field(init=False)
     row_sums: np.ndarray = field(init=False)
     dangling: frozenset[int] = field(init=False)
+    self_endorsers: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self, entries):
+    def __post_init__(self, entries, diagonal_policy):
+        if diagonal_policy not in DIAGONAL_POLICIES:
+            raise ValueError(f"unknown diagonal policy {diagonal_policy!r}")
         entries = np.asarray(entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionMismatch("competence matrix must be square")
@@ -121,9 +134,11 @@ class CompetenceMatrix:
             bad = found[invalid][:1].tolist()[0]
             raise NonBinaryEntry(f"matrix entries must be 0 or 1, found {bad!r}")
         loops = sources == targets
-        if loops.any():
-            where = sources[loops].tolist()
-            raise NonZeroDiagonal(f"self-endorsement at index {where}")
+        self_endorsers = sources[loops].tolist()
+        if self_endorsers:
+            if diagonal_policy == "reject":
+                raise NonZeroDiagonal(f"self-endorsement at index {self_endorsers}")
+            sources, targets = sources[~loops], targets[~loops]
         counts = np.bincount(sources, minlength=n)
         dangling = frozenset(np.flatnonzero(counts == 0).tolist())
         object.__setattr__(self, "sources", _readonly(sources))
@@ -131,6 +146,7 @@ class CompetenceMatrix:
         object.__setattr__(self, "shares", _readonly(1.0 / counts[sources]))
         object.__setattr__(self, "row_sums", _readonly(counts))
         object.__setattr__(self, "dangling", dangling)
+        object.__setattr__(self, "self_endorsers", tuple(self_endorsers))
 
     @property
     def n(self) -> int:
@@ -169,38 +185,17 @@ def validate_survey(
 
     ``diagonal_policy`` decides what happens to self-endorsements, the 1s on
     the diagonal: ``coerce`` zeroes them and records a warning, ``reject``
-    raises NonZeroDiagonal. Entries other than 0/1 are rejected with
-    NonBinaryEntry in both policies, on the diagonal too, before any
-    coercion. ``strict_likert`` additionally requires every rating to be an
-    integer.
+    raises NonZeroDiagonal; CompetenceMatrix applies it and makes every
+    matrix check. ``strict_likert`` additionally requires every rating to
+    be an integer.
 
-    Validation is idempotent: a matrix that passed (after any diagonal
-    coercion) validates again to the same edge list, with no warnings.
-    CompetenceMatrix makes every other matrix check.
+    Errors come in this order: the ratings, an unknown policy (ValueError),
+    the matrix shape, its first cell other than 0 or 1 (NonBinaryEntry,
+    under both policies), and last a self-endorsement under ``reject``.
+
+    Validation is idempotent: the zero-diagonal 0/1 matrix of a survey's
+    edges validates again to the same edge list, with no warnings.
     """
-    if diagonal_policy not in DIAGONAL_POLICIES:
-        raise ValueError(f"unknown diagonal policy {diagonal_policy!r}")
-
-    matrix = np.asarray(raw_matrix)
-    warnings: list[str] = []
-    # CompetenceMatrix rejects non-numeric and non-square matrices whatever
-    # their diagonal, and a nonzero diagonal number other than 1, which is no
-    # self-endorsement: such a matrix reaches it uncoerced, so the error names
-    # its first non-0/1 cell
-    numeric = matrix.ndim == 2 and matrix.dtype.kind in "biuf"
-    diagonal = np.diagonal(matrix) if numeric else np.zeros(0)
-    nonzero_diag = np.flatnonzero(diagonal != 0)
-    if len(nonzero_diag) and (diagonal[nonzero_diag] == 1).all():
-        if diagonal_policy == "reject":
-            raise NonZeroDiagonal(
-                f"self-endorsement at index {nonzero_diag.tolist()}"
-            )
-        matrix = matrix.copy()
-        np.fill_diagonal(matrix, 0)
-        warnings.append(
-            f"zeroed diagonal entries at indices {nonzero_diag.tolist()}"
-        )
-
     ratings = RatingVector(raw_ratings, scale_min=scale[0], scale_max=scale[1])
     if strict_likert:
         fractional = ratings.values != np.floor(ratings.values)
@@ -209,12 +204,14 @@ def validate_survey(
                 f"non-integer rating {ratings.values[fractional][0]!r} "
                 "with strict_likert enabled"
             )
-    competence = CompetenceMatrix(matrix)
+    competence = CompetenceMatrix(raw_matrix, diagonal_policy)
+    zeroed = list(competence.self_endorsers)
+    warnings = (f"zeroed diagonal entries at indices {zeroed}",) if zeroed else ()
     return SurveyInstance(
         ratings=ratings,
         competence=competence,
         label=label,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
@@ -308,8 +305,8 @@ def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyIn
     One type scan over all cells lets a grid of numbers through as it is;
     only a grid with null or other cells goes row by row through
     ``_answers``. The grid is then packed one byte a cell (``_packed``), so
-    validation reads a uint8 buffer, not an n x n int64 array, and copies
-    it only to zero a diagonal.
+    validation reads a uint8 buffer, not an n x n int64 array, and never
+    copies it.
     """
     if not isinstance(ratings, list):
         raise MalformedInput(f"{kind} ratings are not numeric: expected a list")

@@ -125,6 +125,15 @@ def test_rate_nan_tol_exits_2(capsys):
     assert err.startswith("error:") and "tol" in err
 
 
+@pytest.mark.parametrize("command", ["rate", "scenarios"])
+def test_infinite_tol_exits_2(capsys, command):
+    # an infinite tol states no accuracy, and would be reported as Infinity
+    argv = [command, "--tol", "inf"]
+    if command == "rate":
+        argv += ["--survey", str(example_survey_path())]
+    assert_input_error(run_cli(capsys, *argv), "tol must be positive and finite")
+
+
 def test_rate_invalid_alpha_beats_degenerate_network(tmp_path, capsys):
     doc = {"ratings": [4, 5], "competence": [[0, 0], [0, 0]]}
     path = tmp_path / "survey.json"
@@ -172,6 +181,13 @@ def test_rate_out_of_range_rating_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     result = run_cli(capsys, "rate", "--survey", str(path))
     assert_input_error(result, "ratings are out of range")
+    # a float too large for a double parses as inf: no finite scale
+    path.write_text(
+        '{"scale": [1, 1e400], "ratings": [4, 5], "competence": [[0, 1], [1, 0]]}',
+        encoding="utf-8",
+    )
+    result = run_cli(capsys, "rate", "--survey", str(path))
+    assert_input_error(result, "scale [1.0, inf] must be finite")
 
 
 @pytest.mark.parametrize("which", ["competence", "ratings"])
@@ -386,6 +402,24 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
     assert row["winner"] is None
 
 
+def test_scenarios_summary_skips_a_method_that_always_failed(tmp_path, capsys):
+    # one step is too few for the eigenfactor solver; degree still scores
+    doc = {
+        "ratings": [1, 2],
+        "biased_index": 0,
+        "scenarios": [{"competence": [[0, 0], [1, 0]]}],
+    }
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "scenarios", "--scenario-file", str(path), "--max-iter", "1"
+    )
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["mean_eigenfactor_reduction_pct"] is None
+    assert err.splitlines()[-1] == "mean error reduction: degree -100.00%"
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -400,6 +434,7 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
         ({"scenarios": [{"competence": [[0, 1], [1]]}]}, "rows are ragged"),
         ({"label": None}, "label must be a string: found None"),
         ({"label": [1, {}]}, "label must be a string: found [1, {}]"),
+        ({"scale": [1, 1e400]}, "scale [1.0, inf] must be finite"),
     ],
     ids=[
         "scalar-scale",
@@ -413,6 +448,7 @@ def test_scenarios_records_per_method_failures(tmp_path, capsys):
         "ragged-rows",
         "null-label",
         "list-label",
+        "infinite-scale",
     ],
 )
 def test_scenarios_malformed_bundle_exits_2(tmp_path, capsys, change, message):

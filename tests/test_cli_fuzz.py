@@ -3,7 +3,8 @@
 Whatever the input file holds, ``classrank`` must end with one of the
 documented exit codes (0 ok, 2 invalid input, 3 degenerate network, 4 no
 convergence), never with a traceback, and every failure must be reported
-on exactly one ``error:`` line.
+on exactly one ``error:`` line. A report must be strict JSON, with no
+``NaN`` or ``Infinity``.
 """
 
 import contextlib
@@ -36,7 +37,14 @@ json_values = st.recursive(
 )
 cells = st.sampled_from([0, 1, None]) | json_values
 walk_flags = st.sampled_from(
-    [[], ["--max-iter", "1"], ["--alpha", "1"], ["--tol", "nan"], ["--alpha", "0"]]
+    [
+        [],
+        ["--max-iter", "1"],
+        ["--alpha", "1"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--alpha", "0"],
+    ]
 )
 # CSV text: anything writable as UTF-8, or rows of numbers and words under
 # one of the two dispersion headers or a matrix row
@@ -108,11 +116,15 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def reject_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
+
+
 def check_outcome(code, out, err):
     assert code in EXIT_CODES
     assert "Traceback" not in err
     if code == 0:
-        json.loads(out)
+        json.loads(out, parse_constant=reject_constant)
     else:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -175,7 +175,7 @@ def test_no_convergence_guard(scenario_by_id):
 
 def test_solver_parameter_validation(scenario_by_id):
     competence = scenario_by_id[1].survey.competence
-    for tol in (0.0, -1e-12, float("nan")):
+    for tol in (0.0, -1e-12, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             stationary_distribution(competence, tol=tol)
     with pytest.raises(ValueError):

@@ -60,12 +60,27 @@ def test_coerce_policy_zeroes_diagonal_and_warns():
     assert _pairs(survey.competence) == [(0, 1)]
     assert len(survey.warnings) == 1
     assert "0" in survey.warnings[0]
+    # the same edges and warning whatever the dtype or layout of the matrix
+    grid = [[1, 1, 0], [0, 0, 1], [1, 0, 1]]
+    for dtype in (np.uint8, np.int64, bool, np.float64, object):
+        for transposed in (False, True):
+            matrix = np.array(grid, dtype=dtype)
+            if transposed:
+                matrix = matrix.T
+            survey = validate_survey([4, 4, 4], matrix)
+            cells = matrix.tolist()
+            expected = [(i, j) for i in range(3) for j in range(3) if cells[i][j]]
+            assert _pairs(survey.competence) == [(i, j) for i, j in expected if i != j]
+            assert survey.competence.self_endorsers == (0, 2)
+            assert survey.warnings == ("zeroed diagonal entries at indices [0, 2]",)
 
 
 def test_non_binary_entry_rejected_under_both_policies():
+    # the 0/1 check comes before the self-endorsement check under both
     for policy in ("coerce", "reject"):
-        with pytest.raises(NonBinaryEntry):
-            validate_survey([4, 4], [[0, 2], [1, 0]], diagonal_policy=policy)
+        for matrix in ([[0, 2], [1, 0]], [[1, 2], [1, 0]]):
+            with pytest.raises(NonBinaryEntry, match="found 2$"):
+                validate_survey([4, 4], matrix, diagonal_policy=policy)
 
 
 @pytest.mark.parametrize("policy", ["coerce", "reject"])
@@ -92,18 +107,21 @@ def test_non_binary_diagonal_cell_beside_a_self_endorsement(policy):
         validate_survey([4, 4, 4], matrix, diagonal_policy=policy)
 
 
-def _two_mask_outcome(entries):
-    """What validating ``entries`` gave when the 0/1 check built two n x n
-    masks: the error type and message, or the edge fields."""
+def _two_mask_outcome(entries, policy):
+    """What validating ``entries`` under ``policy`` gave when the 0/1 check
+    built two n x n masks and the diagonal was zeroed in a dense copy: the
+    error type and message, or the edge fields."""
     nonzero = entries != 0
     invalid = nonzero & (entries != 1)
     if invalid.any():
         bad = entries[invalid][:1].tolist()[0]
         return NonBinaryEntry, f"matrix entries must be 0 or 1, found {bad!r}"
+    loops = np.flatnonzero(np.diagonal(nonzero)).tolist()
+    if loops and policy == "reject":
+        return NonZeroDiagonal, f"self-endorsement at index {loops}"
+    nonzero = nonzero.copy()
+    np.fill_diagonal(nonzero, False)
     sources, targets = np.nonzero(nonzero)
-    loops = sources == targets
-    if loops.any():
-        return NonZeroDiagonal, f"self-endorsement at index {sources[loops].tolist()}"
     counts = nonzero.sum(axis=1)
     return {
         "sources": sources,
@@ -111,6 +129,7 @@ def _two_mask_outcome(entries):
         "shares": 1.0 / counts[sources],
         "row_sums": counts,
         "dangling": frozenset(np.flatnonzero(counts == 0).tolist()),
+        "self_endorsers": tuple(loops),
     }
 
 
@@ -131,23 +150,28 @@ PLANTED_CELLS = {
 @settings(deadline=None)
 def test_accepted_cells_match_the_two_mask_check(kind, data):
     # the 0/1 check reads only the cells that are not 0, yet accepts and
-    # rejects exactly what the two full-size masks did, for every dtype
+    # rejects exactly what the two full-size masks did, and drops or reports
+    # self-endorsements as the dense diagonal pass did, for every dtype
     dtype, cells = PLANTED_CELLS[kind]
+    policy = data.draw(st.sampled_from(["coerce", "reject"]))
     n = data.draw(st.integers(1, 6))
     grid = [
         [0 if i == j else data.draw(st.sampled_from([0, 1])) for j in range(n)]
         for i in range(n)
     ]
     for _ in range(data.draw(st.integers(0, 3))):
-        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        i = data.draw(st.integers(0, n - 1))
+        # every other planted cell on the diagonal: 1, True, Fraction(1) there
+        # are self-endorsements
+        j = i if data.draw(st.booleans()) else data.draw(st.integers(0, n - 1))
         grid[i][j] = data.draw(st.sampled_from(cells))
     entries = np.array(grid, dtype=dtype)
     if data.draw(st.booleans()):
         # a transposed view, F-ordered: cells still go in row-major order
         entries = entries.T
-    expected = _two_mask_outcome(entries)
+    expected = _two_mask_outcome(entries, policy)
     try:
-        competence = CompetenceMatrix(entries)
+        competence = CompetenceMatrix(entries, policy)
     except (NonBinaryEntry, NonZeroDiagonal) as exc:
         assert (type(exc), str(exc)) == expected
         return
@@ -155,6 +179,7 @@ def test_accepted_cells_match_the_two_mask_check(kind, data):
     for name in ("sources", "targets", "shares", "row_sums"):
         assert np.array_equal(getattr(competence, name), expected[name])
     assert competence.dangling == expected["dangling"]
+    assert competence.self_endorsers == expected["self_endorsers"]
 
 
 @pytest.mark.parametrize("transposed, bound", [(False, 1.5), (True, 2.5)])
@@ -162,20 +187,29 @@ def test_validation_allocates_bool_masks_only(transposed, bound):
     # a sparse network, ~8 endorsements a row as in the surveys: the 0/1
     # check allocates one n x n bool mask (n^2 bytes) plus O(nnz) arrays,
     # and a transposed (F-ordered) view a C-ordered copy of that mask; a
-    # second full-size mask, or an int or float copy, would break the bound
+    # second full-size mask, or an int or float copy, would break the bound.
+    # So does validate_survey under the default coerce policy with one
+    # self-endorsement planted: it drops an edge and copies no matrix.
     n = 1500
     rng = np.random.default_rng(0)
     matrix = (rng.random((n, n)) < 8 / n).astype(np.int64)
     np.fill_diagonal(matrix, 0)
+    self_endorsed = matrix.copy()
+    self_endorsed[n // 2, n // 2] = 1
+    ratings = np.full(n, 3.0)
     if transposed:
-        matrix = matrix.T
-    tracemalloc.start()
-    try:
-        CompetenceMatrix(matrix)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < bound * n * n
+        matrix, self_endorsed = matrix.T, self_endorsed.T
+    for validate in (
+        lambda: CompetenceMatrix(matrix),
+        lambda: validate_survey(ratings, self_endorsed),
+    ):
+        tracemalloc.start()
+        try:
+            validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n * n
 
 
 @pytest.mark.parametrize(
@@ -215,6 +249,10 @@ def test_rating_outside_scale_rejected():
         validate_survey([0.5, 4], [[0, 1], [1, 0]])
     with pytest.raises(ScaleViolation):
         RatingVector([1, 6])
+    # an infinite bound is no scale, and a report would write it as Infinity,
+    # which is not JSON
+    with pytest.raises(ScaleViolation, match="must be finite"):
+        RatingVector([3], scale_max=np.inf)
 
 
 def test_non_finite_rating_rejected():
@@ -425,6 +463,10 @@ def test_load_survey_json_rejects_numbers_too_large_for_a_float():
         load_survey_json({**doc, "scale": [1, 10**400]})
     with pytest.raises(MalformedInput, match="ratings are out of range"):
         load_survey_json({**doc, "ratings": [4, 10**400]})
+    # a float literal too large for a double parses as inf
+    text = '{"scale": [1, 1e400], "ratings": [4, 5], "competence": [[0, 1], [1, 0]]}'
+    with pytest.raises(ScaleViolation, match=r"scale \[1.0, inf\] must be finite"):
+        load_survey_json(json.loads(text))
 
 
 def test_load_survey_json_missing_keys():
