@@ -4,7 +4,6 @@ from .degree import degree_weights, weighted_rating
 from .dispersion import (
     DispersionAggregate,
     DispersionRow,
-    InstructorRecord,
     aggregate,
     dispersion_row,
     mode_of,
@@ -58,7 +57,6 @@ __all__ = [
     "EmptyInput",
     "IndexOutOfRange",
     "InfluenceVector",
-    "InstructorRecord",
     "MalformedInput",
     "MethodResult",
     "NoConvergence",

@@ -49,12 +49,6 @@ class RunConfig:
     mode_tiebreak: str = "smallest"
     strict_likert: bool = False
 
-    def __post_init__(self):
-        # the solver checks the walk settings; argparse choices and the
-        # survey and dispersion layers check the policies
-        if self.min_n < 1:
-            raise ValueError("min_n must be at least 1")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

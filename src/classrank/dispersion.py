@@ -8,33 +8,17 @@ of all ratings.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .errors import EmptyInput, MalformedInput
-from .survey import _csv_reader
+from .survey import _csv_reader, _plain
 
 TIEBREAKS = ("smallest", "largest")
 LONG_HEADER = ("label", "rating")
 COUNT_HEADER = ("label", "n", "mode", "dev2", "dev3plus")
 
 DEFAULT_MIN_N = 5
-
-
-@dataclass(frozen=True)
-class InstructorRecord:
-    """All integer ratings received by one instructor."""
-
-    label: str
-    ratings: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.ratings) == 0:
-            raise EmptyInput(f"no ratings for {self.label!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.ratings)
 
 
 @dataclass(frozen=True)
@@ -58,28 +42,29 @@ class DispersionAggregate:
 
 def mode_of(ratings, tiebreak: str = "smallest") -> int:
     """Most frequent value; ties resolved to the smallest or largest value."""
+    return _mode(Counter(ratings), tiebreak, "mode of an empty rating list")
+
+
+def _mode(counts: Counter, tiebreak: str, empty: str) -> int:
     if tiebreak not in TIEBREAKS:
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
-    values = list(ratings)
-    if not values:
-        raise EmptyInput("mode of an empty rating list")
-    counts = Counter(values)
+    if not counts:
+        raise EmptyInput(empty)
     top = max(counts.values())
     tied = [value for value, count in counts.items() if count == top]
     return min(tied) if tiebreak == "smallest" else max(tied)
 
 
-def dispersion_row(record: InstructorRecord, tiebreak: str = "smallest") -> DispersionRow:
-    """Count ratings at deviation 2 and at deviation >= 3 from the mode."""
-    anchor = mode_of(record.ratings, tiebreak=tiebreak)
-    deviations = [abs(r - anchor) for r in record.ratings]
-    return DispersionRow(
-        label=record.label,
-        n=record.n,
-        mode=anchor,
-        dev2=sum(1 for d in deviations if d == 2),
-        dev3plus=sum(1 for d in deviations if d >= 3),
-    )
+def dispersion_row(label: str, ratings, tiebreak: str = "smallest") -> DispersionRow:
+    """Count ratings at deviation 2 and at deviation >= 3 from the mode.
+
+    One count per rating value gives n, the mode and both buckets.
+    """
+    counts = Counter(ratings)
+    anchor = _mode(counts, tiebreak, f"no ratings for {label!r}")
+    dev2 = counts[anchor - 2] + counts[anchor + 2]
+    dev3plus = sum(count for value, count in counts.items() if abs(value - anchor) >= 3)
+    return DispersionRow(label, sum(counts.values()), anchor, dev2, dev3plus)
 
 
 def aggregate(rows) -> DispersionAggregate:
@@ -104,7 +89,7 @@ def aggregate(rows) -> DispersionAggregate:
 
 def _parse_int(cell: str, what: str, path) -> int:
     try:
-        return int(cell)
+        return int(_plain(cell))
     except ValueError as exc:
         raise MalformedInput(f"non-integer {what} {cell!r} in {path}") from exc
 
@@ -118,73 +103,66 @@ def read_dispersion_csv(
 
     The form is auto-detected from the header: ``label,rating`` holds one
     rating per line (long form), ``label,n,mode,dev2,dev3plus`` holds
-    pre-counted rows. Returns the retained rows plus the labels excluded for
-    having fewer than ``min_n`` ratings.
+    pre-counted rows, one per label. Returns the retained rows plus the
+    labels excluded for having fewer than ``min_n`` ratings.
+
+    ``min_n`` (at least 1) and ``tiebreak`` are checked before the file is
+    opened. The long form is streamed into one list of ratings per label.
     """
+    if min_n < 1:
+        raise ValueError("min_n must be at least 1")
+    if tiebreak not in TIEBREAKS:
+        raise ValueError(f"unknown tiebreak {tiebreak!r}")
     with _csv_reader(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedInput(f"empty CSV {path}") from None
+        header = next(reader, None)
+        if header is None:
+            raise MalformedInput(f"empty CSV {path}")
         header = tuple(cell.strip().lower() for cell in header)
         if header == LONG_HEADER:
-            rows = _read_long_form(reader, path, tiebreak)
+            groups = defaultdict(list)
+            for label, rating in _records(reader, header, path):
+                groups[label.strip()].append(_parse_int(rating.strip(), "rating", path))
+            rows = [
+                dispersion_row(label, ratings, tiebreak)
+                for label, ratings in groups.items()
+            ]
         elif header == COUNT_HEADER:
-            rows = _read_counted_form(reader, path)
+            rows = _counted_rows(_records(reader, header, path), path)
         else:
             raise MalformedInput(
                 f"unrecognized header {header!r} in {path}; expected "
                 f"{','.join(LONG_HEADER)} or {','.join(COUNT_HEADER)}"
             )
+    if not rows:
+        raise MalformedInput(f"no data rows in {path}")
     kept = [row for row in rows if row.n >= min_n]
     excluded = [row.label for row in rows if row.n < min_n]
     return kept, excluded
 
 
-def _read_long_form(reader, path, tiebreak) -> list[DispersionRow]:
-    by_label: OrderedDict[str, list[int]] = OrderedDict()
+def _records(reader, header: tuple[str, ...], path):
+    """The records of ``reader`` that are not blank, each as wide as ``header``."""
     for record in reader:
-        if not record or all(not cell.strip() for cell in record):
+        if not "".join(record).strip():
             continue
-        if len(record) != 2:
-            raise MalformedInput(f"expected label,rating rows in {path}")
-        label = record[0].strip()
-        rating = _parse_int(record[1].strip(), "rating", path)
-        by_label.setdefault(label, []).append(rating)
-    if not by_label:
-        raise MalformedInput(f"no data rows in {path}")
-    return [
-        dispersion_row(
-            InstructorRecord(label=label, ratings=tuple(values)),
-            tiebreak=tiebreak,
-        )
-        for label, values in by_label.items()
-    ]
+        if len(record) != len(header):
+            raise MalformedInput(f"expected {','.join(header)} rows in {path}")
+        yield record
 
 
-def _read_counted_form(reader, path) -> list[DispersionRow]:
-    rows = []
-    for record in reader:
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        if len(record) != 5:
-            raise MalformedInput(
-                f"expected label,n,mode,dev2,dev3plus rows in {path}"
-            )
+def _counted_rows(records, path) -> list[DispersionRow]:
+    rows = {}
+    for record in records:
         label = record[0].strip()
-        n = _parse_int(record[1], "count", path)
-        mode = _parse_int(record[2], "mode", path)
-        dev2 = _parse_int(record[3], "count", path)
-        dev3plus = _parse_int(record[4], "count", path)
+        cells = zip(record[1:], ("count", "mode", "count", "count"))
+        n, mode, dev2, dev3plus = (_parse_int(cell, what, path) for cell, what in cells)
         if n < 1 or dev2 < 0 or dev3plus < 0:
             raise MalformedInput(f"negative or empty counts for {label!r} in {path}")
         if dev2 + dev3plus > n:
             raise MalformedInput(
                 f"deviation counts exceed n for {label!r} in {path}"
             )
-        rows.append(
-            DispersionRow(label=label, n=n, mode=mode, dev2=dev2, dev3plus=dev3plus)
-        )
-    if not rows:
-        raise MalformedInput(f"no data rows in {path}")
-    return rows
+        if label in rows:
+            raise MalformedInput(f"repeated label {label!r} in {path}")
+        rows[label] = DispersionRow(label, n, mode, dev2, dev3plus)
+    return list(rows.values())

@@ -328,8 +328,6 @@ def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyIn
     # an integer rating too large for a float
     except OverflowError as exc:
         raise MalformedInput(f"{kind} ratings are out of range: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"{kind} is not numeric: {exc}") from exc
 
 
 def load_survey_json(
@@ -368,6 +366,18 @@ def _csv_reader(path):
             raise MalformedInput(f"unreadable CSV {path}: {exc}") from exc
 
 
+def _plain(cell: str) -> str:
+    """``cell``, or ValueError if it holds an underscore or a non-ASCII
+    character inside its surrounding whitespace.
+
+    ``int()`` and ``float()`` read ``0_1`` (PEP 515) and digits such as
+    ``٤`` or ``４`` as numbers; a number in a CSV file is plain ASCII.
+    """
+    if "_" in cell or not (cell.isascii() or cell.strip().isascii()):
+        raise ValueError(f"not a plain ASCII number: {cell!r}")
+    return cell
+
+
 def load_competence_csv(path) -> np.ndarray:
     """Read an n x n matrix of 0/1 cells; blank cells count as 0.
 
@@ -389,7 +399,10 @@ def load_competence_csv(path) -> np.ndarray:
     except KeyError:
         try:
             return np.array(
-                [[float(cell) if cell.strip() else 0.0 for cell in row] for row in rows]
+                [
+                    [float(_plain(cell)) if cell.strip() else 0.0 for cell in row]
+                    for row in rows
+                ]
             )
         except ValueError as exc:
             raise MalformedInput(f"non-numeric matrix cell in {path}") from exc
@@ -406,7 +419,7 @@ def load_ratings_csv(path) -> list[float]:
             if len(record) != 1:
                 raise MalformedInput(f"expected one rating per line in {path}")
             try:
-                values.append(float(record[0]))
+                values.append(float(_plain(record[0])))
             except ValueError as exc:
                 raise MalformedInput(f"non-numeric rating in {path}") from exc
     if not values:

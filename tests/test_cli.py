@@ -333,6 +333,27 @@ def test_dispersion_all_rows_filtered_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        pytest.param(
+            "label,n,mode,dev2,dev3plus\na,10,4,1,1\na,10,4,1,1\n",
+            [],
+            "repeated label 'a'",
+            id="repeated-counted-label",
+        ),
+        pytest.param(
+            "label,rating\na,4\n", ["--min-n", "0"], "min_n must be at least 1", id="min-n"
+        ),
+    ],
+)
+def test_dispersion_invalid_input_exits_2(tmp_path, capsys, text, flags, message):
+    path = tmp_path / "ratings.csv"
+    path.write_text(text, encoding="utf-8")
+    result = run_cli(capsys, "dispersion", "--ratings-csv", str(path), *flags)
+    assert_input_error(result, message)
+
+
 def test_dispersion_overlong_csv_field_exits_2(tmp_path, capsys):
     path = tmp_path / "long.csv"
     path.write_text(f"label,rating\na,{OVERLONG_FIELD}\n", encoding="utf-8")

@@ -1,9 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from classrank import (
     EmptyInput,
-    InstructorRecord,
     MalformedInput,
     aggregate,
     dispersion_row,
@@ -41,19 +42,19 @@ def test_mode_is_order_invariant():
 
 
 def test_dispersion_row_counts():
-    row = dispersion_row(InstructorRecord("a", (5, 5, 3, 1, 2)))
+    row = dispersion_row("a", (5, 5, 3, 1, 2))
     assert (row.mode, row.dev2, row.dev3plus) == (5, 1, 2)
 
 
 def test_dispersion_row_all_identical():
-    row = dispersion_row(InstructorRecord("b", (4,) * 12))
+    row = dispersion_row("b", (4,) * 12)
     assert (row.mode, row.dev2, row.dev3plus) == (4, 0, 0)
 
 
 def test_dispersion_row_respects_tiebreak():
-    record = InstructorRecord("c", (1, 1, 5, 5, 3))
-    smallest = dispersion_row(record)
-    largest = dispersion_row(record, tiebreak="largest")
+    ratings = (1, 1, 5, 5, 3)
+    smallest = dispersion_row("c", ratings)
+    largest = dispersion_row("c", ratings, tiebreak="largest")
     assert (smallest.mode, smallest.dev2, smallest.dev3plus) == (1, 1, 2)
     assert (largest.mode, largest.dev2, largest.dev3plus) == (5, 1, 2)
 
@@ -62,7 +63,7 @@ def test_deviation_buckets_partition_the_ratings():
     rng = np.random.default_rng(9)
     for _ in range(100):
         values = tuple(rng.integers(1, 6, size=int(rng.integers(1, 40))).tolist())
-        row = dispersion_row(InstructorRecord("x", values))
+        row = dispersion_row("x", values)
         anchor = row.mode
         dev0 = sum(1 for v in values if v == anchor)
         dev1 = sum(1 for v in values if abs(v - anchor) == 1)
@@ -75,10 +76,8 @@ def test_reflection_flips_the_anchor():
         values = tuple(rng.integers(1, 6, size=int(rng.integers(1, 25))).tolist())
         reflected = tuple(6 - v for v in values)
         # reflection maps a smallest-tied mode to a largest-tied one
-        row = dispersion_row(InstructorRecord("x", values), tiebreak="smallest")
-        mirrored = dispersion_row(
-            InstructorRecord("x", reflected), tiebreak="largest"
-        )
+        row = dispersion_row("x", values, tiebreak="smallest")
+        mirrored = dispersion_row("x", reflected, tiebreak="largest")
         assert mirrored.mode == 6 - row.mode
         assert (mirrored.dev2, mirrored.dev3plus) == (row.dev2, row.dev3plus)
 
@@ -109,7 +108,7 @@ def test_aggregate_golden_clarity():
 
 
 def test_aggregate_single_row():
-    row = dispersion_row(InstructorRecord("solo", (4, 4, 4, 4, 2, 1, 4, 4, 4, 4)))
+    row = dispersion_row("solo", (4, 4, 4, 4, 2, 1, 4, 4, 4, 4))
     pooled = aggregate([row])
     assert pooled.pct_dev2 == pytest.approx(10.0, abs=1e-12)
     assert pooled.pct_dev3plus == pytest.approx(10.0, abs=1e-12)
@@ -119,10 +118,8 @@ def test_aggregate_matches_count_weighted_rows():
     rng = np.random.default_rng(17)
     rows = [
         dispersion_row(
-            InstructorRecord(
-                f"i{k}",
-                tuple(rng.integers(1, 6, size=int(rng.integers(5, 60))).tolist()),
-            )
+            f"i{k}",
+            tuple(rng.integers(1, 6, size=int(rng.integers(5, 60))).tolist()),
         )
         for k in range(30)
     ]
@@ -193,7 +190,67 @@ def test_malformed_csv_rejected(tmp_path):
     with pytest.raises(MalformedInput):
         read_dispersion_csv(empty)
 
+    # int() reads these as numbers (PEP 515 underscores, non-ASCII digits)
+    for name, text, message in [
+        ("five.csv", "label,rating\na,0_4\n", "non-integer rating '0_4'"),
+        ("six.csv", "label,rating\na,\u0664\n", "non-integer rating '\u0664'"),
+        ("seven.csv", "label,rating\na,\uff14\n", "non-integer rating '\uff14'"),
+        ("eight.csv", "label,n,mode,dev2,dev3plus\na,1_0,4,1,1\n", "count '1_0'"),
+        ("nine.csv", "label,n,mode,dev2,dev3plus\na,10,\u0664,1,1\n", "mode '\u0664'"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedInput, match=message):
+            read_dispersion_csv(path)
+
 
 def test_empty_record_rejected():
     with pytest.raises(EmptyInput):
-        InstructorRecord("empty", ())
+        dispersion_row("empty", ())
+
+
+def test_counted_form_rejects_a_repeated_label(tmp_path):
+    # the long form merges a repeated label; a counted row is one label's
+    # whole count, so a second one would count its ratings twice
+    path = tmp_path / "counts.csv"
+    path.write_text(
+        "label,n,mode,dev2,dev3plus\na,10,4,1,1\nb,6,3,0,0\n a ,10,4,1,1\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedInput, match=f"repeated label 'a' in {path}"):
+        read_dispersion_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["label,rating\na,4\n", "label,n,mode,dev2,dev3plus\na,10,4,1,1\n"],
+    ids=["long", "counted"],
+)
+def test_options_are_checked_before_the_file_is_read(tmp_path, text):
+    path = tmp_path / "ratings.csv"
+    path.write_text(text, encoding="utf-8")
+    for source in (path, tmp_path / "missing.csv"):
+        with pytest.raises(ValueError, match="^min_n must be at least 1$"):
+            read_dispersion_csv(source, min_n=0)
+        with pytest.raises(ValueError, match="^unknown tiebreak 'median'$"):
+            read_dispersion_csv(source, tiebreak="median")
+
+
+def test_long_form_reader_memory_grows_with_the_ratings_kept(tmp_path):
+    # one label, so one list of small ints: ~8 bytes a rating plus its
+    # over-allocation; a copy of the ratings or a list of all records
+    # would break the bound
+    count = 50_000
+    path = tmp_path / "ratings.csv"
+    ratings = np.random.default_rng(3).integers(1, 6, count)
+    path.write_text(
+        "label,rating\n" + "".join(f"solo,{r}\n" for r in ratings), encoding="utf-8"
+    )
+    tracemalloc.start()
+    try:
+        rows, _ = read_dispersion_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows[0].n == count
+    assert peak < 16 * count

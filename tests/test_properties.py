@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from classrank import (
+    MalformedInput,
     NonBinaryEntry,
     RatingVector,
     degree_weights,
@@ -13,6 +14,7 @@ from classrank import (
     load_survey_json,
     mode_of,
     rate_survey,
+    read_dispersion_csv,
     stationary_distribution,
     validate_survey,
     weighted_rating,
@@ -292,3 +294,69 @@ def list_and_shuffle(draw):
 def test_mode_is_permutation_invariant(case):
     values, shuffled = case
     assert mode_of(shuffled) == mode_of(values)
+
+
+padding = st.sampled_from(["", " ", "  "])
+long_form_lines = st.one_of(
+    # blank lines, skipped whatever their width
+    st.sampled_from(["", " ", ",", " , "]),
+    # labels recur out of order, padded or not; ratings may be negative or long
+    st.builds(
+        "{}{}{},{}{}{}".format,
+        padding,
+        st.sampled_from(["a", "b", "c", "dd"]),
+        padding,
+        padding,
+        st.integers(-12, 12) | st.integers(-(10**6), 10**6),
+        padding,
+    ),
+)
+
+
+def _dispersion_oracle(lines, min_n, tiebreak):
+    """Rows and exclusions of a long-form CSV, counted with sorted and count."""
+    pairs = []
+    for line in lines:
+        if line.strip(" ,"):
+            label, rating = line.split(",")
+            pairs.append((label.strip(), int(rating)))
+    labels = []
+    for label, _ in pairs:
+        if label not in labels:
+            labels.append(label)
+    rows, excluded = [], []
+    for label in labels:
+        values = sorted(rating for other, rating in pairs if other == label)
+        if len(values) < min_n:
+            excluded.append(label)
+            continue
+        top = max(values.count(value) for value in values)
+        tied = [value for value in values if values.count(value) == top]
+        mode = tied[0] if tiebreak == "smallest" else tied[-1]
+        deviations = [abs(value - mode) for value in values]
+        dev3plus = sum(1 for deviation in deviations if deviation >= 3)
+        rows.append((label, len(values), mode, deviations.count(2), dev3plus))
+    return rows, excluded
+
+
+@given(
+    st.lists(long_form_lines, max_size=40),
+    st.integers(1, 6),
+    st.sampled_from(["smallest", "largest"]),
+)
+@settings(deadline=None)
+def test_long_form_reader_matches_an_independent_count(
+    tmp_path_factory, lines, min_n, tiebreak
+):
+    path = tmp_path_factory.getbasetemp() / "long_form.csv"
+    path.write_text("label,rating\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    expected_rows, expected_excluded = _dispersion_oracle(lines, min_n, tiebreak)
+    if not expected_rows and not expected_excluded:
+        with pytest.raises(MalformedInput, match="no data rows"):
+            read_dispersion_csv(path, min_n=min_n, tiebreak=tiebreak)
+        return
+    rows, excluded = read_dispersion_csv(path, min_n=min_n, tiebreak=tiebreak)
+    assert [
+        (row.label, row.n, row.mode, row.dev2, row.dev3plus) for row in rows
+    ] == expected_rows
+    assert excluded == expected_excluded

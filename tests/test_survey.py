@@ -15,6 +15,7 @@ from classrank import (
     NonZeroDiagonal,
     RatingVector,
     ScaleViolation,
+    load_scenarios,
     load_survey_csv,
     load_survey_json,
     validate_survey,
@@ -242,6 +243,16 @@ def test_load_survey_json_names_the_first_bad_cell(cell, found):
 def test_unknown_diagonal_policy():
     with pytest.raises(ValueError):
         validate_survey([4, 4], [[0, 1], [1, 0]], diagonal_policy="ignore")
+
+
+def test_loaders_report_an_unknown_diagonal_policy_as_such():
+    # a bad option, not bad content: a ValueError, not MalformedInput
+    survey = {"ratings": [4, 5], "competence": [[0, 1], [1, 0]]}
+    bundle = {"ratings": [4, 5], "biased_index": 0, "scenarios": [survey]}
+    for load, document in ((load_survey_json, survey), (load_scenarios, bundle)):
+        with pytest.raises(ValueError) as excinfo:
+            load(document, diagonal_policy="ignore")
+        assert str(excinfo.value) == "unknown diagonal policy 'ignore'"
 
 
 def test_rating_outside_scale_rejected():
@@ -534,11 +545,31 @@ def test_load_survey_csv_spelled_out_cells_match_their_plain_twin(tmp_path):
     )
 
 
-@pytest.mark.parametrize("cell, error", [("2", NonBinaryEntry), ("x", MalformedInput)])
+@pytest.mark.parametrize(
+    "cell, error",
+    [
+        ("2", NonBinaryEntry),
+        ("x", MalformedInput),
+        # float() reads these as 1 and 4: a PEP 515 underscore, non-ASCII digits
+        ("0_1", MalformedInput),
+        ("\u0661", MalformedInput),
+        ("\uff14", MalformedInput),
+    ],
+)
 def test_load_survey_csv_rejects_bad_cells(tmp_path, cell, error):
     matrix_path = tmp_path / "matrix.csv"
     matrix_path.write_text(f"0,{cell}\n1,0\n", encoding="utf-8")
     ratings_path = tmp_path / "ratings.csv"
     ratings_path.write_text("4\n2\n", encoding="utf-8")
     with pytest.raises(error):
+        load_survey_csv(matrix_path, ratings_path)
+
+
+@pytest.mark.parametrize("rating", ["0_5", "\u0664", "\uff14"])
+def test_load_survey_csv_rejects_underscored_or_non_ascii_ratings(tmp_path, rating):
+    matrix_path = tmp_path / "matrix.csv"
+    matrix_path.write_text("0,1\n1,0\n", encoding="utf-8")
+    ratings_path = tmp_path / "ratings.csv"
+    ratings_path.write_text(f"4\n{rating}\n", encoding="utf-8")
+    with pytest.raises(MalformedInput, match="non-numeric rating"):
         load_survey_csv(matrix_path, ratings_path)
