@@ -3,7 +3,8 @@
 Three subcommands: ``rate`` scores one survey with both weighting methods,
 ``dispersion`` aggregates mode-deviation counts from a ratings CSV, and
 ``scenarios`` runs a biased-rating scenario bundle. JSON reports go to
-stdout (or --output); short human summaries go to stderr.
+stdout (or --output); short human summaries go to stderr. Numeric flags
+take plain ASCII numbers, as CSV cells do: ``1_000`` or ``٥`` exits 2.
 
 Exit codes: 0 success, 2 invalid input, 3 degenerate network,
 4 no convergence.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import data as bundled_data
 from .dispersion import DEFAULT_MIN_N, TIEBREAKS, aggregate, read_dispersion_csv
@@ -28,7 +29,14 @@ from .report import (
     scenario_report_dict,
 )
 from .scenarios import error_reduction_summary, load_scenarios, run_scenario
-from .survey import DIAGONAL_POLICIES, load_survey_csv, load_survey_json
+from .survey import (
+    DEFAULT_SCALE,
+    DIAGONAL_POLICIES,
+    integer,
+    load_survey_csv,
+    load_survey_json,
+    number,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -69,10 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument(
         "--scale",
         nargs=2,
-        type=float,
+        type=number,
         default=None,
         metavar=("MIN", "MAX"),
-        help="rating scale for CSV input (default 1 5)",
+        help="rating scale for CSV input (default 1 5); a survey document "
+        "carries its own, so --survey excludes it",
     )
     _add_walk_flags(rate)
     rate.add_argument(
@@ -98,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dispersion.add_argument(
         "--min-n",
-        type=int,
+        type=integer,
         default=DEFAULT_MIN_N,
         help="exclude instructors with fewer ratings (default 5)",
     )
@@ -132,14 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_walk_flags(parser) -> None:
     parser.add_argument(
         "--alpha",
-        type=float,
+        type=number,
         default=DEFAULT_ALPHA,
         help="walk-following probability, teleportation is 1-alpha "
         "(default 0.85)",
     )
     parser.add_argument(
         "--tol",
-        type=float,
+        type=number,
         default=DEFAULT_TOL,
         help="stop once the L1 change between power-iteration steps is at "
         "most TOL (default 1e-12); the influence vector is then within "
@@ -147,7 +156,7 @@ def _add_walk_flags(parser) -> None:
     )
     parser.add_argument(
         "--max-iter",
-        type=int,
+        type=integer,
         default=DEFAULT_MAX_ITER,
         help="power iteration cap (default 1000)",
     )
@@ -162,39 +171,28 @@ def _emit(document: dict, output: str | None) -> None:
         print(text)
 
 
-def _cmd_rate(args) -> int:
-    config = RunConfig(
-        command="rate",
-        alpha=args.alpha,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        diagonal_policy=args.diagonal_policy,
-        strict_likert=args.strict_likert,
-    )
-    if args.survey and (args.competence_csv or args.ratings_csv):
-        raise ValueError("--survey excludes --competence-csv/--ratings-csv")
+def _cmd_rate(args, config: dict) -> int:
+    if args.survey and (args.competence_csv or args.ratings_csv or args.scale):
+        raise ValueError("--survey excludes --competence-csv/--ratings-csv/--scale")
     if args.survey:
         survey = load_survey_json(
             args.survey,
-            diagonal_policy=config.diagonal_policy,
-            strict_likert=config.strict_likert,
+            diagonal_policy=args.diagonal_policy,
+            strict_likert=args.strict_likert,
         )
     elif args.competence_csv and args.ratings_csv:
-        scale = tuple(args.scale) if args.scale else (1.0, 5.0)
         survey = load_survey_csv(
             args.competence_csv,
             args.ratings_csv,
-            scale=scale,
-            diagonal_policy=config.diagonal_policy,
-            strict_likert=config.strict_likert,
+            scale=tuple(args.scale or DEFAULT_SCALE),
+            diagonal_policy=args.diagonal_policy,
+            strict_likert=args.strict_likert,
         )
     else:
         raise ValueError("provide --survey, or --competence-csv with --ratings-csv")
 
-    report = rate_survey(
-        survey, alpha=config.alpha, tol=config.tol, max_iter=config.max_iter
-    )
-    _emit(rating_report_dict(report, asdict(config)), args.output)
+    report = rate_survey(survey, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
+    _emit(rating_report_dict(report, config), args.output)
     print(
         f"{survey.label or 'survey'}: n={survey.n} "
         f"mean={report.arithmetic_mean:.4f} "
@@ -206,18 +204,13 @@ def _cmd_rate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dispersion(args) -> int:
-    config = RunConfig(
-        command="dispersion",
-        min_n=args.min_n,
-        mode_tiebreak=args.mode_tiebreak,
-    )
+def _cmd_dispersion(args, config: dict) -> int:
     rows, excluded = read_dispersion_csv(
-        args.ratings_csv, min_n=config.min_n, tiebreak=config.mode_tiebreak
+        args.ratings_csv, min_n=args.min_n, tiebreak=args.mode_tiebreak
     )
     pooled = aggregate(rows)
-    _emit(dispersion_report_dict(rows, pooled, excluded, asdict(config)), args.output)
-    note = f", {len(excluded)} excluded below n={config.min_n}" if excluded else ""
+    _emit(dispersion_report_dict(rows, pooled, excluded, config), args.output)
+    note = f", {len(excluded)} excluded below n={args.min_n}" if excluded else ""
     print(
         f"{len(rows)} instructors, {pooled.total_n} ratings{note} | "
         f"dev2 {pooled.pct_dev2:.2f}% dev3+ {pooled.pct_dev3plus:.2f}% "
@@ -227,25 +220,14 @@ def _cmd_dispersion(args) -> int:
     return EXIT_OK
 
 
-def _cmd_scenarios(args) -> int:
-    config = RunConfig(
-        command="scenarios",
-        alpha=args.alpha,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        diagonal_policy=args.diagonal_policy,
-    )
-    bundle = load_scenarios(
-        args.scenario_file, diagonal_policy=config.diagonal_policy
-    )
+def _cmd_scenarios(args, config: dict) -> int:
+    bundle = load_scenarios(args.scenario_file, diagonal_policy=args.diagonal_policy)
     results = [
-        run_scenario(
-            scenario, alpha=config.alpha, tol=config.tol, max_iter=config.max_iter
-        )
+        run_scenario(scenario, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
         for scenario in bundle
     ]
     summary = error_reduction_summary(results)
-    _emit(scenario_report_dict(results, summary, asdict(config)), args.output)
+    _emit(scenario_report_dict(results, summary, config), args.output)
     for result in results:
         parts = [f"scenario {result.id}: mean={result.arithmetic_mean:.4f}"]
         for method in METHODS:
@@ -266,13 +248,18 @@ def _cmd_scenarios(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each setting the command has a flag for comes from it, the rest
+    # keep their defaults
+    options = vars(args)
+    names = {spec.name for spec in fields(RunConfig)} & options.keys()
+    config = asdict(RunConfig(**{name: options[name] for name in names}))
     handlers = {
         "rate": _cmd_rate,
         "dispersion": _cmd_dispersion,
         "scenarios": _cmd_scenarios,
     }
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](args, config)
     except DegenerateNetwork as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

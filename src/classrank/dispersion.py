@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .errors import EmptyInput, MalformedInput
-from .survey import _csv_reader, _plain
+from .survey import _csv_reader, _records, number
 
 TIEBREAKS = ("smallest", "largest")
 LONG_HEADER = ("label", "rating")
@@ -89,7 +89,7 @@ def aggregate(rows) -> DispersionAggregate:
 
 def _parse_int(cell: str, what: str, path) -> int:
     try:
-        return int(_plain(cell))
+        return number(cell, int)
     except ValueError as exc:
         raise MalformedInput(f"non-integer {what} {cell!r} in {path}") from exc
 
@@ -118,16 +118,18 @@ def read_dispersion_csv(
         if header is None:
             raise MalformedInput(f"empty CSV {path}")
         header = tuple(cell.strip().lower() for cell in header)
+        expected = f"expected {','.join(header)} rows"
+        records = _records(reader, path, len(header), expected)
         if header == LONG_HEADER:
             groups = defaultdict(list)
-            for label, rating in _records(reader, header, path):
+            for label, rating in records:
                 groups[label.strip()].append(_parse_int(rating.strip(), "rating", path))
             rows = [
                 dispersion_row(label, ratings, tiebreak)
                 for label, ratings in groups.items()
             ]
         elif header == COUNT_HEADER:
-            rows = _counted_rows(_records(reader, header, path), path)
+            rows = _counted_rows(records, path)
         else:
             raise MalformedInput(
                 f"unrecognized header {header!r} in {path}; expected "
@@ -138,16 +140,6 @@ def read_dispersion_csv(
     kept = [row for row in rows if row.n >= min_n]
     excluded = [row.label for row in rows if row.n < min_n]
     return kept, excluded
-
-
-def _records(reader, header: tuple[str, ...], path):
-    """The records of ``reader`` that are not blank, each as wide as ``header``."""
-    for record in reader:
-        if not "".join(record).strip():
-            continue
-        if len(record) != len(header):
-            raise MalformedInput(f"expected {','.join(header)} rows in {path}")
-        yield record
 
 
 def _counted_rows(records, path) -> list[DispersionRow]:

@@ -366,16 +366,40 @@ def _csv_reader(path):
             raise MalformedInput(f"unreadable CSV {path}: {exc}") from exc
 
 
-def _plain(cell: str) -> str:
-    """``cell``, or ValueError if it holds an underscore or a non-ASCII
-    character inside its surrounding whitespace.
+def number(text: str, kind=float):
+    """``kind(text)``, float by default, for a plain ASCII number.
 
-    ``int()`` and ``float()`` read ``0_1`` (PEP 515) and digits such as
-    ``٤`` or ``４`` as numbers; a number in a CSV file is plain ASCII.
+    ``int()`` and ``float()`` also read ``0_1`` (PEP 515) and digits such
+    as ``٤`` or ``４``. A number in a CSV file or a command-line flag is
+    plain ASCII inside optional surrounding whitespace; anything else
+    raises ValueError. As an argparse ``type`` its name makes the usage
+    error read ``invalid number value: '٥'``.
     """
-    if "_" in cell or not (cell.isascii() or cell.strip().isascii()):
-        raise ValueError(f"not a plain ASCII number: {cell!r}")
-    return cell
+    if "_" in text or not (text.isascii() or text.strip().isascii()):
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)
+
+
+def integer(text: str) -> int:
+    """``number(text)`` read by ``int()``: a plain ASCII integer."""
+    return number(text, int)
+
+
+def _records(reader, path, width: int | None, message: str):
+    """The records of ``reader`` that are not blank, each ``width`` cells wide.
+
+    A record whose cells hold only whitespace is skipped. When ``width`` is
+    None the first record kept sets it. A record of another width raises
+    MalformedInput ``f"{message} in {path}"``.
+    """
+    for record in reader:
+        if not "".join(record).strip():
+            continue
+        if width is None:
+            width = len(record)
+        if len(record) != width:
+            raise MalformedInput(f"{message} in {path}")
+        yield record
 
 
 def load_competence_csv(path) -> np.ndarray:
@@ -389,18 +413,16 @@ def load_competence_csv(path) -> np.ndarray:
     number other than 0 or 1 is left for validation to reject.
     """
     with _csv_reader(path) as reader:
-        rows = [record for record in reader if any(cell.strip() for cell in record)]
+        rows = list(_records(reader, path, None, "ragged matrix rows"))
     if not rows:
         raise MalformedInput(f"no matrix rows in {path}")
-    if len({len(row) for row in rows}) != 1:
-        raise MalformedInput(f"ragged matrix rows in {path}")
     try:
         cells = b"".join(bytes(map(_CSV_CELLS.__getitem__, row)) for row in rows)
     except KeyError:
         try:
             return np.array(
                 [
-                    [float(_plain(cell)) if cell.strip() else 0.0 for cell in row]
+                    [number(cell) if cell.strip() else 0.0 for cell in row]
                     for row in rows
                 ]
             )
@@ -413,13 +435,9 @@ def load_ratings_csv(path) -> list[float]:
     """Read a single-column list of ratings, one per line."""
     values = []
     with _csv_reader(path) as reader:
-        for record in reader:
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            if len(record) != 1:
-                raise MalformedInput(f"expected one rating per line in {path}")
+        for (cell,) in _records(reader, path, 1, "expected one rating per line"):
             try:
-                values.append(float(_plain(record[0])))
+                values.append(number(cell))
             except ValueError as exc:
                 raise MalformedInput(f"non-numeric rating in {path}") from exc
     if not values:

@@ -8,6 +8,7 @@ import pytest
 from classrank import rate_survey, validate_survey
 from classrank.cli import main
 from classrank.data import (
+    clarity_counts_path,
     example_survey_path,
     helpfulness_counts_path,
     scenario_fixture_path,
@@ -29,6 +30,8 @@ def assert_input_error(result, message):
     assert len(err.strip().splitlines()) == 1
 
 
+SURVEY = str(example_survey_path())
+CLARITY = str(clarity_counts_path())
 # a field past the csv module's default limit of 131072 characters
 OVERLONG_FIELD = "1" * 200_000
 # nesting far deeper than the JSON parser's recursion limit
@@ -207,6 +210,17 @@ def test_rate_overlong_csv_field_exits_2(tmp_path, capsys, which):
         str(paths["ratings"]),
     )
     assert_input_error(result, "field larger than field limit")
+
+
+# a survey document carries its own scale, so --scale would be ignored
+@pytest.mark.parametrize(
+    "flags",
+    [["--scale", "0", "100"], ["--competence-csv", "m"], ["--ratings-csv", "r"]],
+    ids=["scale", "competence-csv", "ratings-csv"],
+)
+def test_rate_survey_excludes_csv_flags(capsys, flags):
+    result = run_cli(capsys, "rate", "--survey", SURVEY, *flags)
+    assert_input_error(result, "--survey excludes")
 
 
 def test_rate_deeply_nested_json_exits_2(tmp_path, capsys):
@@ -494,10 +508,44 @@ def test_scenarios_deeply_nested_json_exits_2(tmp_path, capsys):
     assert_input_error(result, "invalid JSON")
 
 
-def test_unknown_flag_exits_2(capsys):
+# numeric flags take plain ASCII numbers only, as CSV cells do: no PEP 515
+# underscores, no fullwidth or Arabic-Indic digits; argparse rejects the
+# rest with SystemExit(2) before any command runs
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["rate", "--no-such-flag"], id="unknown-flag"),
+        pytest.param(
+            ["rate", "--survey", SURVEY, "--max-iter", "1_000"], id="max-iter"
+        ),
+        pytest.param(["rate", "--survey", SURVEY, "--alpha", "0_8"], id="alpha"),
+        pytest.param(["rate", "--survey", SURVEY, "--tol", "\uff15e-3"], id="tol"),
+        pytest.param(
+            ["rate", "--competence-csv", "m.csv", "--ratings-csv", "r.csv"]
+            + ["--scale", "\u0661", "\u0665"],
+            id="scale",
+        ),
+        pytest.param(
+            ["dispersion", "--ratings-csv", CLARITY, "--min-n", "\u0665"], id="min-n"
+        ),
+    ],
+)
+def test_unknown_flag_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
-        main(["rate", "--no-such-flag"])
+        main(argv)
     assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, text, value",
+    [("--alpha", " 0.9 ", 0.9), ("--max-iter", "2000", 2000)],
+    ids=["alpha", "max-iter"],
+)
+def test_plain_number_flags_are_read(capsys, flag, text, value):
+    code, out, _ = run_cli(capsys, "rate", "--survey", SURVEY, flag, text)
+    assert code == 0
+    assert json.loads(out)["config"][flag[2:].replace("-", "_")] == value
 
 
 def test_console_entry_point():

@@ -223,6 +223,23 @@ def test_counted_form_rejects_a_repeated_label(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
+    [
+        "label,rating\n\na,4\n , \nb\n",
+        "label,n,mode,dev2,dev3plus\na,10,4,1,1\nb,6,3,0\n",
+    ],
+    ids=["long", "counted"],
+)
+def test_record_of_another_width_names_the_header(tmp_path, text):
+    # blank records are skipped, every other one must be as wide as the header
+    header = text.partition("\n")[0]
+    path = tmp_path / "ratings.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedInput, match=f"^expected {header} rows in {path}$"):
+        read_dispersion_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text",
     ["label,rating\na,4\n", "label,n,mode,dev2,dev3plus\na,10,4,1,1\n"],
     ids=["long", "counted"],
 )

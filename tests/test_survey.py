@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -511,13 +512,34 @@ def test_load_survey_csv_blank_cells_count_as_zero(tmp_path):
     assert survey.ratings.values.tolist() == [4.0, 2.0, 5.0]
 
 
-def test_load_survey_csv_rejects_ragged_rows(tmp_path):
+@pytest.mark.parametrize(
+    "matrix, ratings, bad, message",
+    [
+        ("0,1\n1\n", "4\n2\n", "matrix", "ragged matrix rows"),
+        ("0,1\n1,0\n", "4\n2,3\n", "ratings", "expected one rating per line"),
+    ],
+    ids=["ragged-matrix", "two-cell-rating"],
+)
+def test_load_survey_csv_rejects_ragged_rows(tmp_path, matrix, ratings, bad, message):
+    paths = {"matrix": tmp_path / "matrix.csv", "ratings": tmp_path / "ratings.csv"}
+    paths["matrix"].write_text(matrix, encoding="utf-8")
+    paths["ratings"].write_text(ratings, encoding="utf-8")
+    exact = f"^{re.escape(f'{message} in {paths[bad]}')}$"
+    with pytest.raises(MalformedInput, match=exact):
+        load_survey_csv(paths["matrix"], paths["ratings"])
+
+
+@pytest.mark.parametrize("blank", ["", " , ", "\t"], ids=["empty", "comma", "tab"])
+def test_load_survey_csv_skips_blank_lines(tmp_path, blank):
     matrix_path = tmp_path / "matrix.csv"
-    matrix_path.write_text("0,1\n1\n", encoding="utf-8")
+    matrix_path.write_text(
+        f"{blank}\n0,1,1\n{blank}\n1,0,0\n0,1,0\n{blank}\n", encoding="utf-8"
+    )
     ratings_path = tmp_path / "ratings.csv"
-    ratings_path.write_text("4\n2\n", encoding="utf-8")
-    with pytest.raises(MalformedInput):
-        load_survey_csv(matrix_path, ratings_path)
+    ratings_path.write_text(f"{blank}\n4\n{blank}\n2\n5\n{blank}\n", encoding="utf-8")
+    survey = load_survey_csv(matrix_path, ratings_path)
+    assert _pairs(survey.competence) == [(0, 1), (0, 2), (1, 0), (2, 1)]
+    assert survey.ratings.values.tolist() == [4.0, 2.0, 5.0]
 
 
 def test_load_competence_csv_packs_plain_cells_into_bytes(tmp_path):
