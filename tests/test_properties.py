@@ -146,6 +146,36 @@ def test_rewiring_one_row_moves_degree_weights_at_most_by_the_bound(case):
     assert moved <= 2 / endorsing + BOUND_SLACK
 
 
+@st.composite
+def added_endorsements(draw):
+    """A network and one off-diagonal cell (i, j) of its matrix that is 0."""
+    ratings, matrix = draw(networks())
+    n = len(ratings)
+    absent = [(i, j) for i in range(n) for j in range(n) if i != j and not matrix[i, j]]
+    assume(absent)
+    i, j = draw(st.sampled_from(absent))
+    return ratings, matrix, i, j
+
+
+@given(added_endorsements(), st.sampled_from([0.5, 0.85, 0.95]))
+@settings(deadline=None)
+def test_adding_an_endorsement_never_lowers_its_target(case, alpha):
+    # adding i -> j never lowers j's influence (Chien, Dwork, Kumar, Simon &
+    # Sivakumar, Internet Math. 2004), eigenfactor weight or degree weight;
+    # tol=1e-14 keeps both solver errors below the slack
+    ratings, matrix, i, j = case
+    added = matrix.copy()
+    added[i, j] = 1
+    before = validate_survey(ratings, matrix).competence
+    after = validate_survey(ratings, added).competence
+    x = stationary_distribution(before, alpha, tol=1e-14)
+    moved = stationary_distribution(after, alpha, tol=1e-14)
+    assert moved.values[j] >= x.values[j] - BOUND_SLACK
+    eigen = eigenfactor_weights(x, before)[j]
+    assert eigenfactor_weights(moved, after)[j] >= eigen - BOUND_SLACK
+    assert degree_weights(after)[j] >= degree_weights(before)[j] - BOUND_SLACK
+
+
 def both_weightings(survey):
     degree = degree_weights(survey.competence)
     influence = stationary_distribution(survey.competence, 0.85)

@@ -56,25 +56,28 @@ def test_reject_policy_raises_on_self_endorsement():
         validate_survey([4, 4], [[1, 1], [0, 0]], diagonal_policy="reject")
 
 
-def test_coerce_policy_zeroes_diagonal_and_warns():
+def test_coerce_policy_zeroes_diagonal_and_warns(monkeypatch):
     survey = validate_survey([4, 4], [[1, 1], [0, 0]], diagonal_policy="coerce")
     # the self-endorsement (0, 0) is dropped, (0, 1) is kept
     assert _pairs(survey.competence) == [(0, 1)]
     assert len(survey.warnings) == 1
     assert "0" in survey.warnings[0]
-    # the same edges and warning whatever the dtype or layout of the matrix
+    # the same edges and warning whatever the dtype or layout of the matrix,
+    # scanned one row, two rows or all three rows at a time
     grid = [[1, 1, 0], [0, 0, 1], [1, 0, 1]]
-    for dtype in (np.uint8, np.int64, bool, np.float64, object):
-        for transposed in (False, True):
-            matrix = np.array(grid, dtype=dtype)
-            if transposed:
-                matrix = matrix.T
-            survey = validate_survey([4, 4, 4], matrix)
-            cells = matrix.tolist()
-            expected = [(i, j) for i in range(3) for j in range(3) if cells[i][j]]
-            assert _pairs(survey.competence) == [(i, j) for i, j in expected if i != j]
-            assert survey.competence.self_endorsers == (0, 2)
-            assert survey.warnings == ("zeroed diagonal entries at indices [0, 2]",)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr("classrank.survey._BLOCK_CELLS", rows * 3)
+        for dtype in (np.uint8, np.int64, bool, np.float64, object):
+            for transposed in (False, True):
+                matrix = np.array(grid, dtype=dtype)
+                if transposed:
+                    matrix = matrix.T
+                survey = validate_survey([4, 4, 4], matrix)
+                cells = matrix.tolist()
+                edges = [(i, j) for i in range(3) for j in range(3) if cells[i][j]]
+                assert _pairs(survey.competence) == [(i, j) for i, j in edges if i != j]
+                assert survey.competence.self_endorsers == (0, 2)
+                assert survey.warnings == ("zeroed diagonal entries at indices [0, 2]",)
 
 
 def test_non_binary_entry_rejected_under_both_policies():
@@ -153,10 +156,13 @@ PLANTED_CELLS = {
 def test_accepted_cells_match_the_two_mask_check(kind, data):
     # the 0/1 check reads only the cells that are not 0, yet accepts and
     # rejects exactly what the two full-size masks did, and drops or reports
-    # self-endorsements as the dense diagonal pass did, for every dtype
+    # self-endorsements as the dense diagonal pass did, for every dtype and
+    # every block size of the scan: one row (also when a block holds fewer
+    # cells than a row), a few rows with a shorter last block, or all rows
     dtype, cells = PLANTED_CELLS[kind]
     policy = data.draw(st.sampled_from(["coerce", "reject"]))
     n = data.draw(st.integers(1, 6))
+    block_cells = data.draw(st.integers(1, n * n))
     grid = [
         [0 if i == j else data.draw(st.sampled_from([0, 1])) for j in range(n)]
         for i in range(n)
@@ -173,7 +179,9 @@ def test_accepted_cells_match_the_two_mask_check(kind, data):
         entries = entries.T
     expected = _two_mask_outcome(entries, policy)
     try:
-        competence = CompetenceMatrix(entries, policy)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("classrank.survey._BLOCK_CELLS", block_cells)
+            competence = CompetenceMatrix(entries, policy)
     except (NonBinaryEntry, NonZeroDiagonal) as exc:
         assert (type(exc), str(exc)) == expected
         return
@@ -184,14 +192,15 @@ def test_accepted_cells_match_the_two_mask_check(kind, data):
     assert competence.self_endorsers == expected["self_endorsers"]
 
 
-@pytest.mark.parametrize("transposed, bound", [(False, 1.5), (True, 2.5)])
-def test_validation_allocates_bool_masks_only(transposed, bound):
+@pytest.mark.parametrize("transposed", [False, True])
+def test_validation_allocates_no_full_size_mask(transposed):
     # a sparse network, ~8 endorsements a row as in the surveys: the 0/1
-    # check allocates one n x n bool mask (n^2 bytes) plus O(nnz) arrays,
-    # and a transposed (F-ordered) view a C-ordered copy of that mask; a
-    # second full-size mask, or an int or float copy, would break the bound.
-    # So does validate_survey under the default coerce policy with one
-    # self-endorsement planted: it drops an edge and copies no matrix.
+    # check allocates a bool mask of one block of rows (2^18 cells, and a
+    # C-ordered copy of it for a transposed, F-ordered view) plus O(nnz)
+    # arrays; one n x n bool mask (n^2 bytes), let alone an int or float
+    # copy, would break the bound. So does validate_survey under the default
+    # coerce policy with one self-endorsement planted: it drops an edge and
+    # copies no matrix.
     n = 1500
     rng = np.random.default_rng(0)
     matrix = (rng.random((n, n)) < 8 / n).astype(np.int64)
@@ -211,7 +220,7 @@ def test_validation_allocates_bool_masks_only(transposed, bound):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < bound * n * n
+        assert peak < 0.5 * n * n
 
 
 @pytest.mark.parametrize(
@@ -228,6 +237,21 @@ def test_non_binary_entry_names_the_first_bad_cell(cell, first):
     i, j = first
     expected = f"matrix entries must be 0 or 1, found {matrix.tolist()[i][j]!r}"
     assert str(excinfo.value) == expected
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("policy", ["coerce", "reject"])
+def test_first_bad_cell_in_a_later_block_is_named(monkeypatch, policy, transposed):
+    # one row per block: the self-endorsement at (0, 0) is in the first
+    # block and the bad cells in the third and fourth; the first in
+    # row-major order, (2, 3), is named, not (3, 0), the first in column
+    # order, and no self-endorsement is reported or dropped
+    monkeypatch.setattr("classrank.survey._BLOCK_CELLS", 4)
+    grid = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 2], [5, 0, 1, 0]])
+    matrix = np.asfortranarray(grid) if transposed else grid
+    with pytest.raises(NonBinaryEntry) as excinfo:
+        CompetenceMatrix(matrix, policy)
+    assert str(excinfo.value) == "matrix entries must be 0 or 1, found 2"
 
 
 @pytest.mark.parametrize(
