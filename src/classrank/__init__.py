@@ -1,88 +1,71 @@
-"""Bias-robust weighted course ratings from peer competence networks."""
+"""Bias-robust weighted course ratings from peer competence networks.
 
-from .degree import degree_weights, weighted_rating
-from .dispersion import (
-    DispersionAggregate,
-    DispersionRow,
-    aggregate,
-    dispersion_row,
-    mode_of,
-    read_dispersion_csv,
-)
-from .eigenfactor import (
-    InfluenceVector,
-    eigenfactor_weights,
-    stationary_distribution,
-)
-from .errors import (
-    ClassrankError,
-    DegenerateNetwork,
-    DimensionMismatch,
-    EmptyInput,
-    IndexOutOfRange,
-    MalformedInput,
-    NoConvergence,
-    NonBinaryEntry,
-    NonZeroDiagonal,
-    ScaleViolation,
-)
-from .report import MethodResult, WeightedRatingReport, rate_survey
-from .scenarios import (
-    ReductionSummary,
-    Scenario,
-    ScenarioResult,
-    error_reduction_summary,
-    inject_bias,
-    load_scenarios,
-    run_scenario,
-)
-from .survey import (
-    CompetenceMatrix,
-    RatingVector,
-    SurveyInstance,
-    load_survey_csv,
-    load_survey_json,
-    validate_survey,
-)
+Each public name is imported from its module on first use (PEP 562), so
+``import classrank`` loads no numpy until a numeric name is used.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassrankError",
-    "CompetenceMatrix",
-    "DegenerateNetwork",
-    "DimensionMismatch",
-    "DispersionAggregate",
-    "DispersionRow",
-    "EmptyInput",
-    "IndexOutOfRange",
-    "InfluenceVector",
-    "MalformedInput",
-    "MethodResult",
-    "NoConvergence",
-    "NonBinaryEntry",
-    "NonZeroDiagonal",
-    "RatingVector",
-    "ReductionSummary",
-    "ScaleViolation",
-    "Scenario",
-    "ScenarioResult",
-    "SurveyInstance",
-    "WeightedRatingReport",
-    "aggregate",
-    "degree_weights",
-    "dispersion_row",
-    "eigenfactor_weights",
-    "error_reduction_summary",
-    "inject_bias",
-    "load_scenarios",
-    "load_survey_csv",
-    "load_survey_json",
-    "mode_of",
-    "rate_survey",
-    "read_dispersion_csv",
-    "run_scenario",
-    "stationary_distribution",
-    "validate_survey",
-    "weighted_rating",
-]
+# the public names by the module they live in
+_EXPORTS = {
+    "degree": ("degree_weights", "weighted_rating"),
+    "dispersion": (
+        "DispersionAggregate",
+        "DispersionRow",
+        "aggregate",
+        "dispersion_row",
+        "mode_of",
+        "read_dispersion_csv",
+    ),
+    "eigenfactor": ("InfluenceVector", "eigenfactor_weights", "stationary_distribution"),
+    "errors": (
+        "ClassrankError",
+        "DegenerateNetwork",
+        "DimensionMismatch",
+        "EmptyInput",
+        "IndexOutOfRange",
+        "MalformedInput",
+        "NoConvergence",
+        "NonBinaryEntry",
+        "NonZeroDiagonal",
+        "ScaleViolation",
+    ),
+    "report": ("MethodResult", "WeightedRatingReport", "rate_survey"),
+    "scenarios": (
+        "ReductionSummary",
+        "Scenario",
+        "ScenarioResult",
+        "error_reduction_summary",
+        "inject_bias",
+        "load_scenarios",
+        "run_scenario",
+    ),
+    "survey": (
+        "CompetenceMatrix",
+        "RatingVector",
+        "SurveyInstance",
+        "load_survey_csv",
+        "load_survey_json",
+        "validate_survey",
+    ),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    # a module that the package used to import eagerly is still an attribute
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

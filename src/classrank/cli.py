@@ -8,6 +8,9 @@ take plain ASCII numbers, as CSV cells do: ``1_000`` or ``٥`` exits 2.
 
 Exit codes: 0 success, 2 invalid input, 3 degenerate network,
 4 no convergence.
+
+Only ``rate`` and ``scenarios`` import the numpy-backed modules, when they
+run: parsing the command line and ``dispersion`` load no numpy.
 """
 
 from __future__ import annotations
@@ -18,25 +21,23 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from . import data as bundled_data
-from .dispersion import DEFAULT_MIN_N, TIEBREAKS, aggregate, read_dispersion_csv
-from .eigenfactor import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .errors import ClassrankError, DegenerateNetwork, NoConvergence
-from .report import (
-    METHODS,
-    dispersion_report_dict,
-    rate_survey,
-    rating_report_dict,
-    scenario_report_dict,
-)
-from .scenarios import error_reduction_summary, load_scenarios, run_scenario
-from .survey import (
+from .common import (
+    DEFAULT_ALPHA,
+    DEFAULT_MAX_ITER,
     DEFAULT_SCALE,
+    DEFAULT_TOL,
     DIAGONAL_POLICIES,
     integer,
-    load_survey_csv,
-    load_survey_json,
     number,
 )
+from .dispersion import (
+    DEFAULT_MIN_N,
+    TIEBREAKS,
+    aggregate,
+    dispersion_report_dict,
+    read_dispersion_csv,
+)
+from .errors import ClassrankError, DegenerateNetwork, NoConvergence
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -172,6 +173,9 @@ def _emit(document: dict, output: str | None) -> None:
 
 
 def _cmd_rate(args, config: dict) -> int:
+    from .report import rate_survey, rating_report_dict
+    from .survey import load_survey_csv, load_survey_json
+
     if args.survey and (args.competence_csv or args.ratings_csv or args.scale):
         raise ValueError("--survey excludes --competence-csv/--ratings-csv/--scale")
     if args.survey:
@@ -221,6 +225,9 @@ def _cmd_dispersion(args, config: dict) -> int:
 
 
 def _cmd_scenarios(args, config: dict) -> int:
+    from .report import METHODS, scenario_report_dict
+    from .scenarios import error_reduction_summary, load_scenarios, run_scenario
+
     bundle = load_scenarios(args.scenario_file, diagonal_policy=args.diagonal_policy)
     results = [
         run_scenario(scenario, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)

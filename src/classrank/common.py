@@ -1,0 +1,71 @@
+"""Defaults and plain-text readers shared across the package.
+
+This module imports no numpy: the CLI parser and ``classrank dispersion``
+need only what is here, so they run without loading the numeric pipeline.
+Each name is also importable from its older home (``survey``,
+``eigenfactor`` or ``report``).
+"""
+
+from __future__ import annotations
+
+import csv
+from contextlib import contextmanager
+
+from .errors import MalformedInput
+
+DEFAULT_SCALE = (1.0, 5.0)
+DIAGONAL_POLICIES = ("coerce", "reject")
+DEFAULT_ALPHA = 0.85
+DEFAULT_TOL = 1e-12
+DEFAULT_MAX_ITER = 1000
+SCHEMA_VERSION = 1
+
+
+@contextmanager
+def _csv_reader(path):
+    """A csv reader over a UTF-8 file, closed on leaving the block.
+
+    A file that is not UTF-8, or that the csv module cannot split (a field
+    longer than its field size limit, say), raises MalformedInput.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
+        try:
+            yield csv.reader(handle)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise MalformedInput(f"unreadable CSV {path}: {exc}") from exc
+
+
+def number(text: str, kind=float):
+    """``kind(text)``, float by default, for a plain ASCII number.
+
+    ``int()`` and ``float()`` also read ``0_1`` (PEP 515) and digits such
+    as ``٤`` or ``４``. A number in a CSV file or a command-line flag is
+    plain ASCII inside optional surrounding whitespace; anything else
+    raises ValueError. As an argparse ``type`` its name makes the usage
+    error read ``invalid number value: '٥'``.
+    """
+    if "_" in text or not (text.isascii() or text.strip().isascii()):
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)
+
+
+def integer(text: str) -> int:
+    """``number(text)`` read by ``int()``: a plain ASCII integer."""
+    return number(text, int)
+
+
+def _records(reader, path, width: int | None, message: str):
+    """The records of ``reader`` that are not blank, each ``width`` cells wide.
+
+    A record whose cells hold only whitespace is skipped. When ``width`` is
+    None the first record kept sets it. A record of another width raises
+    MalformedInput ``f"{message} in {path}"``.
+    """
+    for record in reader:
+        if not "".join(record).strip():
+            continue
+        if width is None:
+            width = len(record)
+        if len(record) != width:
+            raise MalformedInput(f"{message} in {path}")
+        yield record

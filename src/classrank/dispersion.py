@@ -8,11 +8,11 @@ of all ratings.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
+from .common import SCHEMA_VERSION, _csv_reader, _records, number
 from .errors import EmptyInput, MalformedInput
-from .survey import _csv_reader, _records, number
 
 TIEBREAKS = ("smallest", "largest")
 LONG_HEADER = ("label", "rating")
@@ -121,13 +121,7 @@ def read_dispersion_csv(
         expected = f"expected {','.join(header)} rows"
         records = _records(reader, path, len(header), expected)
         if header == LONG_HEADER:
-            groups = defaultdict(list)
-            for label, rating in records:
-                groups[label.strip()].append(_parse_int(rating.strip(), "rating", path))
-            rows = [
-                dispersion_row(label, ratings, tiebreak)
-                for label, ratings in groups.items()
-            ]
+            rows = _long_rows(records, path, tiebreak)
         elif header == COUNT_HEADER:
             rows = _counted_rows(records, path)
         else:
@@ -140,6 +134,26 @@ def read_dispersion_csv(
     kept = [row for row in rows if row.n >= min_n]
     excluded = [row.label for row in rows if row.n < min_n]
     return kept, excluded
+
+
+def _long_rows(records, path, tiebreak: str) -> list[DispersionRow]:
+    """One row per stripped label, in first-appearance order.
+
+    Each distinct rating cell is parsed once and each distinct raw label
+    stripped once: a file repeats the same few of both on every line.
+    """
+    groups = {}  # stripped label -> its ratings
+    lists = {}  # raw label -> the ratings of its stripped label
+    values = {}  # raw rating cell -> its value, for the cells that parsed
+    for label, rating in records:
+        ratings = lists.get(label)
+        if ratings is None:
+            ratings = lists[label] = groups.setdefault(label.strip(), [])
+        value = values.get(rating)
+        if value is None:
+            value = values[rating] = _parse_int(rating.strip(), "rating", path)
+        ratings.append(value)
+    return [dispersion_row(label, ratings, tiebreak) for label, ratings in groups.items()]
 
 
 def _counted_rows(records, path) -> list[DispersionRow]:
@@ -158,3 +172,29 @@ def _counted_rows(records, path) -> list[DispersionRow]:
             raise MalformedInput(f"repeated label {label!r} in {path}")
         rows[label] = DispersionRow(label, n, mode, dev2, dev3plus)
     return list(rows.values())
+
+
+def dispersion_report_dict(rows, aggregate, excluded, config: dict) -> dict:
+    return {
+        "schema": SCHEMA_VERSION,
+        "rows": [
+            {
+                "label": row.label,
+                "n": row.n,
+                "mode": row.mode,
+                "dev2": row.dev2,
+                "dev3plus": row.dev3plus,
+            }
+            for row in rows
+        ],
+        "aggregate": {
+            "total_n": aggregate.total_n,
+            "total_dev2": aggregate.total_dev2,
+            "total_dev3plus": aggregate.total_dev3plus,
+            "pct_dev2": aggregate.pct_dev2,
+            "pct_dev3plus": aggregate.pct_dev3plus,
+            "pct_dev2plus": aggregate.pct_dev2plus,
+        },
+        "excluded": list(excluded),
+        "config": config,
+    }

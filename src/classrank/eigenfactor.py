@@ -17,12 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import DegenerateNetwork, DimensionMismatch, NoConvergence
 from .survey import CompetenceMatrix
-
-DEFAULT_ALPHA = 0.85
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 1000
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,9 @@
 
 All report builders return plain dicts ready for json.dumps. Floats are
 serialized with Python's shortest round-trip repr, so a report read back by
-json.loads reproduces bit-identical values.
+json.loads reproduces bit-identical values. The dispersion report is built
+by ``dispersion.dispersion_report_dict``, which needs no numpy; it is
+importable from here as well.
 """
 
 from __future__ import annotations
@@ -11,18 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMA_VERSION
 from .degree import degree_weights, weighted_rating
-from .eigenfactor import (
-    DEFAULT_ALPHA,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    InfluenceVector,
-    eigenfactor_weights,
-    stationary_distribution,
-)
+# unused here: built next to the dispersion reader, importable from here too
+from .dispersion import dispersion_report_dict
+from .eigenfactor import InfluenceVector, eigenfactor_weights, stationary_distribution
 from .survey import SurveyInstance
 
-SCHEMA_VERSION = 1
 # the weighting methods score_method dispatches on, in report order
 METHODS = ("degree", "eigenfactor")
 
@@ -113,32 +110,6 @@ def rating_report_dict(report: WeightedRatingReport, config: dict) -> dict:
         },
         "dangling": sorted(survey.competence.dangling),
         "warnings": list(survey.warnings),
-        "config": config,
-    }
-
-
-def dispersion_report_dict(rows, aggregate, excluded, config: dict) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "rows": [
-            {
-                "label": row.label,
-                "n": row.n,
-                "mode": row.mode,
-                "dev2": row.dev2,
-                "dev3plus": row.dev3plus,
-            }
-            for row in rows
-        ],
-        "aggregate": {
-            "total_n": aggregate.total_n,
-            "total_dev2": aggregate.total_dev2,
-            "total_dev3plus": aggregate.total_dev3plus,
-            "pct_dev2": aggregate.pct_dev2,
-            "pct_dev3plus": aggregate.pct_dev3plus,
-            "pct_dev2plus": aggregate.pct_dev2plus,
-        },
-        "excluded": list(excluded),
         "config": config,
     }
 

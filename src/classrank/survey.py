@@ -17,15 +17,22 @@ and so on) sends its grid down the general path through ``np.asarray`` or
 
 from __future__ import annotations
 
-import csv
 import json
-from contextlib import contextmanager
 from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+# integer is unused here: it stays importable from here too
+from .common import (
+    DEFAULT_SCALE,
+    DIAGONAL_POLICIES,
+    _csv_reader,
+    _records,
+    integer,
+    number,
+)
 from .errors import (
     DimensionMismatch,
     MalformedInput,
@@ -34,8 +41,6 @@ from .errors import (
     ScaleViolation,
 )
 
-DEFAULT_SCALE = (1.0, 5.0)
-DIAGONAL_POLICIES = ("coerce", "reject")
 # the types of JSON numbers, matched exactly: bool is a subclass of int
 _NUMBERS = frozenset((int, float))
 # the competence CSV cells packed as they are; any other cell is parsed
@@ -50,6 +55,22 @@ _BLOCK_CELLS = 1 << 18
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _nonzero_cells(entries: np.ndarray) -> np.ndarray:
+    """Row-major flat indices of the cells of a square matrix that are not 0
+    (every string cell), found one block of rows at a time so that no mask
+    of the whole matrix is made, in either layout. A single block, every
+    matrix up to n = 512, is returned as it is, with no offset or copy."""
+    n = entries.shape[0]
+    rows = max(1, _BLOCK_CELLS // n)
+    blocks = []
+    for start in range(0, n, rows):
+        cells = np.flatnonzero(entries[start : start + rows] != 0)
+        if start:
+            cells += start * n
+        blocks.append(cells)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,21 +150,10 @@ class CompetenceMatrix:
         n = entries.shape[0]
         if n == 0:
             raise DimensionMismatch("competence matrix must be nonempty")
-        # the cells that are not 0 (every string cell), in row-major order,
-        # found one block of rows at a time so that no mask of the whole
-        # matrix is made, in either layout; only they are read again, by a
-        # 2-d gather that copies no transposed (F-ordered) matrix. The flat
-        # indices are a temporary of divmod, so they are not live beside it.
-        rows = max(1, _BLOCK_CELLS // n)
-        sources, targets = np.divmod(
-            np.concatenate(
-                [
-                    np.flatnonzero(entries[start : start + rows] != 0) + start * n
-                    for start in range(0, n, rows)
-                ]
-            ),
-            n,
-        )
+        # only the cells that are not 0 are read again, by a 2-d gather that
+        # copies no transposed (F-ordered) matrix. The flat indices are a
+        # temporary of divmod, so they are not live beside it.
+        sources, targets = np.divmod(_nonzero_cells(entries), n)
         found = entries[sources, targets]
         invalid = found != 1
         if invalid.any():
@@ -367,56 +377,6 @@ def load_survey_json(
         strict_likert=strict_likert,
         label=_document_label(data, ""),
     )
-
-
-@contextmanager
-def _csv_reader(path):
-    """A csv reader over a UTF-8 file, closed on leaving the block.
-
-    A file that is not UTF-8, or that the csv module cannot split (a field
-    longer than its field size limit, say), raises MalformedInput.
-    """
-    with open(path, encoding="utf-8", newline="") as handle:
-        try:
-            yield csv.reader(handle)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise MalformedInput(f"unreadable CSV {path}: {exc}") from exc
-
-
-def number(text: str, kind=float):
-    """``kind(text)``, float by default, for a plain ASCII number.
-
-    ``int()`` and ``float()`` also read ``0_1`` (PEP 515) and digits such
-    as ``٤`` or ``４``. A number in a CSV file or a command-line flag is
-    plain ASCII inside optional surrounding whitespace; anything else
-    raises ValueError. As an argparse ``type`` its name makes the usage
-    error read ``invalid number value: '٥'``.
-    """
-    if "_" in text or not (text.isascii() or text.strip().isascii()):
-        raise ValueError(f"not a plain ASCII number: {text!r}")
-    return kind(text)
-
-
-def integer(text: str) -> int:
-    """``number(text)`` read by ``int()``: a plain ASCII integer."""
-    return number(text, int)
-
-
-def _records(reader, path, width: int | None, message: str):
-    """The records of ``reader`` that are not blank, each ``width`` cells wide.
-
-    A record whose cells hold only whitespace is skipped. When ``width`` is
-    None the first record kept sets it. A record of another width raises
-    MalformedInput ``f"{message} in {path}"``.
-    """
-    for record in reader:
-        if not "".join(record).strip():
-            continue
-        if width is None:
-            width = len(record)
-        if len(record) != width:
-            raise MalformedInput(f"{message} in {path}")
-        yield record
 
 
 def load_competence_csv(path) -> np.ndarray:

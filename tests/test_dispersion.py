@@ -204,6 +204,25 @@ def test_malformed_csv_rejected(tmp_path):
             read_dispersion_csv(path)
 
 
+def test_long_form_reads_each_repeated_cell_alike(tmp_path):
+    # each distinct cell is parsed once: a cell seen before, good or bad,
+    # is read the same way again, and the first bad one is the one named
+    path = tmp_path / "ratings.csv"
+    path.write_text(
+        "label,rating\na,4\n a , 4\nb,4\nb,x\nc,y\nc,x\n", encoding="utf-8"
+    )
+    with pytest.raises(MalformedInput, match=f"^non-integer rating 'x' in {path}$"):
+        read_dispersion_csv(path)
+    path.write_text(
+        "label,rating\n a ,4\nb, 4\na,4 \nb,4\n a ,5\na,44\n", encoding="utf-8"
+    )
+    rows, _ = read_dispersion_csv(path, min_n=1)
+    assert [(row.label, row.n, row.mode, row.dev3plus) for row in rows] == [
+        ("a", 4, 4, 1),
+        ("b", 2, 4, 0),
+    ]
+
+
 def test_empty_record_rejected():
     with pytest.raises(EmptyInput):
         dispersion_row("empty", ())

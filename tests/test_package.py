@@ -1,0 +1,80 @@
+"""The package namespace, and which commands import numpy."""
+
+import subprocess
+import sys
+
+import pytest
+
+import classrank
+from classrank import common
+from classrank.data import clarity_counts_path
+
+
+def fresh(script, *args):
+    """The stdout of ``script`` run in a fresh interpreter, which must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+NUMPY_FREE = {
+    "import": "import classrank, classrank.cli",
+    "dispersion": (
+        "import sys\n"
+        "from classrank.cli import main\n"
+        "code = main(['dispersion', '--ratings-csv', sys.argv[1], "
+        "'--output', sys.argv[2]])\n"
+        "assert code == 0, code\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_runs_without_importing_numpy(tmp_path, name):
+    report = tmp_path / "report.json"
+    script = NUMPY_FREE[name] + "\nimport sys\nprint('numpy' in sys.modules)"
+    assert fresh(script, clarity_counts_path(), report) == "False\n"
+    assert report.exists() == (name == "dispersion")
+
+
+def test_public_names_are_their_home_module_objects():
+    for name in classrank.__all__:
+        value = getattr(classrank, name)
+        assert value.__module__.startswith("classrank.")
+        assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_dir_lists_every_public_name():
+    # in a fresh process, before any name is used and so cached
+    script = "import classrank; print(set(classrank.__all__) - set(dir(classrank)))"
+    assert fresh(script) == "set()\n"
+
+
+def test_unknown_name_raises_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="module 'classrank' has no attribute 'nope'"):
+        classrank.nope
+
+
+def test_names_moved_to_common_keep_their_old_import_paths():
+    from classrank import dispersion, eigenfactor, report, survey
+
+    olds = {
+        survey: (
+            "DEFAULT_SCALE",
+            "DIAGONAL_POLICIES",
+            "_csv_reader",
+            "_records",
+            "integer",
+            "number",
+        ),
+        eigenfactor: ("DEFAULT_ALPHA", "DEFAULT_MAX_ITER", "DEFAULT_TOL"),
+        report: ("SCHEMA_VERSION",),
+    }
+    for module, names in olds.items():
+        for name in names:
+            assert getattr(module, name) is getattr(common, name)
+    assert report.dispersion_report_dict is dispersion.dispersion_report_dict
+    # a module the package used to import eagerly is still its attribute
+    assert fresh("import classrank; print(classrank.report.SCHEMA_VERSION)") == "1\n"
