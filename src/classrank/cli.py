@@ -16,11 +16,11 @@ run: parsing the command line and ``dispersion`` load no numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
 
-from . import data as bundled_data
 from .common import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
@@ -125,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument(
         "--scenario-file",
-        default=str(bundled_data.scenario_fixture_path()),
         help="scenario bundle JSON (default: bundled six-scenario fixture)",
     )
     _add_walk_flags(scenarios)
@@ -164,12 +163,19 @@ def _add_walk_flags(parser) -> None:
 
 
 def _emit(document: dict, output: str | None) -> None:
-    text = json.dumps(document, indent=2)
+    """Write ``document`` as ``json.dumps(document, indent=2)`` and a newline.
+
+    The chunks go to ``output`` (or stdout) as they are encoded, so the
+    report text is never held whole. The file is opened before encoding
+    starts; every report builder emits only JSON-native values.
+    """
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        sink = open(output, "w", encoding="utf-8")
     else:
-        print(text)
+        sink = contextlib.nullcontext(sys.stdout)
+    with sink as handle:
+        handle.writelines(json.JSONEncoder(indent=2).iterencode(document))
+        handle.write("\n")
 
 
 def _cmd_rate(args, config: dict) -> int:
@@ -225,10 +231,14 @@ def _cmd_dispersion(args, config: dict) -> int:
 
 
 def _cmd_scenarios(args, config: dict) -> int:
+    from .data import scenario_fixture_path
     from .report import METHODS, scenario_report_dict
     from .scenarios import error_reduction_summary, load_scenarios, run_scenario
 
-    bundle = load_scenarios(args.scenario_file, diagonal_policy=args.diagonal_policy)
+    path = args.scenario_file
+    if path is None:
+        path = str(scenario_fixture_path())
+    bundle = load_scenarios(path, diagonal_policy=args.diagonal_policy)
     results = [
         run_scenario(scenario, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
         for scenario in bundle

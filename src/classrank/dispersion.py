@@ -140,7 +140,10 @@ def _long_rows(records, path, tiebreak: str) -> list[DispersionRow]:
     """One row per stripped label, in first-appearance order.
 
     Each distinct rating cell is parsed once and each distinct raw label
-    stripped once: a file repeats the same few of both on every line.
+    stripped once: a file repeats the same few of both on every line. Every
+    rating read is held until the file ends, those of labels later excluded
+    below ``min_n`` too; each label's list is released once its row is
+    counted.
     """
     groups = {}  # stripped label -> its ratings
     lists = {}  # raw label -> the ratings of its stripped label
@@ -153,7 +156,9 @@ def _long_rows(records, path, tiebreak: str) -> list[DispersionRow]:
         if value is None:
             value = values[rating] = _parse_int(rating.strip(), "rating", path)
         ratings.append(value)
-    return [dispersion_row(label, ratings, tiebreak) for label, ratings in groups.items()]
+    lists.clear()  # it shares each label's list
+    labels = list(groups)
+    return [dispersion_row(label, groups.pop(label), tiebreak) for label in labels]
 
 
 def _counted_rows(records, path) -> list[DispersionRow]:

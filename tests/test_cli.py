@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +290,53 @@ def test_rate_output_file_roundtrip(tmp_path, capsys):
         float(v) for v in fresh.eigenfactor.influence.values
     ]
     assert report["eigenfactor"]["residual"] == fresh.eigenfactor.influence.residual
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rate", "--survey", SURVEY),
+        ("scenarios",),
+        ("dispersion", "--ratings-csv", CLARITY),
+        ("dispersion", "--ratings-csv", str(helpfulness_counts_path())),
+    ],
+    ids=["rate", "scenarios", "dispersion-clarity", "dispersion-helpfulness"],
+)
+def test_stdout_and_output_file_hold_the_same_report(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "report.json"
+    code, written, _ = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 0 and written == ""
+    text = path.read_bytes().decode("utf-8")
+    # floats round-trip exactly, so re-encoding the parsed report is the
+    # reference
+    assert out == text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_dispersion_report_is_not_held_whole(tmp_path, capsys):
+    # shaped like a ratings export: 3000 labels with 1-32 ratings each,
+    # ~50k rows and a ~1 MB file; the peak is the reader's lists plus the
+    # rows, not a copy of the ~300 KB report text
+    rng = random.Random(5)
+    path = tmp_path / "long.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("label,rating\n")
+        for k in range(3000):
+            label = f"instructor-{k:05d}"
+            handle.writelines(
+                f"{label},{rng.randint(1, 5)}\n" for _ in range(rng.randint(1, 32))
+            )
+    report = tmp_path / "report.json"
+    argv = ["dispersion", "--ratings-csv", str(path), "--output", str(report)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < 2 * 2**20
 
 
 def test_dispersion_counted_fixture(capsys):

@@ -39,6 +39,12 @@ def test_runs_without_importing_numpy(tmp_path, name):
     assert report.exists() == (name == "dispersion")
 
 
+def test_cli_import_leaves_the_bundled_data_unloaded():
+    # the --scenario-file default is looked up when scenarios runs
+    script = "import sys, classrank.cli\nprint('classrank.data' in sys.modules)"
+    assert fresh(script) == "False\n"
+
+
 def test_public_names_are_their_home_module_objects():
     for name in classrank.__all__:
         value = getattr(classrank, name)
