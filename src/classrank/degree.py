@@ -21,7 +21,10 @@ def degree_weights(competence: CompetenceMatrix) -> np.ndarray:
     Returns a read-only float array of ``competence.n`` nonnegative weights
     that sum to 1 within 1e-9, with exactly 0 for a student nobody
     endorses: a bincount of endorsement shares divided by its own sum. The
-    tests ``test_weights_are_convex_coefficients`` and
+    survey keeps compressed rows, so the shares, ``competence.shares``, are
+    its per-student ``row_shares`` repeated over ``row_sums`` into edge
+    order, an O(nnz) array built on this call. The tests
+    ``test_weights_are_convex_coefficients`` and
     ``test_unendorsed_student_rating_is_irrelevant`` in
     ``tests/test_properties.py`` pin these invariants. Raises
     DegenerateNetwork when the matrix has no endorsements at all, since then

@@ -1,10 +1,10 @@
 """Eigenfactor-style weights from a teleported random walk.
 
 The walk runs on the row-normalized competence matrix, which validation
-keeps as its list of endorsements (a CompetenceMatrix), so each step costs
-O(nnz). A dangling student, one who endorses nobody, hands their visit mass
-on uniformly: at every step that mass is spread over all n students, as if
-the zero row were the uniform row. With teleportation probability
+keeps as compressed rows of endorsements (a CompetenceMatrix), so each step
+costs O(nnz). A dangling student, one who endorses nobody, hands their
+visit mass on uniformly: at every step that mass is spread over all n
+students, as if the zero row were the uniform row. With teleportation probability
 1 - alpha the walker jumps to a uniformly random student, which makes the
 chain primitive and its stationary distribution unique and strictly
 positive. A student's weight is then the stationary-visit-weighted incoming
@@ -45,18 +45,22 @@ def stationary_distribution(
     """Power iteration for the stationary distribution of the chain.
 
     Each step follows every endorsement once: ``y[j]`` collects
-    ``alpha * x[i] * share`` over the edges i -> j, then every entry gains
-    ``(1 - sum(y)) / n``. That term is exactly the teleport mass
-    ``(1 - alpha) / n`` plus the dangling mass ``alpha * (x . d) / n`` plus
-    any floating-point drift, so no walk matrix is ever built (the rank-one
-    dangling-node treatment of Langville & Meyer, "Deeper Inside PageRank",
-    2004) and a step costs O(nnz). Starts from the uniform distribution and
-    stops once the L1 change between steps drops to ``tol``, which must be
-    positive and finite (an infinite tol states no accuracy); the map
-    contracts by ``alpha`` in L1, so the result is then within
-    ``alpha / (1 - alpha) * tol`` of the exact distribution. The run is
-    deterministic: fixed start, fixed operation order. Raises NoConvergence
-    if ``max_iter`` steps are not enough.
+    ``x[i] * (alpha * share_i)`` over the edges i -> j, where ``share_i`` is
+    ``competence.row_shares[i]``; the n products are taken first and
+    gathered along the edge sources, which the solver derives from
+    ``row_sums`` once per solve (the survey keeps compressed rows, so
+    ``competence.sources`` builds a new O(nnz) array on every access). Then
+    every entry gains ``(1 - sum(y)) / n``. That term is exactly the
+    teleport mass ``(1 - alpha) / n`` plus the dangling mass
+    ``alpha * (x . d) / n`` plus any floating-point drift, so no walk
+    matrix is ever built (the rank-one dangling-node treatment of Langville
+    & Meyer, "Deeper Inside PageRank", 2004) and a step costs O(nnz).
+    Starts from the uniform distribution and stops once the L1 change
+    between steps drops to ``tol``, which must be positive and finite (an
+    infinite tol states no accuracy); the map contracts by ``alpha`` in L1,
+    so the result is then within ``alpha / (1 - alpha) * tol`` of the exact
+    distribution. The run is deterministic: fixed start, fixed operation
+    order. Raises NoConvergence if ``max_iter`` steps are not enough.
 
     The returned ``values`` are strictly positive (each entry holds at
     least the teleport mass ``(1 - alpha) / n``) and sum to 1 within 1e-12,
@@ -71,13 +75,14 @@ def stationary_distribution(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = competence.n
+    # built once per solve: every step gathers along the same sources
     sources, targets = competence.sources, competence.targets
-    shares = alpha * competence.shares
+    shares = alpha * competence.row_shares
     total = np.add.reduce
     current = np.full(n, 1.0 / n)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        advanced = np.bincount(targets, current[sources] * shares, n)
+        advanced = np.bincount(targets, (current * shares)[sources], n)
         # not in place: a network without edges gets an int64 bincount
         advanced = advanced + (1.0 - total(advanced)) / n
         residual = float(total(np.abs(advanced - current)))
@@ -101,6 +106,10 @@ def eigenfactor_weights(
     rescaling happens. The tests ``test_weights_are_convex_coefficients``
     and ``test_unendorsed_student_rating_is_irrelevant`` in
     ``tests/test_properties.py`` pin these invariants.
+
+    Each endorsement i -> j carries ``x[i] * row_shares[i]``: the n products
+    are repeated over ``row_sums`` into the O(nnz) edge order of the
+    survey's compressed rows, so no ``sources`` array is built.
     """
     if influence.values.size != competence.n:
         raise DimensionMismatch(
@@ -108,7 +117,7 @@ def eigenfactor_weights(
         )
     mass = np.bincount(
         competence.targets,
-        influence.values[competence.sources] * competence.shares,
+        (influence.values * competence.row_shares).repeat(competence.row_sums),
         competence.n,
     )
     total = mass.sum()

@@ -87,17 +87,19 @@ def rate_survey(
 
 def rating_report_dict(report: WeightedRatingReport, config: dict) -> dict:
     survey = report.survey
+    # a property that averages the ratings on each access
+    mean = report.arithmetic_mean
     return {
         "schema": SCHEMA_VERSION,
         "label": survey.label,
         "n": survey.n,
         "scale": [survey.ratings.scale_min, survey.ratings.scale_max],
-        "arithmetic_mean": report.arithmetic_mean,
+        "arithmetic_mean": mean,
         "degree": {
             "method": "degree",
             "weights": report.degree.weights.tolist(),
             "weighted_rating": report.degree.rating,
-            "arithmetic_mean": report.arithmetic_mean,
+            "arithmetic_mean": mean,
         },
         "eigenfactor": {
             "method": "eigenfactor",

@@ -4,8 +4,9 @@ A survey couples one rating per student with an n x n binary matrix of
 student-to-student competence perceptions: entry (i, j) is 1 when student i
 considers student j competent to judge the course. The diagonal is zero and
 blank answers count as "not competent". Validation checks that matrix once
-and keeps only its row-normalized list of endorsements, the shared input of
-both weighting methods; no n x n array outlives it.
+and keeps only its row-normalized endorsements as compressed rows (each
+endorsement's target, each student's endorsement count and share), the
+shared input of both weighting methods; no n x n array outlives it.
 
 The document and CSV loaders hand validation one byte per cell: a grid of
 0/1 cells (JSON integers and nulls, or CSV ``0``, ``1`` and empty cells) is
@@ -108,17 +109,24 @@ class RatingVector:
 
 @dataclass(frozen=True, eq=False)
 class CompetenceMatrix:
-    """Square 0/1 matrix of peer competence perceptions, kept as its edges.
+    """Square 0/1 matrix of peer competence perceptions, kept as compressed rows.
 
     ``CompetenceMatrix(entries)`` checks the raw n x n matrix: square and
-    nonempty, cells 0 or 1. It keeps only the endorsements: endorsement k
-    runs from student ``sources[k]`` to student ``targets[k]`` and carries
-    ``shares[k]``, one over the endorsement count of its source, so each
-    endorsing student hands out a total of 1 and the edges are the
-    row-normalized matrix. Edges are in row-major order. ``row_sums`` keeps
-    the endorsement counts; students who endorse nobody (the dangling set)
-    have no edges. Every sum over the matrix is a sum over edges, O(nnz)
-    rather than O(n^2).
+    nonempty, cells 0 or 1. It keeps only the endorsements, as compressed
+    rows: ``targets`` lists whom each endorsement goes to, in row-major
+    order, ``row_sums`` counts each student's endorsements, so student i's
+    endorsements are the ``row_sums[i]`` targets after those of students
+    0..i-1, and ``row_shares`` holds one over that count (0 for a student
+    who endorses nobody, the dangling set): each endorsing student hands out
+    a total of 1, and that is the row-normalized matrix. ``targets`` is the
+    only array that grows with the number of endorsements; every sum over
+    the matrix is a sum over them, O(nnz) rather than O(n^2).
+
+    ``sources`` and ``shares``, the source and the share of each
+    endorsement, are derived from ``row_sums`` on every access
+    (``np.arange(n).repeat(row_sums)`` and ``row_shares.repeat(row_sums)``),
+    so each access builds a new read-only O(nnz) array; a loop that needs
+    them should take them once.
 
     ``diagonal_policy`` decides the fate of self-endorsements, 1s on the
     diagonal, once every cell is 0 or 1: ``reject`` (the default) raises
@@ -134,10 +142,9 @@ class CompetenceMatrix:
 
     entries: InitVar[np.ndarray]
     diagonal_policy: InitVar[str] = "reject"
-    sources: np.ndarray = field(init=False)
     targets: np.ndarray = field(init=False)
-    shares: np.ndarray = field(init=False)
     row_sums: np.ndarray = field(init=False)
+    row_shares: np.ndarray = field(init=False)
     dangling: frozenset[int] = field(init=False)
     self_endorsers: tuple[int, ...] = field(init=False)
 
@@ -167,17 +174,30 @@ class CompetenceMatrix:
                 raise NonZeroDiagonal(f"self-endorsement at index {self_endorsers}")
             sources, targets = sources[~loops], targets[~loops]
         counts = np.bincount(sources, minlength=n)
-        dangling = frozenset(np.flatnonzero(counts == 0).tolist())
-        object.__setattr__(self, "sources", _readonly(sources))
+        endorsing = counts > 0
+        # edges are in row-major order, so the sources are the run lengths
+        # of counts: only the counts and one share a student outlive this call
+        row_shares = np.divide(1.0, counts, out=np.zeros(n), where=endorsing)
+        dangling = frozenset(np.flatnonzero(~endorsing).tolist())
         object.__setattr__(self, "targets", _readonly(targets))
-        object.__setattr__(self, "shares", _readonly(1.0 / counts[sources]))
         object.__setattr__(self, "row_sums", _readonly(counts))
+        object.__setattr__(self, "row_shares", _readonly(row_shares))
         object.__setattr__(self, "dangling", dangling)
         object.__setattr__(self, "self_endorsers", tuple(self_endorsers))
 
     @property
     def n(self) -> int:
         return self.row_sums.size
+
+    @property
+    def sources(self) -> np.ndarray:
+        """The source student of each endorsement, a new O(nnz) array."""
+        return _readonly(np.arange(self.n).repeat(self.row_sums))
+
+    @property
+    def shares(self) -> np.ndarray:
+        """The share of each endorsement, a new O(nnz) array."""
+        return _readonly(self.row_shares.repeat(self.row_sums))
 
 
 @dataclass(frozen=True, eq=False)

@@ -236,3 +236,73 @@ def test_degenerate_network_raises():
             eigenfactor_weights(influence, competence)
         with pytest.raises(DegenerateNetwork):
             degree_weights(competence)
+
+
+def _per_edge_reference(matrix, alpha, tol, max_iter):
+    """The solve and both weightings with one stored share per edge, straight
+    from a zero-diagonal 0/1 matrix: every step multiplies ``x[sources]`` by
+    ``alpha * shares`` edge by edge. Returns (influence, iterations,
+    residual, degree weights, eigenfactor weights), a weighting None where
+    the network has no edges."""
+    n = len(matrix)
+    sources, targets = np.nonzero(matrix)
+    shares = 1.0 / matrix.sum(axis=1)[sources]
+    alpha_shares = alpha * shares
+    current = np.full(n, 1.0 / n)
+    for iteration in range(1, max_iter + 1):
+        advanced = np.bincount(targets, current[sources] * alpha_shares, n)
+        advanced = advanced + (1.0 - np.add.reduce(advanced)) / n
+        residual = float(np.add.reduce(np.abs(advanced - current)))
+        current = advanced
+        if residual <= tol:
+            break
+    if not sources.size:
+        return current, iteration, residual, None, None
+    degree = np.bincount(targets, shares, n)
+    eigen = np.bincount(targets, current[sources] * shares, n)
+    return current, iteration, residual, degree / degree.sum(), eigen / eigen.sum()
+
+
+def _bit_identity_cases():
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        matrix = random_binary_matrix(rng, n, float(rng.uniform(0.05, 0.6)))
+        matrix[rng.random(n) < 0.25] = 0  # dangling rows
+        raw = matrix.copy()
+        if rng.random() < 0.5:
+            # self-endorsements, which validation coerces away
+            loops = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+            raw[loops, loops] = 1
+        yield raw, matrix
+    one_edge = np.zeros((6, 6), dtype=int)
+    one_edge[4, 1] = 1
+    yield one_edge, one_edge
+    for n in (1, 7):
+        yield np.eye(n, dtype=int), np.zeros((n, n), dtype=int)
+
+
+def test_compressed_rows_solve_bit_identical_to_per_edge_shares():
+    # the survey keeps one share per student, not per edge, yet every edge
+    # still gets the same two IEEE multiplies in the same order, so every
+    # value, iteration count and residual is equal, not merely close
+    for raw, matrix in _bit_identity_cases():
+        competence = _competence(raw)
+        for alpha in (0.0, 0.5, 0.85, 0.99):
+            influence = stationary_distribution(competence, alpha, max_iter=5000)
+            values, iterations, residual, degree, eigen = _per_edge_reference(
+                matrix, alpha, 1e-12, 5000
+            )
+            assert np.array_equal(influence.values, values)
+            assert influence.iterations == iterations
+            assert influence.residual == residual
+            if degree is None:
+                with pytest.raises(DegenerateNetwork):
+                    degree_weights(competence)
+                with pytest.raises(DegenerateNetwork):
+                    eigenfactor_weights(influence, competence)
+            else:
+                assert np.array_equal(degree_weights(competence), degree)
+                assert np.array_equal(
+                    eigenfactor_weights(influence, competence), eigen
+                )

@@ -223,6 +223,25 @@ def test_validation_allocates_no_full_size_mask(transposed):
         assert peak < 0.5 * n * n
 
 
+def test_validated_network_keeps_one_edge_array():
+    # compressed rows: the targets (8 bytes an edge) and three n-length
+    # parts, row_sums, row_shares and the dangling set; three edge arrays
+    # (24 bytes an edge) would break the bound
+    n = 1500
+    rng = np.random.default_rng(1)
+    matrix = (rng.random((n, n)) < 8 / n).astype(np.uint8)
+    np.fill_diagonal(matrix, 0)
+    nnz = int(np.count_nonzero(matrix))
+    tracemalloc.start()
+    try:
+        competence = CompetenceMatrix(matrix)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert competence.targets.size == nnz
+    assert held < 8 * nnz + 4 * 8 * n + 4096
+
+
 @pytest.mark.parametrize(
     "cell, first",
     [(2, (0, 1)), (0.5, (0, 1)), (float("nan"), (0, 1)), ({}, (0, 1)), ("1", (0, 0))],
@@ -352,6 +371,7 @@ def test_arrays_are_frozen(scenario_bundle):
         competence.targets,
         competence.shares,
         competence.row_sums,
+        competence.row_shares,
     ):
         with pytest.raises(ValueError):
             array[0] = 0
