@@ -1,10 +1,10 @@
 """Degree-centrality weights and the weighted rating itself.
 
-Each student's weight is the total incoming mass in the row-normalized
-competence matrix, rescaled so the weights sum to one. Because every
-endorsing row contributes exactly 1 of mass, the rescaling divisor is the
-number of endorsing students, and a student endorsed by nobody gets weight
-exactly zero.
+Both weightings are visit-weighted incoming mass (Bergstrom, "Eigenfactor",
+C&RL News, 2007): endorsement i -> j carries ``v[i] * row_shares[i]``, with
+v = 1 for degree and the stationary walk for eigenfactor, and the weights
+are the mass each student receives, rescaled to sum to one. A student
+endorsed by nobody gets weight exactly zero.
 """
 
 from __future__ import annotations
@@ -15,28 +15,47 @@ from .errors import DegenerateNetwork, DimensionMismatch
 from .survey import CompetenceMatrix, RatingVector
 
 
+def _incoming_weights(
+    competence: CompetenceMatrix, visits: np.ndarray | None = None
+) -> np.ndarray:
+    """Read-only weights: incoming mass under ``visits``, rescaled to sum 1.
+
+    Row i hands each endorsement ``visits[i] * row_shares[i]``, its bare
+    share when ``visits`` is None, repeated over ``row_sums`` into the O(nnz)
+    edge order. Raises DimensionMismatch unless ``visits`` has one entry a
+    student, and DegenerateNetwork when no mass arrives.
+    """
+    row_mass = competence.row_shares
+    if visits is not None:
+        if visits.size != competence.n:
+            raise DimensionMismatch(
+                f"{visits.size} influence entries vs {competence.n} students"
+            )
+        row_mass = visits * row_mass
+    mass = np.bincount(
+        competence.targets, row_mass.repeat(competence.row_sums), competence.n
+    )
+    total = mass.sum()
+    if total <= 0.0:
+        raise DegenerateNetwork("no student endorses any other")
+    weights = mass / total
+    weights.setflags(write=False)
+    return weights
+
+
 def degree_weights(competence: CompetenceMatrix) -> np.ndarray:
     """Weights proportional to incoming normalized-endorsement mass.
 
     Returns a read-only float array of ``competence.n`` nonnegative weights
     that sum to 1 within 1e-9, with exactly 0 for a student nobody
-    endorses: a bincount of endorsement shares divided by its own sum. The
-    survey keeps compressed rows, so the shares, ``competence.shares``, are
-    its per-student ``row_shares`` repeated over ``row_sums`` into edge
-    order, an O(nnz) array built on this call. The tests
-    ``test_weights_are_convex_coefficients`` and
+    endorses: every endorser counts once, so each endorsement carries its
+    row share. The tests ``test_weights_are_convex_coefficients`` and
     ``test_unendorsed_student_rating_is_irrelevant`` in
     ``tests/test_properties.py`` pin these invariants. Raises
     DegenerateNetwork when the matrix has no endorsements at all, since then
     there is no mass to distribute.
     """
-    column_mass = np.bincount(competence.targets, competence.shares, competence.n)
-    total = column_mass.sum()
-    if total <= 0.0:
-        raise DegenerateNetwork("no student endorses any other")
-    weights = column_mass / total
-    weights.setflags(write=False)
-    return weights
+    return _incoming_weights(competence)
 
 
 def weighted_rating(ratings: RatingVector, weights: np.ndarray) -> float:

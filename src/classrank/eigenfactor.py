@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .errors import DegenerateNetwork, DimensionMismatch, NoConvergence
+from .degree import _incoming_weights
+from .errors import NoConvergence
 from .survey import CompetenceMatrix
 
 
@@ -101,28 +102,12 @@ def eigenfactor_weights(
     """Weights proportional to influence-weighted incoming mass.
 
     Returns a read-only float array of ``competence.n`` nonnegative weights
-    that sum to 1 within 1e-9. A student endorsed by nobody keeps weight
-    exactly zero: every term of the corresponding column is zero before any
-    rescaling happens. The tests ``test_weights_are_convex_coefficients``
-    and ``test_unendorsed_student_rating_is_irrelevant`` in
-    ``tests/test_properties.py`` pin these invariants.
-
-    Each endorsement i -> j carries ``x[i] * row_shares[i]``: the n products
-    are repeated over ``row_sums`` into the O(nnz) edge order of the
-    survey's compressed rows, so no ``sources`` array is built.
+    that sum to 1 within 1e-9. Each endorsement i -> j carries
+    ``x[i] * row_shares[i]``, so a student endorsed by nobody keeps weight
+    exactly zero. The tests ``test_weights_are_convex_coefficients`` and
+    ``test_unendorsed_student_rating_is_irrelevant`` in
+    ``tests/test_properties.py`` pin these invariants. Raises
+    DimensionMismatch unless ``influence`` has one entry a student, and
+    DegenerateNetwork when nobody endorses anybody.
     """
-    if influence.values.size != competence.n:
-        raise DimensionMismatch(
-            f"{influence.values.size} influence entries vs {competence.n} students"
-        )
-    mass = np.bincount(
-        competence.targets,
-        (influence.values * competence.row_shares).repeat(competence.row_sums),
-        competence.n,
-    )
-    total = mass.sum()
-    if total <= 0.0:
-        raise DegenerateNetwork("no student endorses any other")
-    weights = mass / total
-    weights.setflags(write=False)
-    return weights
+    return _incoming_weights(competence, influence.values)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfactor import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
+from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import (
     DegenerateNetwork,
     EmptyInput,

@@ -122,11 +122,11 @@ class CompetenceMatrix:
     only array that grows with the number of endorsements; every sum over
     the matrix is a sum over them, O(nnz) rather than O(n^2).
 
-    ``sources`` and ``shares``, the source and the share of each
-    endorsement, are derived from ``row_sums`` on every access
-    (``np.arange(n).repeat(row_sums)`` and ``row_shares.repeat(row_sums)``),
-    so each access builds a new read-only O(nnz) array; a loop that needs
-    them should take them once.
+    ``sources``, the source of each endorsement, is derived from
+    ``row_sums`` on every access (``np.arange(n).repeat(row_sums)``), so
+    each access builds a new read-only O(nnz) array; a loop that needs it
+    should take it once. The share of each endorsement is
+    ``row_shares.repeat(row_sums)``.
 
     ``diagonal_policy`` decides the fate of self-endorsements, 1s on the
     diagonal, once every cell is 0 or 1: ``reject`` (the default) raises
@@ -193,11 +193,6 @@ class CompetenceMatrix:
     def sources(self) -> np.ndarray:
         """The source student of each endorsement, a new O(nnz) array."""
         return _readonly(np.arange(self.n).repeat(self.row_sums))
-
-    @property
-    def shares(self) -> np.ndarray:
-        """The share of each endorsement, a new O(nnz) array."""
-        return _readonly(self.row_shares.repeat(self.row_sums))
 
 
 @dataclass(frozen=True, eq=False)

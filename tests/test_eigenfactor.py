@@ -3,6 +3,8 @@ import pytest
 
 from classrank import (
     DegenerateNetwork,
+    DimensionMismatch,
+    InfluenceVector,
     NoConvergence,
     degree_weights,
     eigenfactor_weights,
@@ -306,3 +308,27 @@ def test_compressed_rows_solve_bit_identical_to_per_edge_shares():
                 assert np.array_equal(
                     eigenfactor_weights(influence, competence), eigen
                 )
+
+
+def test_unit_visits_give_the_degree_weights_bit_for_bit():
+    # degree centrality is eigenfactor with every endorser visited once
+    for raw, _ in _bit_identity_cases():
+        competence = _competence(raw)
+        unit = InfluenceVector(np.ones(competence.n), 0, 0.0)
+        if competence.targets.size == 0:
+            with pytest.raises(DegenerateNetwork):
+                degree_weights(competence)
+            with pytest.raises(DegenerateNetwork):
+                eigenfactor_weights(unit, competence)
+        else:
+            assert np.array_equal(
+                eigenfactor_weights(unit, competence), degree_weights(competence)
+            )
+
+
+@pytest.mark.parametrize("size", [1, 9, 11])
+def test_influence_of_the_wrong_length_raises(size):
+    competence = _competence(random_binary_matrix(np.random.default_rng(3), 10))
+    influence = InfluenceVector(np.full(size, 1.0 / size), 0, 0.0)
+    with pytest.raises(DimensionMismatch, match=f"^{size} influence entries vs 10"):
+        eigenfactor_weights(influence, competence)

@@ -230,7 +230,7 @@ def test_loader_counts_null_cells_as_zero_like_the_survey_loader():
     scenarios = [{"id": 1, "competence": competence}]
     (scenario,) = load_scenarios(_bundle(scenarios=scenarios))
     survey = load_survey_json({"ratings": [4, 5, 3], "competence": competence})
-    for name in ("sources", "targets", "shares", "row_sums"):
+    for name in ("sources", "targets", "row_shares", "row_sums"):
         assert np.array_equal(
             getattr(scenario.survey.competence, name),
             getattr(survey.competence, name),

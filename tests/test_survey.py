@@ -25,12 +25,16 @@ from classrank.survey import load_competence_csv
 from oracles import dense_normalized, random_binary_matrix
 
 
+def _shares(competence):
+    return competence.row_shares.repeat(competence.row_sums)
+
+
 def _edges(competence):
     return sorted(
         zip(
             competence.sources.tolist(),
             competence.targets.tolist(),
-            competence.shares.tolist(),
+            _shares(competence).tolist(),
         )
     )
 
@@ -186,8 +190,9 @@ def test_accepted_cells_match_the_two_mask_check(kind, data):
         assert (type(exc), str(exc)) == expected
         return
     assert isinstance(expected, dict)
-    for name in ("sources", "targets", "shares", "row_sums"):
+    for name in ("sources", "targets", "row_sums"):
         assert np.array_equal(getattr(competence, name), expected[name])
+    assert np.array_equal(_shares(competence), expected["shares"])
     assert competence.dangling == expected["dangling"]
     assert competence.self_endorsers == expected["self_endorsers"]
 
@@ -355,7 +360,7 @@ def test_validation_is_idempotent(scenario_bundle, scenario_matrices):
         label=survey.label,
     )
     assert np.array_equal(again.ratings.values, survey.ratings.values)
-    for name in ("sources", "targets", "shares", "row_sums"):
+    for name in ("sources", "targets", "row_shares", "row_sums"):
         assert np.array_equal(
             getattr(again.competence, name), getattr(survey.competence, name)
         )
@@ -369,7 +374,6 @@ def test_arrays_are_frozen(scenario_bundle):
     for array in (
         competence.sources,
         competence.targets,
-        competence.shares,
         competence.row_sums,
         competence.row_shares,
     ):
@@ -384,27 +388,27 @@ def test_normalize_uniform_matrix():
     competence = CompetenceMatrix(np.ones((n, n), dtype=int) - np.eye(n, dtype=int))
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     assert _pairs(competence) == pairs
-    assert np.allclose(competence.shares, 1.0 / (n - 1), atol=1e-15)
+    assert np.allclose(_shares(competence), 1.0 / (n - 1), atol=1e-15)
     assert competence.dangling == frozenset()
-    assert competence.shares.sum() == pytest.approx(n, abs=1e-12)
+    assert _shares(competence).sum() == pytest.approx(n, abs=1e-12)
 
 
 def test_normalize_rows_sum_to_one_or_zero(scenario_bundle):
     for scenario in scenario_bundle:
         competence = scenario.survey.competence
-        sums = np.bincount(competence.sources, competence.shares, competence.n)
+        sums = np.bincount(competence.sources, _shares(competence), competence.n)
         for i, total in enumerate(sums):
             if i in competence.dangling:
                 assert total == 0.0
             else:
                 assert abs(total - 1.0) <= 1e-12
-        assert 0 < competence.shares.sum() <= scenario.survey.n
+        assert 0 < _shares(competence).sum() <= scenario.survey.n
 
 
 def test_normalize_three_endorsements_gives_thirds(scenario_bundle):
     # row 6 (0-based 5) endorses exactly three students
     competence = scenario_bundle[0].survey.competence
-    row = competence.shares[competence.sources == 5]
+    row = _shares(competence)[competence.sources == 5]
     assert competence.row_sums[5] == 3
     assert np.allclose(row, 1 / 3, atol=1e-15)
     assert row.size == 3
@@ -443,12 +447,12 @@ def test_normalize_edge_list_scatters_to_the_dense_oracle(scenario_matrices):
         competence = CompetenceMatrix(raw)
         n = len(raw)
         assert competence.sources.size == np.count_nonzero(raw)  # no repeats
-        assert competence.shares.dtype == np.float64
-        for array in (competence.sources, competence.targets, competence.shares):
+        assert _shares(competence).dtype == np.float64
+        for array in (competence.sources, competence.targets, competence.row_shares):
             assert not array.flags.writeable
         assert np.array_equal(competence.row_sums, raw.sum(axis=1))
         dense = np.zeros((n, n))
-        dense[competence.sources, competence.targets] = competence.shares
+        dense[competence.sources, competence.targets] = _shares(competence)
         assert np.array_equal(dense, dense_normalized(raw))
 
 
