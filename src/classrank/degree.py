@@ -22,14 +22,15 @@ def _incoming_weights(
 
     Row i hands each endorsement ``visits[i] * row_shares[i]``, its bare
     share when ``visits`` is None, repeated over ``row_sums`` into the O(nnz)
-    edge order. Raises DimensionMismatch unless ``visits`` has one entry a
-    student, and DegenerateNetwork when no mass arrives.
+    edge order. Raises DimensionMismatch unless ``visits`` is 1-d with one
+    entry a student, and DegenerateNetwork when no mass arrives.
     """
     row_mass = competence.row_shares
     if visits is not None:
-        if visits.size != competence.n:
+        if visits.shape != (competence.n,):
             raise DimensionMismatch(
                 f"{visits.size} influence entries vs {competence.n} students"
+                f" (shape {visits.shape})"
             )
         row_mass = visits * row_mass
     mass = np.bincount(
@@ -61,15 +62,14 @@ def degree_weights(competence: CompetenceMatrix) -> np.ndarray:
 def weighted_rating(ratings: RatingVector, weights: np.ndarray) -> float:
     """Convex combination of the ratings under the given weights.
 
-    The result is clamped to [min(ratings), max(ratings)]: mathematically it
-    always lies there, and the clamp keeps the guarantee under floating-point
-    roundoff.
+    The result is clamped to [ratings.low, ratings.high], the smallest and
+    largest rating: mathematically it always lies there, and the clamp keeps
+    the guarantee under floating-point roundoff. Raises DimensionMismatch
+    unless ``weights`` is 1-d with one entry a rating.
     """
-    if ratings.n != weights.size:
+    if weights.shape != (ratings.n,):
         raise DimensionMismatch(
-            f"{ratings.n} ratings vs {weights.size} weights"
+            f"{ratings.n} ratings vs {weights.size} weights (shape {weights.shape})"
         )
     value = float(weights @ ratings.values)
-    low = float(ratings.values.min())
-    high = float(ratings.values.max())
-    return min(max(value, low), high)
+    return min(max(value, ratings.low), ratings.high)

@@ -68,7 +68,9 @@ class WeightedRatingReport:
 
     @property
     def arithmetic_mean(self) -> float:
-        return float(self.survey.ratings.values.mean())
+        """The plain mean of the survey's ratings, taken once when they
+        were checked (``RatingVector.mean``)."""
+        return self.survey.ratings.mean
 
 
 def rate_survey(
@@ -87,7 +89,6 @@ def rate_survey(
 
 def rating_report_dict(report: WeightedRatingReport, config: dict) -> dict:
     survey = report.survey
-    # a property that averages the ratings on each access
     mean = report.arithmetic_mean
     return {
         "schema": SCHEMA_VERSION,

@@ -146,7 +146,7 @@ def run_scenario(
             outcome[f"{method}_failure"] = str(exc)
     return ScenarioResult(
         id=scenario.id,
-        arithmetic_mean=float(values.mean()),
+        arithmetic_mean=survey.ratings.mean,
         unbiased_mean=float(np.concatenate((values[:i], values[i + 1 :])).mean()),
         **outcome,
     )
@@ -182,6 +182,9 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
     if not isinstance(biased_index, int) or isinstance(biased_index, bool):
         raise MalformedInput("biased_index must be an integer")
 
+    # the first scenario checks the shared ratings; the rest reuse its
+    # RatingVector, so a bundle's ratings are checked and converted once
+    ratings = data["ratings"]
     scenarios = {}
     for position, entry in enumerate(data["scenarios"], start=1):
         if not isinstance(entry, dict) or "competence" not in entry:
@@ -192,12 +195,13 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
         if sid in scenarios:
             raise MalformedInput(f"scenario #{position} repeats id {sid}")
         survey = _survey_from_document(
-            data["ratings"],
+            ratings,
             entry["competence"],
             f"scenario {sid}",
             scale=scale,
             diagonal_policy=diagonal_policy,
             label=f"{label}-{sid}",
         )
+        ratings = survey.ratings
         scenarios[sid] = Scenario(id=sid, survey=survey, biased_index=biased_index)
     return [scenarios[sid] for sid in sorted(scenarios)]

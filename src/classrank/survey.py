@@ -76,11 +76,18 @@ def _nonzero_cells(entries: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RatingVector:
-    """Per-student ratings of one course on a finite, bounded scale."""
+    """Per-student ratings of one course on a finite, bounded scale.
+
+    ``low``, ``high`` and ``mean`` are the smallest, largest and mean
+    rating, taken once when the ratings are checked.
+    """
 
     values: np.ndarray
     scale_min: float = DEFAULT_SCALE[0]
     scale_max: float = DEFAULT_SCALE[1]
+    low: float = field(init=False)
+    high: float = field(init=False)
+    mean: float = field(init=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -94,13 +101,19 @@ class RatingVector:
             raise ScaleViolation(
                 f"scale [{self.scale_min}, {self.scale_max}] must be finite"
             )
-        if not np.all(np.isfinite(values)):
+        # a NaN makes both extremes NaN and an infinity is an extreme, so the
+        # two scalars decide both checks
+        low, high = float(values.min()), float(values.max())
+        if not -np.inf < low <= high < np.inf:
             raise ScaleViolation("ratings must be finite numbers")
-        if np.any(values < self.scale_min) or np.any(values > self.scale_max):
+        if low < self.scale_min or high > self.scale_max:
             raise ScaleViolation(
                 f"ratings must lie in [{self.scale_min}, {self.scale_max}]"
             )
         object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
+        object.__setattr__(self, "mean", float(values.mean()))
 
     @property
     def n(self) -> int:
@@ -237,8 +250,16 @@ def validate_survey(
 
     Validation is idempotent: the zero-diagonal 0/1 matrix of a survey's
     edges validates again to the same edge list, with no warnings.
+
+    ``raw_ratings`` may be a RatingVector. One on the requested scale was
+    checked when it was built and is used as it is, so surveys can share
+    it; one on another scale has its values checked on the requested one.
     """
-    ratings = RatingVector(raw_ratings, scale_min=scale[0], scale_max=scale[1])
+    ratings = raw_ratings
+    if not isinstance(ratings, RatingVector):
+        ratings = RatingVector(ratings, scale_min=scale[0], scale_max=scale[1])
+    elif (ratings.scale_min, ratings.scale_max) != tuple(scale):
+        ratings = RatingVector(ratings.values, scale_min=scale[0], scale_max=scale[1])
     if strict_likert:
         fractional = ratings.values != np.floor(ratings.values)
         if fractional.any():
@@ -349,12 +370,16 @@ def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyIn
     ``_answers``. The grid is then packed one byte a cell (``_packed``), so
     validation reads a uint8 buffer, not an n x n int64 array, and never
     copies it.
+
+    ``ratings`` may also be a RatingVector, already checked: it skips the
+    type scan and is passed on to validate_survey as it is.
     """
-    if not isinstance(ratings, list):
+    if isinstance(ratings, list):
+        odd = [value for value in ratings if type(value) not in _NUMBERS]
+        if odd:
+            raise MalformedInput(f"{kind} ratings are not numeric: found {odd[0]!r}")
+    elif not isinstance(ratings, RatingVector):
         raise MalformedInput(f"{kind} ratings are not numeric: expected a list")
-    odd = [value for value in ratings if type(value) not in _NUMBERS]
-    if odd:
-        raise MalformedInput(f"{kind} ratings are not numeric: found {odd[0]!r}")
     if not isinstance(competence, list) or not all(
         isinstance(row, list) for row in competence
     ):

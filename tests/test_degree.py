@@ -70,6 +70,13 @@ def test_length_mismatch_rejected():
         weighted_rating(RatingVector([4, 5, 3]), weights)
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3)])
+def test_weights_of_another_shape_rejected(shape):
+    with pytest.raises(DimensionMismatch) as excinfo:
+        weighted_rating(RatingVector([4, 5, 3]), np.full(shape, 1 / 3))
+    assert str(excinfo.value) == f"3 ratings vs 3 weights (shape {shape})"
+
+
 def test_rating_stays_within_bounds_even_when_all_equal():
     # weights summing to 1+ulp must not push the rating past the maximum
     survey = validate_survey([4, 4, 4], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])

@@ -332,3 +332,11 @@ def test_influence_of_the_wrong_length_raises(size):
     influence = InfluenceVector(np.full(size, 1.0 / size), 0, 0.0)
     with pytest.raises(DimensionMismatch, match=f"^{size} influence entries vs 10"):
         eigenfactor_weights(influence, competence)
+
+
+@pytest.mark.parametrize("shape", [(10, 1), (1, 10)])
+def test_influence_of_another_shape_raises(shape):
+    competence = _competence(random_binary_matrix(np.random.default_rng(3), 10))
+    influence = InfluenceVector(np.full(shape, 0.1), 0, 0.0)
+    with pytest.raises(DimensionMismatch, match=r"^10 influence entries vs 10 students"):
+        eigenfactor_weights(influence, competence)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from classrank import (
+    DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
     MalformedInput,
+    NonBinaryEntry,
+    NonZeroDiagonal,
     RatingVector,
     ScaleViolation,
     Scenario,
@@ -238,3 +241,48 @@ def test_loader_counts_null_cells_as_zero_like_the_survey_loader():
     # the null cells (0, 2) and (2, 0) are no endorsements
     edges = zip(survey.competence.sources.tolist(), survey.competence.targets.tolist())
     assert list(edges) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+
+
+def test_bundle_shares_one_rating_vector(scenario_bundle):
+    shared = scenario_bundle[0].survey.ratings
+    assert all(scenario.survey.ratings is shared for scenario in scenario_bundle)
+    # the vector is checked by the first scenario listed, whatever its id
+    listed = [{"id": sid, "competence": TRIANGLE} for sid in (3, 1, 2)]
+    bundle = load_scenarios(_bundle(scenarios=listed))
+    assert all(scenario.survey.ratings is bundle[0].survey.ratings for scenario in bundle)
+
+
+def test_first_scenario_reports_ragged_rows_before_out_of_scale_ratings():
+    ragged = [{"id": 1, "competence": [[0, 1, 0], [1, 0], [0, 1, 0]]}]
+    with pytest.raises(MalformedInput) as excinfo:
+        load_scenarios(_bundle(ratings=[4, 9, 3], scenarios=ragged))
+    assert str(excinfo.value) == "scenario 1 competence rows are ragged"
+
+
+def test_boolean_rating_is_reported_by_the_first_scenario():
+    listed = [{"id": 1, "competence": TRIANGLE}, {"id": 2, "competence": TRIANGLE}]
+    with pytest.raises(MalformedInput) as excinfo:
+        load_scenarios(_bundle(ratings=[4, True, 3], scenarios=listed))
+    assert str(excinfo.value) == "scenario 1 ratings are not numeric: found True"
+
+
+@pytest.mark.parametrize(
+    "matrix, policy, error, message",
+    [
+        ([[0, 1], [1, 0]], "coerce", DimensionMismatch, "3 ratings vs 2 students"),
+        ([[0, 1], [1]], "coerce", MalformedInput, "scenario 2 competence rows are ragged"),
+        ([[0, 1], [1, 2]], "coerce", NonBinaryEntry, "matrix entries must be 0 or 1, found 2"),
+        ([[0, 1]], "coerce", DimensionMismatch, "competence matrix must be square"),
+        ([[1, 1], [1, 0]], "reject", NonZeroDiagonal, "self-endorsement at index [0]"),
+    ],
+    ids=["size", "ragged", "non-binary", "not-square", "self-endorsement"],
+)
+def test_later_scenario_of_another_size_fails_after_its_matrix_checks(
+    matrix, policy, error, message
+):
+    # the shared ratings fit the first scenario; the second's size is
+    # checked only once its own matrix has passed every check
+    listed = [{"id": 1, "competence": TRIANGLE}, {"id": 2, "competence": matrix}]
+    with pytest.raises(error) as excinfo:
+        load_scenarios(_bundle(scenarios=listed), diagonal_policy=policy)
+    assert str(excinfo.value) == message

@@ -320,6 +320,61 @@ def test_non_finite_rating_rejected():
         RatingVector([4, float("nan")])
 
 
+def _rating_check_by_masks(values, scale):
+    """The message of the first failing rating check, each made as a mask
+    over every rating, in the order the checks are made; None if all pass."""
+    if not np.all(np.isfinite(values)):
+        return "ratings must be finite numbers"
+    if np.any(values < scale[0]) or np.any(values > scale[1]):
+        return f"ratings must lie in [{scale[0]}, {scale[1]}]"
+    return None
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(1.0, 5.0),
+            st.floats(-1e300, 1e300),
+            st.floats(),
+            st.sampled_from([np.nan, np.inf, -np.inf]),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from([(1.0, 5.0), (-1e300, 1e300)]),
+)
+@settings(deadline=None)
+def test_rating_extremes_and_mean_are_numpys_bit_for_bit(raw, scale):
+    # NaN, +-inf and out-of-scale ratings fail with the message of the mask
+    # checks; an accepted vector keeps numpy's min, max and mean exactly
+    values = np.array(raw, dtype=float)
+    message = _rating_check_by_masks(values, scale)
+    if message is not None:
+        with pytest.raises(ScaleViolation) as excinfo:
+            RatingVector(raw, *scale)
+        assert str(excinfo.value) == message
+        return
+    ratings = RatingVector(raw, *scale)
+    for kept, expected in (
+        (ratings.low, values.min()),
+        (ratings.high, values.max()),
+        (ratings.mean, values.mean()),
+    ):
+        assert type(kept) is float and kept.hex() == float(expected).hex()
+
+
+def test_validate_survey_keeps_a_rating_vector_on_its_scale():
+    ratings = RatingVector([4, 5])
+    assert validate_survey(ratings, [[0, 1], [1, 0]]).ratings is ratings
+    # on another scale its values are checked again, on that scale
+    wider = validate_survey(ratings, [[0, 1], [1, 0]], scale=(0, 10)).ratings
+    assert (wider.scale_min, wider.scale_max, wider.values.tolist()) == (0, 10, [4, 5])
+    with pytest.raises(ScaleViolation, match=r"^ratings must lie in \[1, 4\]$"):
+        validate_survey(ratings, [[0, 1], [1, 0]], scale=(1, 4))
+    with pytest.raises(ScaleViolation, match="non-integer rating"):
+        validate_survey(RatingVector([4.5, 5]), [[0, 1], [1, 0]], strict_likert=True)
+
+
 def test_strict_likert_flag():
     with pytest.raises(ScaleViolation):
         validate_survey([3.5, 4], [[0, 1], [1, 0]], strict_likert=True)
