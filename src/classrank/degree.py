@@ -1,10 +1,12 @@
 """Degree-centrality weights and the weighted rating itself.
 
-Both weightings are visit-weighted incoming mass (Bergstrom, "Eigenfactor",
-C&RL News, 2007): endorsement i -> j carries ``v[i] * row_shares[i]``, with
-v = 1 for degree and the stationary walk for eigenfactor, and the weights
-are the mass each student receives, rescaled to sum to one. A student
-endorsed by nobody gets weight exactly zero.
+Both weightings, and each power step of the walk behind eigenfactor, are
+incoming mass (Bergstrom, "Eigenfactor", C&RL News, 2007): row i hands
+``v[i] * row_shares[i]`` to each student it endorses, and
+``_incoming_mass`` is the one sum over the endorsements. Degree takes
+v = 1, eigenfactor the stationary walk and a step alpha times the current
+distribution. The weights are the mass each student receives, rescaled to
+sum to one, so a student endorsed by nobody gets weight exactly zero.
 """
 
 from __future__ import annotations
@@ -12,36 +14,29 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateNetwork, DimensionMismatch
-from .survey import CompetenceMatrix, RatingVector
+from .survey import CompetenceMatrix, RatingVector, _readonly
 
 
-def _incoming_weights(
-    competence: CompetenceMatrix, visits: np.ndarray | None = None
-) -> np.ndarray:
-    """Read-only weights: incoming mass under ``visits``, rescaled to sum 1.
+def _incoming_mass(competence: CompetenceMatrix, row_mass: np.ndarray) -> np.ndarray:
+    """The mass each student receives when row i hands ``row_mass[i]`` to
+    each of its endorsements: the one sum over the endorsements, O(nnz).
 
-    Row i hands each endorsement ``visits[i] * row_shares[i]``, its bare
-    share when ``visits`` is None, repeated over ``row_sums`` into the O(nnz)
-    edge order. Raises DimensionMismatch unless ``visits`` is 1-d with one
-    entry a student, and DegenerateNetwork when no mass arrives.
+    ``row_mass`` is repeated over ``row_sums`` into the edge order of
+    ``targets``. A network without edges gets an int64 array of zeros.
     """
-    row_mass = competence.row_shares
-    if visits is not None:
-        if visits.shape != (competence.n,):
-            raise DimensionMismatch(
-                f"{visits.size} influence entries vs {competence.n} students"
-                f" (shape {visits.shape})"
-            )
-        row_mass = visits * row_mass
-    mass = np.bincount(
+    return np.bincount(
         competence.targets, row_mass.repeat(competence.row_sums), competence.n
     )
+
+
+def _incoming_weights(competence: CompetenceMatrix, row_mass: np.ndarray) -> np.ndarray:
+    """Read-only weights: the incoming mass under ``row_mass``, rescaled to
+    sum to 1. Raises DegenerateNetwork when no mass arrives."""
+    mass = _incoming_mass(competence, row_mass)
     total = mass.sum()
     if total <= 0.0:
         raise DegenerateNetwork("no student endorses any other")
-    weights = mass / total
-    weights.setflags(write=False)
-    return weights
+    return _readonly(mass / total)
 
 
 def degree_weights(competence: CompetenceMatrix) -> np.ndarray:
@@ -56,7 +51,7 @@ def degree_weights(competence: CompetenceMatrix) -> np.ndarray:
     DegenerateNetwork when the matrix has no endorsements at all, since then
     there is no mass to distribute.
     """
-    return _incoming_weights(competence)
+    return _incoming_weights(competence, competence.row_shares)
 
 
 def weighted_rating(ratings: RatingVector, weights: np.ndarray) -> float:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .degree import _incoming_weights
-from .errors import NoConvergence
-from .survey import CompetenceMatrix
+from .degree import _incoming_mass, _incoming_weights
+from .errors import DimensionMismatch, NoConvergence
+from .survey import CompetenceMatrix, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,10 +47,9 @@ def stationary_distribution(
 
     Each step follows every endorsement once: ``y[j]`` collects
     ``x[i] * (alpha * share_i)`` over the edges i -> j, where ``share_i`` is
-    ``competence.row_shares[i]``; the n products are taken first and
-    gathered along the edge sources, which the solver derives from
-    ``row_sums`` once per solve (the survey keeps compressed rows, so
-    ``competence.sources`` builds a new O(nnz) array on every access). Then
+    ``competence.row_shares[i]``: the n products are taken first and handed
+    to the incoming-mass kernel that both weightings use, which repeats them
+    over ``row_sums`` into edge order and sums them into their targets. Then
     every entry gains ``(1 - sum(y)) / n``. That term is exactly the
     teleport mass ``(1 - alpha) / n`` plus the dangling mass
     ``alpha * (x . d) / n`` plus any floating-point drift, so no walk
@@ -76,21 +75,18 @@ def stationary_distribution(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = competence.n
-    # built once per solve: every step gathers along the same sources
-    sources, targets = competence.sources, competence.targets
     shares = alpha * competence.row_shares
     total = np.add.reduce
     current = np.full(n, 1.0 / n)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        advanced = np.bincount(targets, (current * shares)[sources], n)
+        advanced = _incoming_mass(competence, current * shares)
         # not in place: a network without edges gets an int64 bincount
         advanced = advanced + (1.0 - total(advanced)) / n
         residual = float(total(np.abs(advanced - current)))
         current = advanced
         if residual <= tol:
-            current.setflags(write=False)
-            return InfluenceVector(current, iteration, residual)
+            return InfluenceVector(_readonly(current), iteration, residual)
     raise NoConvergence(
         f"residual {residual:.3e} still above {tol:.3e} after {max_iter} iterations"
     )
@@ -110,4 +106,10 @@ def eigenfactor_weights(
     DimensionMismatch unless ``influence`` has one entry a student, and
     DegenerateNetwork when nobody endorses anybody.
     """
-    return _incoming_weights(competence, influence.values)
+    values = influence.values
+    if values.shape != (competence.n,):
+        raise DimensionMismatch(
+            f"{values.size} influence entries vs {competence.n} students"
+            f" (shape {values.shape})"
+        )
+    return _incoming_weights(competence, values * competence.row_shares)

@@ -44,15 +44,18 @@ def score_method(
 ) -> MethodResult:
     """Score ``survey`` with ``method``, "degree" or "eigenfactor".
 
-    Raises DegenerateNetwork when nobody endorses anybody; the eigenfactor
-    solver raises ValueError on a bad setting and NoConvergence.
+    Raises ValueError naming any other method, and DegenerateNetwork when
+    nobody endorses anybody; the eigenfactor solver raises ValueError on a
+    bad setting and NoConvergence.
     """
     influence = None
     if method == "degree":
         weights = degree_weights(survey.competence)
-    else:
+    elif method == "eigenfactor":
         influence = stationary_distribution(survey.competence, alpha, tol, max_iter)
         weights = eigenfactor_weights(influence, survey.competence)
+    else:
+        raise ValueError(f"unknown weighting method {method!r}")
     rating = weighted_rating(survey.ratings, weights)
     return MethodResult(weights, rating, influence)
 

@@ -79,7 +79,8 @@ class RatingVector:
     """Per-student ratings of one course on a finite, bounded scale.
 
     ``low``, ``high`` and ``mean`` are the smallest, largest and mean
-    rating, taken once when the ratings are checked.
+    rating, taken once when the ratings are checked. Ratings whose mean
+    overflows the float range raise ScaleViolation.
     """
 
     values: np.ndarray
@@ -110,10 +111,16 @@ class RatingVector:
             raise ScaleViolation(
                 f"ratings must lie in [{self.scale_min}, {self.scale_max}]"
             )
+        # finite ratings on a finite scale can still sum past the float
+        # range, to an infinity or, both ways at once, to a NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(values.mean())
+        if not -np.inf < mean < np.inf:
+            raise ScaleViolation("the mean of the ratings overflows the float range")
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
-        object.__setattr__(self, "mean", float(values.mean()))
+        object.__setattr__(self, "mean", mean)
 
     @property
     def n(self) -> int:
@@ -135,11 +142,9 @@ class CompetenceMatrix:
     only array that grows with the number of endorsements; every sum over
     the matrix is a sum over them, O(nnz) rather than O(n^2).
 
-    ``sources``, the source of each endorsement, is derived from
-    ``row_sums`` on every access (``np.arange(n).repeat(row_sums)``), so
-    each access builds a new read-only O(nnz) array; a loop that needs it
-    should take it once. The share of each endorsement is
-    ``row_shares.repeat(row_sums)``.
+    The source of each endorsement is ``np.arange(n).repeat(row_sums)`` and
+    its share ``row_shares.repeat(row_sums)``, both in the order of
+    ``targets``; no array of either is kept.
 
     ``diagonal_policy`` decides the fate of self-endorsements, 1s on the
     diagonal, once every cell is 0 or 1: ``reject`` (the default) raises
@@ -201,11 +206,6 @@ class CompetenceMatrix:
     @property
     def n(self) -> int:
         return self.row_sums.size
-
-    @property
-    def sources(self) -> np.ndarray:
-        """The source student of each endorsement, a new O(nnz) array."""
-        return _readonly(np.arange(self.n).repeat(self.row_sums))
 
 
 @dataclass(frozen=True, eq=False)

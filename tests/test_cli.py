@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,20 @@ def test_rate_out_of_range_rating_exits_2(tmp_path, capsys):
     )
     result = run_cli(capsys, "rate", "--survey", str(path))
     assert_input_error(result, "scale [1.0, inf] must be finite")
+
+
+def test_rate_overflowing_mean_exits_2(tmp_path, capsys):
+    # every rating is finite and on the scale, but their mean overflows: an
+    # input error, not an "arithmetic_mean": Infinity report or a warning
+    doc = {"scale": [0, 1.7e308], "ratings": [1.7e308, 1.7e308]}
+    doc["competence"] = [[0, 1], [1, 0]]
+    path = tmp_path / "survey.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(capsys, "rate", "--survey", str(path))
+    assert_input_error(result, "the mean of the ratings overflows the float range")
+    assert "Infinity" not in result[1]
 
 
 @pytest.mark.parametrize("which", ["competence", "ratings"])

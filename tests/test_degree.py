@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -11,6 +12,7 @@ from classrank import (
     validate_survey,
     weighted_rating,
 )
+from classrank.report import METHODS, score_method
 from goldens import RATING_TOL, SCENARIO_EXPECTED, WEIGHT_TOL
 from oracles import degree_oracle
 
@@ -55,6 +57,19 @@ def test_degenerate_network_raises():
     survey = validate_survey([4, 5], [[0, 0], [0, 0]])
     with pytest.raises(DegenerateNetwork):
         degree_weights(survey.competence)
+
+
+def test_score_method_rejects_an_unknown_method():
+    # no name other than the two methods falls through to eigenfactor
+    survey = validate_survey([4, 5], [[0, 1], [1, 0]])
+    for method in ("pagerank", "Degree", ""):
+        message = re.escape(f"unknown weighting method {method!r}")
+        with pytest.raises(ValueError, match=message):
+            score_method(survey, method)
+    for method in METHODS:
+        assert score_method(survey, method).rating == pytest.approx(4.5, abs=1e-12)
+    assert score_method(survey, "degree").influence is None
+    assert score_method(survey, "eigenfactor").influence is not None
 
 
 def test_single_student_is_degenerate():

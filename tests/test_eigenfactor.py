@@ -229,7 +229,7 @@ def test_degenerate_network_raises():
     # distribution, and both weightings refuse it
     for n in (1, 2, 5, 30):
         competence = _competence(np.zeros((n, n), dtype=int))
-        assert competence.sources.size == 0
+        assert competence.targets.size == 0
         influence = stationary_distribution(competence, 0.85)
         assert influence.values.dtype == np.float64
         assert np.allclose(influence.values, 1.0 / n, rtol=0, atol=1e-15)

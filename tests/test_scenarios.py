@@ -161,6 +161,10 @@ def test_run_scenario_is_deterministic(scenario_bundle):
 TRIANGLE = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
+def _sources(competence):
+    return np.arange(competence.n).repeat(competence.row_sums)
+
+
 def _bundle(**change):
     doc = {
         "ratings": [4, 5, 3],
@@ -233,13 +237,16 @@ def test_loader_counts_null_cells_as_zero_like_the_survey_loader():
     scenarios = [{"id": 1, "competence": competence}]
     (scenario,) = load_scenarios(_bundle(scenarios=scenarios))
     survey = load_survey_json({"ratings": [4, 5, 3], "competence": competence})
-    for name in ("sources", "targets", "row_shares", "row_sums"):
+    # the sources follow from row_sums
+    for name in ("targets", "row_shares", "row_sums"):
         assert np.array_equal(
             getattr(scenario.survey.competence, name),
             getattr(survey.competence, name),
         )
     # the null cells (0, 2) and (2, 0) are no endorsements
-    edges = zip(survey.competence.sources.tolist(), survey.competence.targets.tolist())
+    edges = zip(
+        _sources(survey.competence).tolist(), survey.competence.targets.tolist()
+    )
     assert list(edges) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +30,14 @@ def _shares(competence):
     return competence.row_shares.repeat(competence.row_sums)
 
 
+def _sources(competence):
+    return np.arange(competence.n).repeat(competence.row_sums)
+
+
 def _edges(competence):
     return sorted(
         zip(
-            competence.sources.tolist(),
+            _sources(competence).tolist(),
             competence.targets.tolist(),
             _shares(competence).tolist(),
         )
@@ -190,8 +195,9 @@ def test_accepted_cells_match_the_two_mask_check(kind, data):
         assert (type(exc), str(exc)) == expected
         return
     assert isinstance(expected, dict)
-    for name in ("sources", "targets", "row_sums"):
+    for name in ("targets", "row_sums"):
         assert np.array_equal(getattr(competence, name), expected[name])
+    assert np.array_equal(_sources(competence), expected["sources"])
     assert np.array_equal(_shares(competence), expected["shares"])
     assert competence.dangling == expected["dangling"]
     assert competence.self_endorsers == expected["self_endorsers"]
@@ -320,6 +326,34 @@ def test_non_finite_rating_rejected():
         RatingVector([4, float("nan")])
 
 
+OVERFLOWING_MEAN = "^the mean of the ratings overflows the float range$"
+
+
+def test_overflowing_mean_rejected_without_a_warning():
+    # finite ratings on a finite scale can sum past the float range: to inf,
+    # or to inf - inf = NaN when numpy's pairwise sum meets both signs. No
+    # RuntimeWarning is emitted and no infinite mean is kept.
+    big = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for raw, scale in (
+            ([big, big], (0, big)),
+            ([big, big, 0, 0, -big, -big, 0, 0] * 2, (-big, big)),
+        ):
+            with pytest.raises(ScaleViolation, match=OVERFLOWING_MEAN):
+                RatingVector(raw, *scale)
+        # a mean near the top of the float range that fits is kept
+        assert RatingVector([8.9e307, 8.9e307], 0, big).mean == 8.9e307
+    # the finite and scale checks come first, with their messages unchanged
+    with pytest.raises(ScaleViolation, match="^ratings must be finite numbers$"):
+        RatingVector([big, big, np.inf], 0, big)
+    with pytest.raises(ScaleViolation, match=r"^ratings must lie in \[0, 1.7e\+308\]$"):
+        RatingVector([big, big, -1.0], 0, big)
+    doc = {"scale": [0, big], "ratings": [big, big], "competence": [[0, 1], [1, 0]]}
+    with pytest.raises(ScaleViolation, match=OVERFLOWING_MEAN):
+        load_survey_json(doc)
+
+
 def _rating_check_by_masks(values, scale):
     """The message of the first failing rating check, each made as a mask
     over every rating, in the order the checks are made; None if all pass."""
@@ -415,7 +449,8 @@ def test_validation_is_idempotent(scenario_bundle, scenario_matrices):
         label=survey.label,
     )
     assert np.array_equal(again.ratings.values, survey.ratings.values)
-    for name in ("sources", "targets", "row_shares", "row_sums"):
+    # the sources follow from row_sums
+    for name in ("targets", "row_shares", "row_sums"):
         assert np.array_equal(
             getattr(again.competence, name), getattr(survey.competence, name)
         )
@@ -427,7 +462,6 @@ def test_arrays_are_frozen(scenario_bundle):
     survey = scenario_bundle[0].survey
     competence = survey.competence
     for array in (
-        competence.sources,
         competence.targets,
         competence.row_sums,
         competence.row_shares,
@@ -451,7 +485,7 @@ def test_normalize_uniform_matrix():
 def test_normalize_rows_sum_to_one_or_zero(scenario_bundle):
     for scenario in scenario_bundle:
         competence = scenario.survey.competence
-        sums = np.bincount(competence.sources, _shares(competence), competence.n)
+        sums = np.bincount(_sources(competence), _shares(competence), competence.n)
         for i, total in enumerate(sums):
             if i in competence.dangling:
                 assert total == 0.0
@@ -463,7 +497,7 @@ def test_normalize_rows_sum_to_one_or_zero(scenario_bundle):
 def test_normalize_three_endorsements_gives_thirds(scenario_bundle):
     # row 6 (0-based 5) endorses exactly three students
     competence = scenario_bundle[0].survey.competence
-    row = _shares(competence)[competence.sources == 5]
+    row = _shares(competence)[_sources(competence) == 5]
     assert competence.row_sums[5] == 3
     assert np.allclose(row, 1 / 3, atol=1e-15)
     assert row.size == 3
@@ -472,7 +506,7 @@ def test_normalize_three_endorsements_gives_thirds(scenario_bundle):
 def test_normalize_keeps_dangling_row_zero(scenario_bundle):
     competence = scenario_bundle[0].survey.competence
     assert competence.dangling == frozenset({7})
-    assert 7 not in competence.sources
+    assert 7 not in _sources(competence)
 
 
 def test_normalize_permutation_equivariant():
@@ -501,13 +535,13 @@ def test_normalize_edge_list_scatters_to_the_dense_oracle(scenario_matrices):
     for raw in raws:
         competence = CompetenceMatrix(raw)
         n = len(raw)
-        assert competence.sources.size == np.count_nonzero(raw)  # no repeats
+        assert _sources(competence).size == np.count_nonzero(raw)  # no repeats
         assert _shares(competence).dtype == np.float64
-        for array in (competence.sources, competence.targets, competence.row_shares):
+        for array in (competence.targets, competence.row_shares):
             assert not array.flags.writeable
         assert np.array_equal(competence.row_sums, raw.sum(axis=1))
         dense = np.zeros((n, n))
-        dense[competence.sources, competence.targets] = _shares(competence)
+        dense[_sources(competence), competence.targets] = _shares(competence)
         assert np.array_equal(dense, dense_normalized(raw))
 
 
