@@ -60,7 +60,9 @@ def stationary_distribution(
     infinite tol states no accuracy); the map contracts by ``alpha`` in L1,
     so the result is then within ``alpha / (1 - alpha) * tol`` of the exact
     distribution. The run is deterministic: fixed start, fixed operation
-    order. Raises NoConvergence if ``max_iter`` steps are not enough.
+    order. ``max_iter`` must be an integer of at least 1 (a Python or numpy
+    integer, not a bool or a float). Raises NoConvergence if ``max_iter``
+    steps are not enough.
 
     The returned ``values`` are strictly positive (each entry holds at
     least the teleport mass ``(1 - alpha) / n``) and sum to 1 within 1e-12,
@@ -72,6 +74,9 @@ def stationary_distribution(
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    # a float would fail inside range() and a bool would run one step
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n = competence.n

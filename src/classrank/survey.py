@@ -19,6 +19,7 @@ and so on) sends its grid down the general path through ``np.asarray`` or
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -49,7 +50,9 @@ _CSV_CELLS = {"0": 0, "1": 1, "": 0}
 # cells per block of whole rows in the competence matrix scan, one block for
 # n <= 512: at n = 3000 on a 2-vCPU Xeon VM, blocks of 2^18 to 2^20 cells
 # scan as fast as a mask of the whole matrix, 2^14 is slower and 2^22 holds
-# a mask 16x larger
+# a mask 16x larger. A matrix of more than one block is scanned by two
+# threads in blocks of half this size, so the masks live at once still hold
+# 2^18 cells (twice that for a transposed matrix).
 _BLOCK_CELLS = 1 << 18
 
 
@@ -58,20 +61,61 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _scan(entries: np.ndarray, start: int, stop: int, rows: int) -> list:
+    """The flat indices of the nonzero cells of rows start..stop-1, one
+    block of ``rows`` rows at a time, as a list of arrays in row order.
+    ``stop - start`` is a multiple of ``rows`` unless ``stop`` is n."""
+    n = entries.shape[1]
+    blocks = []
+    for first in range(start, stop, rows):
+        cells = np.flatnonzero(entries[first : first + rows] != 0)
+        if first:
+            cells += first * n
+        blocks.append(cells)
+    return blocks
+
+
 def _nonzero_cells(entries: np.ndarray) -> np.ndarray:
     """Row-major flat indices of the cells of a square matrix that are not 0
     (every string cell), found one block of rows at a time so that no mask
     of the whole matrix is made, in either layout. A single block, every
-    matrix up to n = 512, is returned as it is, with no offset or copy."""
+    matrix up to n = 512, is returned as it is, with no offset, copy or
+    thread.
+
+    A larger matrix is split into two halves of blocks of ``_BLOCK_CELLS //
+    2`` cells: one helper thread scans the later half while the caller scans
+    the first, and the caller joins it whatever happens, then re-raises what
+    the helper raised. numpy releases the GIL in both passes of a block
+    (``!= 0`` and ``flatnonzero``) for every dtype but object, so the scan
+    takes two cores; object cells give the same result on two threads, but
+    no speed-up, since their comparisons hold the GIL.
+    """
     n = entries.shape[0]
     rows = max(1, _BLOCK_CELLS // n)
-    blocks = []
-    for start in range(0, n, rows):
-        cells = np.flatnonzero(entries[start : start + rows] != 0)
-        if start:
-            cells += start * n
-        blocks.append(cells)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if rows >= n:
+        return np.flatnonzero(entries != 0)
+    rows = max(1, _BLOCK_CELLS // 2 // n)
+    # the first half of the blocks, rounded up, stays with the caller; there
+    # are at least two, so the helper gets at least one
+    middle = (-(-n // rows) + 1) // 2 * rows
+    later, failure = [], []
+
+    def scan_later():
+        try:
+            later.extend(_scan(entries, middle, n, rows))
+        # handed to the caller, which raises it once the helper is joined
+        except BaseException as exc:
+            failure.append(exc)
+
+    helper = threading.Thread(target=scan_later, name="classrank-scan")
+    helper.start()
+    try:
+        blocks = _scan(entries, 0, middle, rows)
+    finally:
+        helper.join()
+    if failure:
+        raise failure[0]
+    return np.concatenate(blocks + later)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +196,14 @@ class CompetenceMatrix:
     whatever the dtype, and lists their students in ``self_endorsers``.
 
     Validation reads the matrix once, in blocks of whole rows, to find the
-    cells that are not 0, then checks only those cells to be 1. Its scratch
-    memory is the bool mask of one block (a matrix not in C order adds a
-    C-ordered copy of it) plus O(nnz), whatever the layout: no n x n array
-    of any dtype is made.
+    cells that are not 0, then checks only those cells to be 1. A matrix of
+    more than one block (n > 512) is read by two scanners, the caller and
+    one helper thread, each taking half of the blocks in blocks of half the
+    size; object cells give the same edges that way but no speed-up, since
+    their comparisons hold the GIL. Its scratch memory is the bool mask of
+    one block, or of two half-size blocks (a matrix not in C order adds a
+    C-ordered copy of each), plus O(nnz), whatever the layout: no n x n
+    array of any dtype is made, and no thread outlives validation.
     """
 
     entries: InitVar[np.ndarray]
@@ -244,6 +292,9 @@ def validate_survey(
     matrix check. ``strict_likert`` additionally requires every rating to
     be an integer.
 
+    ``scale`` is exactly two numbers, the lowest and the highest rating;
+    any other length raises ScaleViolation.
+
     Errors come in this order: the ratings, an unknown policy (ValueError),
     the matrix shape, its first cell other than 0 or 1 (NonBinaryEntry,
     under both policies), and last a self-endorsement under ``reject``.
@@ -255,11 +306,17 @@ def validate_survey(
     checked when it was built and is used as it is, so surveys can share
     it; one on another scale has its values checked on the requested one.
     """
+    try:
+        low, high = scale
+    except (TypeError, ValueError):
+        raise ScaleViolation(
+            f"scale must be two numbers, low and high: got {scale!r}"
+        ) from None
     ratings = raw_ratings
     if not isinstance(ratings, RatingVector):
-        ratings = RatingVector(ratings, scale_min=scale[0], scale_max=scale[1])
-    elif (ratings.scale_min, ratings.scale_max) != tuple(scale):
-        ratings = RatingVector(ratings.values, scale_min=scale[0], scale_max=scale[1])
+        ratings = RatingVector(ratings, scale_min=low, scale_max=high)
+    elif (ratings.scale_min, ratings.scale_max) != (low, high):
+        ratings = RatingVector(ratings.values, scale_min=low, scale_max=high)
     if strict_likert:
         fractional = ratings.values != np.floor(ratings.values)
         if fractional.any():

@@ -182,6 +182,16 @@ def test_solver_parameter_validation(scenario_by_id):
             stationary_distribution(competence, tol=tol)
     with pytest.raises(ValueError):
         stationary_distribution(competence, max_iter=0)
+    # a float failed inside range() with a TypeError, and True ran one step
+    for max_iter in (2.5, 1000.0, True, np.True_, "1000", None):
+        with pytest.raises(ValueError, match="^max_iter must be an integer, got "):
+            stationary_distribution(competence, max_iter=max_iter)
+    # numpy integers are integers
+    for max_iter in (np.int64(1000), np.uint16(1000)):
+        exact = stationary_distribution(competence, max_iter=1000)
+        result = stationary_distribution(competence, max_iter=max_iter)
+        assert result.iterations == exact.iterations
+        assert np.array_equal(result.values, exact.values)
 
 
 def test_golden_weights_most_scenarios(result_by_id):

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -203,6 +204,62 @@ def test_accepted_cells_match_the_two_mask_check(kind, data):
     assert competence.self_endorsers == expected["self_endorsers"]
 
 
+class _UnreadableCell:
+    """An object cell whose comparison with 0 fails, noting the thread."""
+
+    def __init__(self):
+        self.threads = []
+
+    def __ne__(self, other):
+        self.threads.append(threading.current_thread())
+        raise RuntimeError("this cell cannot be compared")
+
+
+def test_helper_failure_reaches_the_caller(monkeypatch):
+    # eight rows in half blocks of one row: the caller scans rows 0-3 and a
+    # helper thread rows 4-7, where the unreadable cell is. Its error reaches
+    # the caller as it does from a one-block scan, and the helper is gone.
+    n = 8
+    cell = _UnreadableCell()
+    matrix = np.zeros((n, n), dtype=object)
+    matrix[6, 2] = cell
+    monkeypatch.setattr("classrank.survey._BLOCK_CELLS", n * n)
+    with pytest.raises(RuntimeError) as one_block:
+        CompetenceMatrix(matrix)
+    assert cell.threads == [threading.main_thread()]
+    before = threading.active_count()
+    monkeypatch.setattr("classrank.survey._BLOCK_CELLS", 2 * n)
+    with pytest.raises(RuntimeError) as two_scanners:
+        CompetenceMatrix(matrix)
+    assert cell.threads[1] is not threading.main_thread()
+    assert (type(two_scanners.value), str(two_scanners.value)) == (
+        type(one_block.value),
+        str(one_block.value),
+    )
+    assert threading.active_count() == before
+
+
+def test_only_a_matrix_of_several_blocks_starts_a_thread(monkeypatch):
+    # one block, n <= 512 at the default 2^18 cells, is scanned by the caller
+    # alone; at n = 513 one helper thread scans half of the blocks and is
+    # joined before validation returns
+    started = []
+    thread = threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(thread(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(threading, "Thread", counted)
+    for n, threads in ((512, 0), (513, 1)):
+        matrix = np.zeros((n, n), dtype=np.uint8)
+        matrix[n - 1, 0] = matrix[0, n - 1] = 1
+        competence = CompetenceMatrix(matrix)
+        assert competence.targets.tolist() == [n - 1, 0]
+        assert len(started) == threads
+        assert not any(helper.is_alive() for helper in started)
+
+
 @pytest.mark.parametrize("transposed", [False, True])
 def test_validation_allocates_no_full_size_mask(transposed):
     # a sparse network, ~8 endorsements a row as in the surveys: the 0/1
@@ -319,6 +376,21 @@ def test_rating_outside_scale_rejected():
     # which is not JSON
     with pytest.raises(ScaleViolation, match="must be finite"):
         RatingVector([3], scale_max=np.inf)
+
+
+@pytest.mark.parametrize("scale", [(1, 5, 9), (1,), (), 5])
+def test_scale_of_other_than_two_numbers_rejected(tmp_path, scale):
+    # a third number was ignored and a single one raised IndexError
+    message = f"^scale must be two numbers, low and high: got {re.escape(repr(scale))}$"
+    with pytest.raises(ScaleViolation, match=message):
+        validate_survey([4, 4], [[0, 1], [1, 0]], scale=scale)
+    with pytest.raises(ScaleViolation, match=message):
+        validate_survey(RatingVector([4, 4]), [[0, 1], [1, 0]], scale=scale)
+    matrix_path, ratings_path = tmp_path / "matrix.csv", tmp_path / "ratings.csv"
+    matrix_path.write_text("0,1\n1,0\n", encoding="utf-8")
+    ratings_path.write_text("4\n4\n", encoding="utf-8")
+    with pytest.raises(ScaleViolation, match=message):
+        load_survey_csv(matrix_path, ratings_path, scale=scale)
 
 
 def test_non_finite_rating_rejected():
