@@ -67,7 +67,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rate = sub.add_parser("rate", help="score one survey with both methods")
+    # the flags rate and scenarios share, declared once
+    walk = argparse.ArgumentParser(add_help=False)
+    walk.add_argument(
+        "--alpha",
+        type=number,
+        default=DEFAULT_ALPHA,
+        help="walk-following probability, teleportation is 1-alpha "
+        "(default 0.85)",
+    )
+    walk.add_argument(
+        "--tol",
+        type=number,
+        default=DEFAULT_TOL,
+        help="stop once the L1 change between power-iteration steps is at "
+        "most TOL (default 1e-12); the influence vector is then within "
+        "alpha/(1-alpha)*TOL of exact in L1",
+    )
+    walk.add_argument(
+        "--max-iter",
+        type=integer,
+        default=DEFAULT_MAX_ITER,
+        help="power iteration cap (default 1000)",
+    )
+    walk.add_argument(
+        "--diagonal-policy",
+        choices=DIAGONAL_POLICIES,
+        default="coerce",
+        help="what to do with self-endorsements (default coerce to 0)",
+    )
+    walk.add_argument("--output", help="write the JSON report here instead of stdout")
+
+    rate = sub.add_parser(
+        "rate", parents=[walk], help="score one survey with both methods"
+    )
     rate.add_argument("--survey", help="survey JSON document")
     rate.add_argument(
         "--competence-csv", help="competence matrix CSV (with --ratings-csv)"
@@ -84,19 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="rating scale for CSV input (default 1 5); a survey document "
         "carries its own, so --survey excludes it",
     )
-    _add_walk_flags(rate)
-    rate.add_argument(
-        "--diagonal-policy",
-        choices=DIAGONAL_POLICIES,
-        default="coerce",
-        help="what to do with self-endorsements (default coerce to 0)",
-    )
     rate.add_argument(
         "--strict-likert",
         action="store_true",
         help="reject non-integer ratings",
     )
-    rate.add_argument("--output", help="write the JSON report here instead of stdout")
 
     dispersion = sub.add_parser(
         "dispersion", help="aggregate mode-deviation counts from a CSV"
@@ -121,45 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     dispersion.add_argument("--output", help="write the JSON report here")
 
     scenarios = sub.add_parser(
-        "scenarios", help="run a biased-rating scenario bundle"
+        "scenarios", parents=[walk], help="run a biased-rating scenario bundle"
     )
     scenarios.add_argument(
         "--scenario-file",
         help="scenario bundle JSON (default: bundled six-scenario fixture)",
     )
-    _add_walk_flags(scenarios)
-    scenarios.add_argument(
-        "--diagonal-policy",
-        choices=DIAGONAL_POLICIES,
-        default="coerce",
-    )
-    scenarios.add_argument("--output", help="write the JSON report here")
 
     return parser
-
-
-def _add_walk_flags(parser) -> None:
-    parser.add_argument(
-        "--alpha",
-        type=number,
-        default=DEFAULT_ALPHA,
-        help="walk-following probability, teleportation is 1-alpha "
-        "(default 0.85)",
-    )
-    parser.add_argument(
-        "--tol",
-        type=number,
-        default=DEFAULT_TOL,
-        help="stop once the L1 change between power-iteration steps is at "
-        "most TOL (default 1e-12); the influence vector is then within "
-        "alpha/(1-alpha)*TOL of exact in L1",
-    )
-    parser.add_argument(
-        "--max-iter",
-        type=integer,
-        default=DEFAULT_MAX_ITER,
-        help="power iteration cap (default 1000)",
-    )
 
 
 def _emit(document: dict, output: str | None) -> None:
@@ -239,6 +233,11 @@ def _cmd_scenarios(args, config: dict) -> int:
     if path is None:
         path = str(scenario_fixture_path())
     bundle = load_scenarios(path, diagonal_policy=args.diagonal_policy)
+    # the scenario report has no warnings field: zeroed self-endorsements
+    # are told here instead
+    for scenario in bundle:
+        for warning in scenario.survey.warnings:
+            print(f"scenario {scenario.id}: {warning}", file=sys.stderr)
     results = [
         run_scenario(scenario, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
         for scenario in bundle

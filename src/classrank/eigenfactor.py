@@ -20,7 +20,7 @@ import numpy as np
 from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .degree import _incoming_mass, _incoming_weights
 from .errors import DimensionMismatch, NoConvergence
-from .survey import CompetenceMatrix, _readonly
+from .survey import CompetenceMatrix, _readonly, _real
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +60,10 @@ def stationary_distribution(
     infinite tol states no accuracy); the map contracts by ``alpha`` in L1,
     so the result is then within ``alpha / (1 - alpha) * tol`` of the exact
     distribution. The run is deterministic: fixed start, fixed operation
-    order. ``max_iter`` must be an integer of at least 1 (a Python or numpy
-    integer, not a bool or a float). Raises NoConvergence if ``max_iter``
-    steps are not enough.
+    order. ``alpha`` and ``tol`` must be real numbers (Python or numpy), not
+    bools or strings, and ``max_iter`` an integer of at least 1 (a Python or
+    numpy integer, not a bool or a float); each raises ValueError otherwise.
+    Raises NoConvergence if ``max_iter`` steps are not enough.
 
     The returned ``values`` are strictly positive (each entry holds at
     least the teleport mass ``(1 - alpha) / n``) and sum to 1 within 1e-12,
@@ -70,9 +71,11 @@ def stationary_distribution(
     and ``tests/test_eigenfactor.py::test_influence_meets_teleportation_floor``
     pin.
     """
-    if not 0.0 <= alpha < 1.0:
+    # a bool or a string is no setting: True would run as 1, "0.5" would
+    # fail with a TypeError
+    if not (_real(alpha) and 0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-    if not 0 < tol < np.inf:
+    if not (_real(tol) and 0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     # a float would fail inside range() and a bool would run one step
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):

@@ -19,7 +19,7 @@ and so on) sends its grid down the general path through ``np.asarray`` or
 from __future__ import annotations
 
 import json
-import threading
+import numbers
 from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -56,6 +56,11 @@ _CSV_CELLS = {"0": 0, "1": 1, "": 0}
 _BLOCK_CELLS = 1 << 18
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number (numpy's too), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -83,12 +88,13 @@ def _nonzero_cells(entries: np.ndarray) -> np.ndarray:
     thread.
 
     A larger matrix is split into two halves of blocks of ``_BLOCK_CELLS //
-    2`` cells: one helper thread scans the later half while the caller scans
-    the first, and the caller joins it whatever happens, then re-raises what
-    the helper raised. numpy releases the GIL in both passes of a block
-    (``!= 0`` and ``flatnonzero``) for every dtype but object, so the scan
-    takes two cores; object cells give the same result on two threads, but
-    no speed-up, since their comparisons hold the GIL.
+    2`` cells: the later half is a future of a one-worker ThreadPoolExecutor
+    while the caller scans the first. Leaving the executor's block joins the
+    helper whatever happens, and the future's result raises what the helper
+    raised. numpy releases the GIL in both passes of a block (``!= 0`` and
+    ``flatnonzero``) for every dtype but object, so the scan takes two
+    cores; object cells give the same result on two threads, but no
+    speed-up, since their comparisons hold the GIL.
     """
     n = entries.shape[0]
     rows = max(1, _BLOCK_CELLS // n)
@@ -98,24 +104,14 @@ def _nonzero_cells(entries: np.ndarray) -> np.ndarray:
     # the first half of the blocks, rounded up, stays with the caller; there
     # are at least two, so the helper gets at least one
     middle = (-(-n // rows) + 1) // 2 * rows
-    later, failure = [], []
+    # imported here: numpy does not load concurrent.futures, and a cold
+    # import of it costs several ms that no one-block scan should pay
+    from concurrent.futures import ThreadPoolExecutor
 
-    def scan_later():
-        try:
-            later.extend(_scan(entries, middle, n, rows))
-        # handed to the caller, which raises it once the helper is joined
-        except BaseException as exc:
-            failure.append(exc)
-
-    helper = threading.Thread(target=scan_later, name="classrank-scan")
-    helper.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="classrank-scan") as pool:
+        later = pool.submit(_scan, entries, middle, n, rows)
         blocks = _scan(entries, 0, middle, rows)
-    finally:
-        helper.join()
-    if failure:
-        raise failure[0]
-    return np.concatenate(blocks + later)
+    return np.concatenate(blocks + later.result())
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +119,9 @@ class RatingVector:
     """Per-student ratings of one course on a finite, bounded scale.
 
     ``low``, ``high`` and ``mean`` are the smallest, largest and mean
-    rating, taken once when the ratings are checked. Ratings whose mean
-    overflows the float range raise ScaleViolation.
+    rating, taken once when the ratings are checked. A scale entry that is
+    a bool or not a real number, and ratings whose mean overflows the float
+    range, raise ScaleViolation.
     """
 
     values: np.ndarray
@@ -138,6 +135,11 @@ class RatingVector:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise DimensionMismatch("ratings must form a nonempty 1-d sequence")
+        if not (_real(self.scale_min) and _real(self.scale_max)):
+            raise ScaleViolation(
+                f"scale [{self.scale_min!r}, {self.scale_max!r}] must be two "
+                "real numbers"
+            )
         if not self.scale_min < self.scale_max:
             raise ScaleViolation(
                 f"scale [{self.scale_min}, {self.scale_max}] is not an interval"
@@ -198,12 +200,13 @@ class CompetenceMatrix:
     Validation reads the matrix once, in blocks of whole rows, to find the
     cells that are not 0, then checks only those cells to be 1. A matrix of
     more than one block (n > 512) is read by two scanners, the caller and
-    one helper thread, each taking half of the blocks in blocks of half the
-    size; object cells give the same edges that way but no speed-up, since
-    their comparisons hold the GIL. Its scratch memory is the bool mask of
-    one block, or of two half-size blocks (a matrix not in C order adds a
-    C-ordered copy of each), plus O(nnz), whatever the layout: no n x n
-    array of any dtype is made, and no thread outlives validation.
+    the one worker of a ThreadPoolExecutor, each taking half of the blocks
+    in blocks of half the size; object cells give the same edges that way
+    but no speed-up, since their comparisons hold the GIL. Its scratch
+    memory is the bool mask of one block, or of two half-size blocks (a
+    matrix not in C order adds a C-ordered copy of each), plus O(nnz),
+    whatever the layout: no n x n array of any dtype is made, and the
+    worker is joined before validation returns or raises.
     """
 
     entries: InitVar[np.ndarray]
@@ -292,8 +295,9 @@ def validate_survey(
     matrix check. ``strict_likert`` additionally requires every rating to
     be an integer.
 
-    ``scale`` is exactly two numbers, the lowest and the highest rating;
-    any other length raises ScaleViolation.
+    ``scale`` is exactly two real numbers (numpy's too, not bools), the
+    lowest and the highest rating; any other length or entry raises
+    ScaleViolation.
 
     Errors come in this order: the ratings, an unknown policy (ValueError),
     the matrix shape, its first cell other than 0 or 1 (NonBinaryEntry,

@@ -485,6 +485,34 @@ def test_scenarios_explicit_file_matches_default(tmp_path, capsys):
     assert json.loads(out)["results"] == explicit["results"]
 
 
+
+def test_scenarios_tell_zeroed_self_endorsements_on_stderr(tmp_path, capsys):
+    # the scenario report has no warnings field: a zeroed self-endorsement
+    # is told on stderr, and the report is that of the zeroed bundle
+    bundle = json.loads(scenario_fixture_path().read_text(encoding="utf-8"))
+    clean = tmp_path / "clean.json"
+    clean.write_text(json.dumps(bundle), encoding="utf-8")
+    bundle["scenarios"][0]["competence"][3][3] = 1
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps(bundle), encoding="utf-8")
+    code, expected, err = run_cli(capsys, "scenarios", "--scenario-file", str(clean))
+    assert code == 0 and "zeroed" not in err
+    code, out, err = run_cli(capsys, "scenarios", "--scenario-file", str(planted))
+    assert code == 0 and out == expected
+    assert "scenario 1: zeroed diagonal entries at indices [3]\n" in err
+    assert err.count("zeroed") == 1
+    assert_input_error(
+        run_cli(
+            capsys,
+            "scenarios",
+            "--scenario-file",
+            str(planted),
+            "--diagonal-policy",
+            "reject",
+        ),
+        "self-endorsement at index [3]",
+    )
+
 def test_scenarios_records_per_method_failures(tmp_path, capsys):
     doc = {
         "ratings": [4, 5],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from classrank import (
+    DispersionRow,
     EmptyInput,
     MalformedInput,
     aggregate,
@@ -134,6 +135,11 @@ def test_aggregate_empty_rejected():
         aggregate([])
 
 
+
+def test_aggregate_of_rows_without_ratings_rejected():
+    with pytest.raises(EmptyInput, match="^dispersion rows hold no ratings$"):
+        aggregate([DispersionRow("a", 0, 4, 0, 0), DispersionRow("b", 0, 3, 0, 0)])
+
 def test_long_form_csv(tmp_path):
     path = tmp_path / "ratings.csv"
     path.write_text(
@@ -203,6 +209,14 @@ def test_malformed_csv_rejected(tmp_path):
         with pytest.raises(MalformedInput, match=message):
             read_dispersion_csv(path)
 
+
+
+@pytest.mark.parametrize("row", ["a,0,4,0,0", "a,10,4,-1,0"], ids=["n=0", "dev2=-1"])
+def test_counted_form_rejects_negative_or_empty_counts(tmp_path, row):
+    path = tmp_path / "counts.csv"
+    path.write_text(f"label,n,mode,dev2,dev3plus\n{row}\n", encoding="utf-8")
+    with pytest.raises(MalformedInput, match="^negative or empty counts for 'a' in "):
+        read_dispersion_csv(path)
 
 def test_long_form_reads_each_repeated_cell_alike(tmp_path):
     # each distinct cell is parsed once: a cell seen before, good or bad,

@@ -194,6 +194,24 @@ def test_solver_parameter_validation(scenario_by_id):
         assert np.array_equal(result.values, exact.values)
 
 
+
+def test_solver_settings_must_be_real_numbers(scenario_by_id):
+    # a string raised a bare TypeError, and False or True ran as 0 or 1
+    competence = scenario_by_id[1].survey.competence
+    for alpha in ("0.5", False, None, 0.5j):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\), got "):
+            stationary_distribution(competence, alpha=alpha)
+    for tol in ("1e-3", True, None):
+        with pytest.raises(ValueError, match="^tol must be positive and finite, got "):
+            stationary_distribution(competence, tol=tol)
+    # numpy scalars are numbers
+    exact = stationary_distribution(competence, alpha=0.5, tol=1e-9)
+    result = stationary_distribution(
+        competence, alpha=np.float64(0.5), tol=np.float32(1e-9)
+    )
+    assert result.iterations == exact.iterations
+    assert stationary_distribution(competence, alpha=np.float32(0.5)).iterations
+
 def test_golden_weights_most_scenarios(result_by_id):
     for sid, expected in SCENARIO_EXPECTED.items():
         if sid == 3:

@@ -7,7 +7,7 @@ import pytest
 
 import classrank
 from classrank import common
-from classrank.data import clarity_counts_path
+from classrank.data import clarity_counts_path, example_survey_path
 
 
 def fresh(script, *args):
@@ -44,6 +44,18 @@ def test_cli_import_leaves_the_bundled_data_unloaded():
     script = "import sys, classrank.cli\nprint('classrank.data' in sys.modules)"
     assert fresh(script) == "False\n"
 
+
+
+def test_rate_leaves_the_thread_pool_unloaded(tmp_path):
+    # only a matrix of more than one block (n > 512) imports
+    # concurrent.futures for its second scanner
+    script = (
+        "import sys\n"
+        "from classrank.cli import main\n"
+        "assert main(['rate', '--survey', sys.argv[1], '--output', sys.argv[2]]) == 0\n"
+        "print('concurrent.futures' in sys.modules)"
+    )
+    assert fresh(script, example_survey_path(), tmp_path / "report.json") == "False\n"
 
 def test_public_names_are_their_home_module_objects():
     for name in classrank.__all__:

@@ -199,6 +199,13 @@ def test_loader_validates_document(tmp_path):
         load_scenarios(_bundle(scenarios=twice))
 
 
+
+@pytest.mark.parametrize("sid", ["a", True, 1.0, None])
+def test_loader_rejects_a_scenario_id_that_is_not_an_integer(sid):
+    scenarios = [{"id": sid, "competence": TRIANGLE}]
+    with pytest.raises(MalformedInput, match="^scenario #1 id must be an integer$"):
+        load_scenarios(_bundle(scenarios=scenarios))
+
 def test_loader_rejects_non_number_cells_and_scale():
     for cell in (True, "1"):
         scenarios = [{"id": 1, "competence": [[0, 1, cell], [1, 0, 1], [1, 1, 0]]}]

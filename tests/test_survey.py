@@ -239,6 +239,29 @@ def test_helper_failure_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+
+def test_caller_failure_joins_the_helper(monkeypatch):
+    # the unreadable cell in the caller's own half, rows 0-3: its error
+    # reaches the caller unchanged, and only after the helper has finished
+    # rows 4-7 and been joined
+    n = 8
+    cell = _UnreadableCell()
+    matrix = np.zeros((n, n), dtype=object)
+    matrix[1, 5] = cell
+    monkeypatch.setattr("classrank.survey._BLOCK_CELLS", n * n)
+    with pytest.raises(RuntimeError) as one_block:
+        CompetenceMatrix(matrix)
+    before = threading.active_count()
+    monkeypatch.setattr("classrank.survey._BLOCK_CELLS", 2 * n)
+    with pytest.raises(RuntimeError) as two_scanners:
+        CompetenceMatrix(matrix)
+    assert cell.threads == [threading.main_thread()] * 2
+    assert (type(two_scanners.value), str(two_scanners.value)) == (
+        type(one_block.value),
+        str(one_block.value),
+    )
+    assert threading.active_count() == before
+
 def test_only_a_matrix_of_several_blocks_starts_a_thread(monkeypatch):
     # one block, n <= 512 at the default 2^18 cells, is scanned by the caller
     # alone; at n = 513 one helper thread scans half of the blocks and is
@@ -392,6 +415,44 @@ def test_scale_of_other_than_two_numbers_rejected(tmp_path, scale):
     with pytest.raises(ScaleViolation, match=message):
         load_survey_csv(matrix_path, ratings_path, scale=scale)
 
+
+
+@pytest.mark.parametrize(
+    "scale", [("1", "5"), (1, None), (False, True), (np.False_, 5), (1, 5j)]
+)
+def test_scale_entries_must_be_real_numbers(tmp_path, scale):
+    # a string or None raised a bare TypeError, and (False, True) was taken
+    # as the scale [0, 1] and written to the report as [false, true]
+    message = f"^scale {re.escape(repr(list(scale)))} must be two real numbers$"
+    with pytest.raises(ScaleViolation, match=message):
+        RatingVector([1, 1], *scale)
+    with pytest.raises(ScaleViolation, match=message):
+        validate_survey([1, 1], [[0, 1], [1, 0]], scale=scale)
+    matrix_path, ratings_path = tmp_path / "matrix.csv", tmp_path / "ratings.csv"
+    matrix_path.write_text("0,1\n1,0\n", encoding="utf-8")
+    ratings_path.write_text("1\n1\n", encoding="utf-8")
+    with pytest.raises(ScaleViolation, match=message):
+        load_survey_csv(matrix_path, ratings_path, scale=scale)
+
+
+def test_numpy_scale_entries_are_accepted():
+    for scale in ((np.int64(1), np.float32(5)), (np.float64(1), np.uint8(5))):
+        ratings = validate_survey([1, 5], [[0, 1], [1, 0]], scale=scale).ratings
+        assert (ratings.scale_min, ratings.scale_max) == (1, 5)
+
+
+@pytest.mark.parametrize("scale", [(5, 1), (3, 3)])
+def test_scale_that_is_not_an_interval_rejected(scale):
+    message = rf"^scale \[{scale[0]}, {scale[1]}\] is not an interval$"
+    with pytest.raises(ScaleViolation, match=message):
+        RatingVector([3, 3], *scale)
+    with pytest.raises(ScaleViolation, match=message):
+        validate_survey([3, 3], [[0, 1], [1, 0]], scale=scale)
+
+
+def test_empty_competence_matrix_rejected():
+    with pytest.raises(DimensionMismatch, match="^competence matrix must be nonempty$"):
+        CompetenceMatrix(np.zeros((0, 0)))
 
 def test_non_finite_rating_rejected():
     with pytest.raises(ScaleViolation):
