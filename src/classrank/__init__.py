@@ -34,7 +34,6 @@ _EXPORTS = {
     ),
     "report": ("MethodResult", "WeightedRatingReport", "rate_survey"),
     "scenarios": (
-        "ReductionSummary",
         "Scenario",
         "ScenarioResult",
         "error_reduction_summary",

@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
 
 from .common import (
     DEFAULT_ALPHA,
@@ -45,18 +44,17 @@ EXIT_DEGENERATE = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-@dataclass
-class RunConfig:
-    """Effective settings of one run, embedded verbatim in the report."""
-
-    command: str
-    alpha: float = DEFAULT_ALPHA
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    diagonal_policy: str = "coerce"
-    min_n: int = DEFAULT_MIN_N
-    mode_tiebreak: str = "smallest"
-    strict_likert: bool = False
+# the settings every report's config holds after its command, in report
+# order, with their defaults
+REPORTED_SETTINGS = {
+    "alpha": DEFAULT_ALPHA,
+    "tol": DEFAULT_TOL,
+    "max_iter": DEFAULT_MAX_ITER,
+    "diagonal_policy": "coerce",
+    "min_n": DEFAULT_MIN_N,
+    "mode_tiebreak": "smallest",
+    "strict_likert": False,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,8 +252,9 @@ def _cmd_scenarios(args, config: dict) -> int:
             parts.append(f"winner={result.winner}")
         print(" ".join(parts), file=sys.stderr)
     # a method that failed in every scenario has no mean
-    means = {name: getattr(summary, f"mean_{name}_reduction") for name in METHODS}
-    shown = [f"{name} {mean:.2f}%" for name, mean in means.items() if mean is not None]
+    shown = [
+        f"{method} {mean:.2f}%" for method, mean in summary.items() if mean is not None
+    ]
     if shown:
         print(f"mean error reduction: {', '.join(shown)}", file=sys.stderr)
     return EXIT_OK
@@ -267,8 +266,9 @@ def main(argv=None) -> int:
     # each setting the command has a flag for comes from it, the rest
     # keep their defaults
     options = vars(args)
-    names = {spec.name for spec in fields(RunConfig)} & options.keys()
-    config = asdict(RunConfig(**{name: options[name] for name in names}))
+    config = {"command": args.command}
+    for name, default in REPORTED_SETTINGS.items():
+        config[name] = options.get(name, default)
     handlers = {
         "rate": _cmd_rate,
         "dispersion": _cmd_dispersion,

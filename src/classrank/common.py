@@ -2,8 +2,9 @@
 
 This module imports no numpy: the CLI parser and ``classrank dispersion``
 need only what is here, so they run without loading the numeric pipeline.
-Each name is also importable from its older home (``survey``,
-``eigenfactor`` or ``report``).
+A module that uses one of these names also has it under its own name:
+``survey`` the scale, policy and reader names, ``eigenfactor`` the solver
+defaults and ``report`` ``SCHEMA_VERSION``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ of all ratings.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .common import SCHEMA_VERSION, _csv_reader, _records, number
 from .errors import EmptyInput, MalformedInput
@@ -180,26 +180,15 @@ def _counted_rows(records, path) -> list[DispersionRow]:
 
 
 def dispersion_report_dict(rows, aggregate, excluded, config: dict) -> dict:
+    # each record's fields, in declaration order, copied into a new dict;
+    # not vars(), which on Python 3.11+ leaves every row a __dict__ that
+    # outlives the report, nor dataclasses.asdict, which deep-copies fields
+    row_names = [spec.name for spec in fields(DispersionRow)]
+    pooled_names = [spec.name for spec in fields(DispersionAggregate)]
     return {
         "schema": SCHEMA_VERSION,
-        "rows": [
-            {
-                "label": row.label,
-                "n": row.n,
-                "mode": row.mode,
-                "dev2": row.dev2,
-                "dev3plus": row.dev3plus,
-            }
-            for row in rows
-        ],
-        "aggregate": {
-            "total_n": aggregate.total_n,
-            "total_dev2": aggregate.total_dev2,
-            "total_dev3plus": aggregate.total_dev3plus,
-            "pct_dev2": aggregate.pct_dev2,
-            "pct_dev3plus": aggregate.pct_dev3plus,
-            "pct_dev2plus": aggregate.pct_dev2plus,
-        },
+        "rows": [{name: getattr(row, name) for name in row_names} for row in rows],
+        "aggregate": {name: getattr(aggregate, name) for name in pooled_names},
         "excluded": list(excluded),
         "config": config,
     }

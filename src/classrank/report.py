@@ -3,8 +3,7 @@
 All report builders return plain dicts ready for json.dumps. Floats are
 serialized with Python's shortest round-trip repr, so a report read back by
 json.loads reproduces bit-identical values. The dispersion report is built
-by ``dispersion.dispersion_report_dict``, which needs no numpy; it is
-importable from here as well.
+by ``dispersion.dispersion_report_dict``, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ import numpy as np
 
 from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMA_VERSION
 from .degree import degree_weights, weighted_rating
-# unused here: built next to the dispersion reader, importable from here too
-from .dispersion import dispersion_report_dict
 from .eigenfactor import InfluenceVector, eigenfactor_weights, stationary_distribution
 from .survey import SurveyInstance
 
@@ -87,7 +84,8 @@ def rate_survey(
     # setting is reported before a degenerate network is
     eigenfactor = score_method(survey, "eigenfactor", alpha, tol, max_iter)
     degree = score_method(survey, "degree")
-    return WeightedRatingReport(survey, alpha, degree, eigenfactor)
+    # the solver took alpha as any real number; the report holds a float
+    return WeightedRatingReport(survey, float(alpha), degree, eigenfactor)
 
 
 def rating_report_dict(report: WeightedRatingReport, config: dict) -> dict:
@@ -157,8 +155,7 @@ def scenario_report_dict(results, summary, config: dict) -> dict:
         "schema": SCHEMA_VERSION,
         "results": rows,
         "summary": {
-            "mean_degree_reduction_pct": summary.mean_degree_reduction,
-            "mean_eigenfactor_reduction_pct": summary.mean_eigenfactor_reduction,
+            f"mean_{method}_reduction_pct": summary[method] for method in METHODS
         },
         "config": config,
     }

@@ -103,12 +103,6 @@ class ScenarioResult:
         return "eigenfactor"
 
 
-@dataclass(frozen=True)
-class ReductionSummary:
-    mean_degree_reduction: float | None
-    mean_eigenfactor_reduction: float | None
-
-
 def inject_bias(ratings: RatingVector, index: int, value: float) -> RatingVector:
     """Replace one rating, keeping the scale; the value must fit the scale."""
     if not 0 <= index < ratings.n:
@@ -152,11 +146,13 @@ def run_scenario(
     )
 
 
-def error_reduction_summary(results) -> ReductionSummary:
-    """Mean percent of the mean's error each method removes.
+def error_reduction_summary(results) -> dict[str, float | None]:
+    """Mean percent of the mean's error each method removes, by method.
 
-    Scenarios where a method failed, or whose baseline error is zero (see
-    ``ScenarioResult.zero_baseline``), are left out of that method's mean.
+    The keys are ``METHODS``, in that order. Scenarios where a method
+    failed, or whose baseline error is zero (see
+    ``ScenarioResult.zero_baseline``), are left out of that method's mean,
+    which is None when no scenario is left.
     """
     results = list(results)
     if not results:
@@ -165,8 +161,8 @@ def error_reduction_summary(results) -> ReductionSummary:
     for method in METHODS:
         reductions = [r.reduction(method) for r in results]
         kept = [value for value in reductions if value is not None]
-        means[f"mean_{method}_reduction"] = sum(kept) / len(kept) if kept else None
-    return ReductionSummary(**means)
+        means[method] = sum(kept) / len(kept) if kept else None
+    return means
 
 
 def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:

@@ -26,15 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-# integer is unused here: it stays importable from here too
-from .common import (
-    DEFAULT_SCALE,
-    DIAGONAL_POLICIES,
-    _csv_reader,
-    _records,
-    integer,
-    number,
-)
+from .common import DEFAULT_SCALE, DIAGONAL_POLICIES, _csv_reader, _records, number
 from .errors import (
     DimensionMismatch,
     MalformedInput,
@@ -120,8 +112,10 @@ class RatingVector:
 
     ``low``, ``high`` and ``mean`` are the smallest, largest and mean
     rating, taken once when the ratings are checked. A scale entry that is
-    a bool or not a real number, and ratings whose mean overflows the float
-    range, raise ScaleViolation.
+    a bool, not a real number or past the float range, and ratings whose
+    mean overflows the float range, raise ScaleViolation; the messages show
+    the scale as given. Once checked, the scale is kept as Python floats
+    (a numpy scalar or an int too), which a report encodes as JSON.
     """
 
     values: np.ndarray
@@ -144,7 +138,11 @@ class RatingVector:
             raise ScaleViolation(
                 f"scale [{self.scale_min}, {self.scale_max}] is not an interval"
             )
-        if not np.isfinite([self.scale_min, self.scale_max]).all():
+        try:
+            scale = float(self.scale_min), float(self.scale_max)
+        except OverflowError:  # an int past the float range
+            scale = (np.inf, np.inf)
+        if not np.isfinite(scale).all():
             raise ScaleViolation(
                 f"scale [{self.scale_min}, {self.scale_max}] must be finite"
             )
@@ -164,6 +162,8 @@ class RatingVector:
         if not -np.inf < mean < np.inf:
             raise ScaleViolation("the mean of the ratings overflows the float range")
         object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "scale_min", scale[0])
+        object.__setattr__(self, "scale_max", scale[1])
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
         object.__setattr__(self, "mean", mean)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ def assert_input_error(result, message):
 
 
 SURVEY = str(example_survey_path())
+EDGE_BUNDLE = str(Path(__file__).parent / "snapshots" / "edge_bundle.json")
 CLARITY = str(clarity_counts_path())
 # a field past the csv module's default limit of 131072 characters
 OVERLONG_FIELD = "1" * 200_000
@@ -484,6 +486,45 @@ def test_scenarios_explicit_file_matches_default(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "scenarios")
     assert json.loads(out)["results"] == explicit["results"]
 
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (
+            [],
+            [
+                "scenario 1: mean=3.7000 degree=3.9614 eigenfactor=3.9767 "
+                "winner=eigenfactor",
+                "scenario 2: mean=3.7000 degree=3.9653 eigenfactor=3.9774 "
+                "winner=eigenfactor",
+                "scenario 3: mean=3.7000 degree=3.9819 eigenfactor=3.9827 "
+                "winner=eigenfactor",
+                "scenario 4: mean=3.7000 degree=4.0529 eigenfactor=4.0420 "
+                "winner=eigenfactor",
+                "scenario 5: mean=3.7000 degree=4.0476 eigenfactor=4.0413 "
+                "winner=eigenfactor",
+                "scenario 6: mean=3.7000 degree=4.0643 eigenfactor=4.0436 "
+                "winner=eigenfactor",
+                "mean error reduction: degree 85.77%, eigenfactor 89.44%",
+            ],
+        ),
+        (
+            # every baseline error is zero, so no method has a mean and the
+            # summary line is left out
+            ["--scenario-file", EDGE_BUNDLE, "--max-iter", "1"],
+            [
+                "scenario 1: mean=3.0000",
+                "scenario 2: mean=3.0000 degree=3.0000 eigenfactor=3.0000 winner=tie",
+                "scenario 3: mean=3.0000 degree=2.8333 winner=degree",
+            ],
+        ),
+    ],
+    ids=["default", "edge-bundle"],
+)
+def test_scenarios_stderr_lines(capsys, argv, lines):
+    code, _, err = run_cli(capsys, "scenarios", *argv)
+    assert code == 0
+    assert err.splitlines() == lines
 
 
 def test_scenarios_tell_zeroed_self_endorsements_on_stderr(tmp_path, capsys):

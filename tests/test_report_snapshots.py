@@ -1,12 +1,15 @@
 """The default reports against committed snapshots of their schema and values.
 
 ``tests/snapshots/`` holds the stdout of ``classrank rate --survey
-<example_survey.json>``, of ``classrank scenarios`` and of ``classrank
-scenarios --scenario-file edge_bundle.json --max-iter 1``. That bundle's
+<example_survey.json>``, of ``classrank scenarios``, of ``classrank
+scenarios --scenario-file edge_bundle.json --max-iter 1`` and of
+``classrank dispersion`` on three CSVs: the two bundled ones, in the
+counted form, and ``dispersion_long.csv``, in the long form. That bundle's
 ratings give every scenario a zero baseline error, and its three networks
 make one scenario degenerate, one fail to converge within one iteration
-(eigenfactor only) and one a tie. Report changes that are not a
-``SCHEMA_VERSION`` bump show up here.
+(eigenfactor only) and one a tie. The long-form CSV has a mode tie, a label
+with surrounding spaces and a label below the default ``--min-n``. Report
+changes that are not a ``SCHEMA_VERSION`` bump show up here.
 
 Key order and every value that is not a float must match exactly. Floats may
 move by a few units in the last place between numpy builds, since BLAS dot
@@ -25,7 +28,11 @@ from pathlib import Path
 import pytest
 
 from classrank.cli import main
-from classrank.data import example_survey_path
+from classrank.data import (
+    clarity_counts_path,
+    example_survey_path,
+    helpfulness_counts_path,
+)
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 ULPS = 4
@@ -65,6 +72,18 @@ def assert_matches(actual, expected, pct_tol, path="report"):
                 "--max-iter",
                 "1",
             ],
+        ),
+        (
+            "dispersion_clarity.json",
+            ["dispersion", "--ratings-csv", str(clarity_counts_path())],
+        ),
+        (
+            "dispersion_helpfulness.json",
+            ["dispersion", "--ratings-csv", str(helpfulness_counts_path())],
+        ),
+        (
+            "dispersion_long.json",
+            ["dispersion", "--ratings-csv", str(SNAPSHOTS / "dispersion_long.csv")],
         ),
     ],
 )

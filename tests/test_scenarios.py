@@ -20,6 +20,7 @@ from classrank import (
     run_scenario,
     validate_survey,
 )
+from classrank.report import METHODS
 from goldens import ARITHMETIC_MEAN, ERR_MEAN, SCENARIO_EXPECTED, UNBIASED_MEAN
 
 
@@ -56,9 +57,11 @@ def test_eigenfactor_beats_degree_everywhere(scenario_results):
 
 def test_reduction_summary(scenario_results):
     summary = error_reduction_summary(scenario_results)
-    assert summary.mean_degree_reduction >= 85.0
-    assert summary.mean_eigenfactor_reduction >= 85.0
-    assert summary.mean_eigenfactor_reduction > summary.mean_degree_reduction
+    # one mean a method, keyed and ordered as METHODS
+    assert list(summary) == list(METHODS)
+    assert summary["degree"] >= 85.0
+    assert summary["eigenfactor"] >= 85.0
+    assert summary["eigenfactor"] > summary["degree"]
     for result in scenario_results:
         assert result.winner == "eigenfactor"
         assert not result.zero_baseline
@@ -74,7 +77,7 @@ def test_reduction_handles_zero_baseline():
     summary = error_reduction_summary([result])
     assert result.zero_baseline
     assert result.reduction("degree") is None
-    assert summary.mean_degree_reduction is None
+    assert summary["degree"] is None
 
 
 def test_reduction_empty_rejected():
@@ -105,7 +108,7 @@ def test_degenerate_scenario_records_failures_without_aborting():
     assert (result.arithmetic_mean, result.unbiased_mean) == (4.5, 4.0)
     summary = error_reduction_summary([result])
     assert result.winner is None
-    assert summary.mean_degree_reduction is None
+    assert summary == {"degree": None, "eigenfactor": None}
 
 
 def test_single_rating_scenario_rejected():

@@ -23,6 +23,7 @@ from classrank import (
     load_survey_json,
     validate_survey,
 )
+from classrank.report import rate_survey, rating_report_dict
 from classrank.survey import load_competence_csv
 from oracles import dense_normalized, random_binary_matrix
 
@@ -399,6 +400,10 @@ def test_rating_outside_scale_rejected():
     # which is not JSON
     with pytest.raises(ScaleViolation, match="must be finite"):
         RatingVector([3], scale_max=np.inf)
+    # nor is an int past the float range, which raised a bare TypeError
+    message = rf"^scale \[0, {10**400}\] must be finite$"
+    with pytest.raises(ScaleViolation, match=message):
+        validate_survey([3, 3], [[0, 1], [1, 0]], scale=(0, 10**400))
 
 
 @pytest.mark.parametrize("scale", [(1, 5, 9), (1,), (), 5])
@@ -437,8 +442,16 @@ def test_scale_entries_must_be_real_numbers(tmp_path, scale):
 
 def test_numpy_scale_entries_are_accepted():
     for scale in ((np.int64(1), np.float32(5)), (np.float64(1), np.uint8(5))):
-        ratings = validate_survey([1, 5], [[0, 1], [1, 0]], scale=scale).ratings
+        survey = validate_survey([1, 5], [[0, 1], [1, 0]], scale=scale)
+        ratings = survey.ratings
         assert (ratings.scale_min, ratings.scale_max) == (1, 5)
+        # the scale and alpha are kept as Python floats: a report holding an
+        # int64 or a float32 was no JSON
+        assert type(ratings.scale_min) is type(ratings.scale_max) is float
+        report = rating_report_dict(rate_survey(survey, alpha=np.float32(0.5)), {})
+        assert type(report["eigenfactor"]["alpha"]) is float
+        decoded = json.loads(json.dumps(report))
+        assert (decoded["scale"], decoded["eigenfactor"]["alpha"]) == ([1.0, 5.0], 0.5)
 
 
 @pytest.mark.parametrize("scale", [(5, 1), (3, 3)])
