@@ -3,13 +3,14 @@
 For each course the anchor is the modal rating; ratings are then bucketed by
 their absolute deviation from it. The buckets of interest are deviation
 exactly 2 and deviation 3 or more, aggregated across courses as percentages
-of all ratings.
+of all ratings. A course's counts are a ``DispersionRow`` and the pooled
+totals a ``DispersionAggregate``: both are named tuples, so the report takes
+each one's fields, in declaration order, from its ``_asdict()``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
 
 from .common import SCHEMA_VERSION, _csv_reader, _records, number
 from .errors import EmptyInput, MalformedInput
@@ -21,23 +22,11 @@ COUNT_HEADER = ("label", "n", "mode", "dev2", "dev3plus")
 DEFAULT_MIN_N = 5
 
 
-@dataclass(frozen=True)
-class DispersionRow:
-    label: str
-    n: int
-    mode: int
-    dev2: int
-    dev3plus: int
-
-
-@dataclass(frozen=True)
-class DispersionAggregate:
-    total_n: int
-    total_dev2: int
-    total_dev3plus: int
-    pct_dev2: float
-    pct_dev3plus: float
-    pct_dev2plus: float
+DispersionRow = namedtuple("DispersionRow", "label n mode dev2 dev3plus")
+DispersionAggregate = namedtuple(
+    "DispersionAggregate",
+    "total_n total_dev2 total_dev3plus pct_dev2 pct_dev3plus pct_dev2plus",
+)
 
 
 def mode_of(ratings, tiebreak: str = "smallest") -> int:
@@ -139,24 +128,18 @@ def read_dispersion_csv(
 def _long_rows(records, path, tiebreak: str) -> list[DispersionRow]:
     """One row per stripped label, in first-appearance order.
 
-    Each distinct rating cell is parsed once and each distinct raw label
-    stripped once: a file repeats the same few of both on every line. Every
-    rating read is held until the file ends, those of labels later excluded
-    below ``min_n`` too; each label's list is released once its row is
-    counted.
+    Each distinct rating cell is parsed once: a file repeats the same few on
+    every line. Every rating read is held until the file ends, those of
+    labels later excluded below ``min_n`` too; each label's list is released
+    once its row is counted.
     """
     groups = {}  # stripped label -> its ratings
-    lists = {}  # raw label -> the ratings of its stripped label
     values = {}  # raw rating cell -> its value, for the cells that parsed
     for label, rating in records:
-        ratings = lists.get(label)
-        if ratings is None:
-            ratings = lists[label] = groups.setdefault(label.strip(), [])
         value = values.get(rating)
         if value is None:
             value = values[rating] = _parse_int(rating.strip(), "rating", path)
-        ratings.append(value)
-    lists.clear()  # it shares each label's list
+        groups.setdefault(label.strip(), []).append(value)
     labels = list(groups)
     return [dispersion_row(label, groups.pop(label), tiebreak) for label in labels]
 
@@ -180,15 +163,10 @@ def _counted_rows(records, path) -> list[DispersionRow]:
 
 
 def dispersion_report_dict(rows, aggregate, excluded, config: dict) -> dict:
-    # each record's fields, in declaration order, copied into a new dict;
-    # not vars(), which on Python 3.11+ leaves every row a __dict__ that
-    # outlives the report, nor dataclasses.asdict, which deep-copies fields
-    row_names = [spec.name for spec in fields(DispersionRow)]
-    pooled_names = [spec.name for spec in fields(DispersionAggregate)]
     return {
         "schema": SCHEMA_VERSION,
-        "rows": [{name: getattr(row, name) for name in row_names} for row in rows],
-        "aggregate": {name: getattr(aggregate, name) for name in pooled_names},
+        "rows": [row._asdict() for row in rows],
+        "aggregate": aggregate._asdict(),
         "excluded": list(excluded),
         "config": config,
     }

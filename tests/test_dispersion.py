@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from classrank import (
+    DispersionAggregate,
     DispersionRow,
     EmptyInput,
     MalformedInput,
@@ -128,6 +129,23 @@ def test_aggregate_matches_count_weighted_rows():
     assert pooled.pct_dev2 == pytest.approx(
         100.0 * sum(r.dev2 for r in rows) / sum(r.n for r in rows), abs=1e-12
     )
+
+
+def test_records_are_immutable_hashable_and_ordered():
+    row = DispersionRow("a", 10, 4, 1, 2)
+    cases = [
+        (row, DispersionRow(label="a", n=10, mode=4, dev2=1, dev3plus=2)),
+        (aggregate([row]), DispersionAggregate(10, 1, 2, 10.0, 20.0, 30.0)),
+    ]
+    names = [
+        "label n mode dev2 dev3plus",
+        "total_n total_dev2 total_dev3plus pct_dev2 pct_dev3plus pct_dev2plus",
+    ]
+    for (record, twin), fields in zip(cases, map(str.split, names)):
+        with pytest.raises(AttributeError):
+            setattr(record, fields[1], 0)
+        assert record == twin and hash(record) == hash(twin)
+        assert list(record._asdict()) == fields
 
 
 def test_aggregate_empty_rejected():
