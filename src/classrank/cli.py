@@ -7,7 +7,9 @@ stdout (or --output); short human summaries go to stderr. Numeric flags
 take plain ASCII numbers, as CSV cells do: ``1_000`` or ``٥`` exits 2.
 
 Exit codes: 0 success, 2 invalid input, 3 degenerate network,
-4 no convergence.
+4 no convergence. ``EXIT_CODES`` maps each error class with a code of its
+own to that code, which its subclasses share; any other input or file
+error exits 2.
 
 Only ``rate`` and ``scenarios`` import the numpy-backed modules, when they
 run: parsing the command line and ``dispersion`` load no numpy.
@@ -38,10 +40,7 @@ from .dispersion import (
 )
 from .errors import ClassrankError, DegenerateNetwork, NoConvergence
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_DEGENERATE = 3
-EXIT_NO_CONVERGENCE = 4
+EXIT_CODES = {DegenerateNetwork: 3, NoConvergence: 4}
 
 
 # the settings every report's config holds after its command, in report
@@ -63,6 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bias-robust weighted course ratings from peer "
         "competence-perception networks.",
     )
+    # the settings a command has no flag for; each flag's default is the
+    # same value
+    parser.set_defaults(**REPORTED_SETTINGS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the flags rate and scenarios share, declared once
@@ -120,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reject non-integer ratings",
     )
+    rate.set_defaults(handler=_cmd_rate)
 
     dispersion = sub.add_parser(
         "dispersion", help="aggregate mode-deviation counts from a CSV"
@@ -142,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mode tie resolution for long-form input (default smallest)",
     )
     dispersion.add_argument("--output", help="write the JSON report here")
+    dispersion.set_defaults(handler=_cmd_dispersion)
 
     scenarios = sub.add_parser(
         "scenarios", parents=[walk], help="run a biased-rating scenario bundle"
@@ -150,27 +154,29 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario-file",
         help="scenario bundle JSON (default: bundled six-scenario fixture)",
     )
+    scenarios.set_defaults(handler=_cmd_scenarios)
 
     return parser
 
 
 def _emit(document: dict, output: str | None) -> None:
-    """Write ``document`` as ``json.dumps(document, indent=2)`` and a newline.
+    """Write ``document`` to ``output`` (or stdout) with ``json.dump`` at
+    indent 2, then a newline.
 
-    The chunks go to ``output`` (or stdout) as they are encoded, so the
-    report text is never held whole. The file is opened before encoding
-    starts; every report builder emits only JSON-native values.
+    ``json.dump`` writes each chunk as it is encoded, so the report text is
+    never held whole. The file is opened before encoding starts; every
+    report builder emits only JSON-native values.
     """
     if output:
         sink = open(output, "w", encoding="utf-8")
     else:
         sink = contextlib.nullcontext(sys.stdout)
     with sink as handle:
-        handle.writelines(json.JSONEncoder(indent=2).iterencode(document))
+        json.dump(document, handle, indent=2)
         handle.write("\n")
 
 
-def _cmd_rate(args, config: dict) -> int:
+def _cmd_rate(args, config: dict) -> None:
     from .report import rate_survey, rating_report_dict
     from .survey import load_survey_csv, load_survey_json
 
@@ -203,10 +209,9 @@ def _cmd_rate(args, config: dict) -> int:
         f"({report.eigenfactor.influence.iterations} iterations)",
         file=sys.stderr,
     )
-    return EXIT_OK
 
 
-def _cmd_dispersion(args, config: dict) -> int:
+def _cmd_dispersion(args, config: dict) -> None:
     rows, excluded = read_dispersion_csv(
         args.ratings_csv, min_n=args.min_n, tiebreak=args.mode_tiebreak
     )
@@ -219,10 +224,9 @@ def _cmd_dispersion(args, config: dict) -> int:
         f"dev>=2 {pooled.pct_dev2plus:.2f}%",
         file=sys.stderr,
     )
-    return EXIT_OK
 
 
-def _cmd_scenarios(args, config: dict) -> int:
+def _cmd_scenarios(args, config: dict) -> None:
     from .data import scenario_fixture_path
     from .report import METHODS, scenario_report_dict
     from .scenarios import error_reduction_summary, load_scenarios, run_scenario
@@ -257,34 +261,22 @@ def _cmd_scenarios(args, config: dict) -> int:
     ]
     if shown:
         print(f"mean error reduction: {', '.join(shown)}", file=sys.stderr)
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # each setting the command has a flag for comes from it, the rest
-    # keep their defaults
-    options = vars(args)
     config = {"command": args.command}
-    for name, default in REPORTED_SETTINGS.items():
-        config[name] = options.get(name, default)
-    handlers = {
-        "rate": _cmd_rate,
-        "dispersion": _cmd_dispersion,
-        "scenarios": _cmd_scenarios,
-    }
+    for name in REPORTED_SETTINGS:
+        config[name] = getattr(args, name)
     try:
-        return handlers[args.command](args, config)
-    except DegenerateNetwork as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        args.handler(args, config)
     except (ClassrankError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(
+            (code for kind, code in EXIT_CODES.items() if isinstance(exc, kind)), 2
+        )
+    return 0
 
 
 if __name__ == "__main__":

@@ -61,8 +61,9 @@ def stationary_distribution(
     so the result is then within ``alpha / (1 - alpha) * tol`` of the exact
     distribution. The run is deterministic: fixed start, fixed operation
     order. ``alpha`` and ``tol`` must be real numbers (Python or numpy), not
-    bools or strings, and ``max_iter`` an integer of at least 1 (a Python or
-    numpy integer, not a bool or a float); each raises ValueError otherwise.
+    bools or strings, and are run as Python floats; ``max_iter`` must be an
+    integer of at least 1 (a Python or numpy integer, not a bool or a float).
+    Each raises ValueError otherwise.
     Raises NoConvergence if ``max_iter`` steps are not enough.
 
     The returned ``values`` are strictly positive (each entry holds at
@@ -72,16 +73,19 @@ def stationary_distribution(
     pin.
     """
     # a bool or a string is no setting: True would run as 1, "0.5" would
-    # fail with a TypeError
-    if not (_real(alpha) and 0.0 <= alpha < 1.0):
+    # fail with a TypeError. Any other real number runs as the nearest float,
+    # since bincount casts no Fraction or longdouble to float64, so that
+    # float is what the ranges are checked on
+    if not (_real(alpha) and 0.0 <= float(alpha) < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-    if not (_real(tol) and 0 < tol < np.inf):
+    if not (_real(tol) and 0 < float(tol) < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     # a float would fail inside range() and a bool would run one step
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    alpha, tol = float(alpha), float(tol)
     n = competence.n
     shares = alpha * competence.row_shares
     total = np.add.reduce

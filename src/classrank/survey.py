@@ -325,7 +325,7 @@ def validate_survey(
         fractional = ratings.values != np.floor(ratings.values)
         if fractional.any():
             raise ScaleViolation(
-                f"non-integer rating {ratings.values[fractional][0]!r} "
+                f"non-integer rating {float(ratings.values[fractional][0])!r} "
                 "with strict_likert enabled"
             )
     competence = CompetenceMatrix(raw_matrix, diagonal_policy)

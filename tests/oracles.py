@@ -4,8 +4,8 @@ The oracles deliberately avoid the code paths they are checking: the
 normalized matrix is a dense row division instead of an edge list, the
 stationary oracle solves a dense linear system over an explicitly patched
 walk matrix instead of iterating with the dangling mass folded in, and the
-degree oracle works in exact rational arithmetic straight from the raw
-binary matrix.
+degree oracle and the exact stationary solve work in rational arithmetic
+straight from the raw binary matrix.
 """
 
 from fractions import Fraction
@@ -73,6 +73,42 @@ def degree_oracle(raw_matrix) -> list | None:
     if total == 0:
         return None
     return [value / total for value in incoming]
+
+
+def exact_stationary(raw_matrix, alpha: float) -> list:
+    """Exact stationary distribution of the teleported walk, as Fractions.
+
+    Gauss-Jordan elimination in rational arithmetic on
+    (I - alpha * W^T) x = (1 - alpha) / n, where W is the row-normalized raw
+    0/1 matrix with each dangling (all-zero) row set to 1/n, and alpha is
+    the exact value of the given float. The system is nonsingular for
+    alpha < 1, since alpha * W^T has spectral radius below 1.
+    """
+    n = len(raw_matrix)
+    alpha = Fraction(alpha)
+    walk = []
+    for row in raw_matrix:
+        endorsements = sum(int(cell) for cell in row)
+        if endorsements == 0:
+            walk.append([Fraction(1, n)] * n)
+        else:
+            walk.append([Fraction(int(cell), endorsements) for cell in row])
+    rhs = (1 - alpha) / n
+    # the augmented rows [I - alpha * W^T | rhs]
+    system = [
+        [int(i == j) - alpha * walk[j][i] for j in range(n)] + [rhs] for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next(row for row in range(col, n) if system[row][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        head = system[col]
+        scale = head[col]
+        head[:] = [entry / scale for entry in head]
+        for row in range(n):
+            factor = system[row][col]
+            if row != col and factor != 0:
+                system[row] = [a - factor * b for a, b in zip(system[row], head)]
+    return [row[n] for row in system]
 
 
 def random_binary_matrix(rng, n: int, density: float = 0.5) -> np.ndarray:

@@ -257,6 +257,7 @@ def test_rate_strict_likert_flag(tmp_path, capsys):
     assert code == 0
     code, _, err = run_cli(capsys, "rate", "--survey", str(path), "--strict-likert")
     assert code == 2
+    assert err == "error: non-integer rating 3.5 with strict_likert enabled\n"
 
 
 def test_rate_diagonal_policy_flag(tmp_path, capsys):

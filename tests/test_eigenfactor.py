@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from goldens import (
 )
 from oracles import (
     dense_normalized,
+    exact_stationary,
     materialize_transition,
     random_binary_matrix,
     stationary_oracle,
@@ -92,6 +95,21 @@ def test_stated_accuracy_bound(scenario_matrices):
             direct = stationary_oracle(walk_matrix(dense_normalized(raw)), alpha)
             error = np.abs(result.values - direct).sum()
             assert error <= alpha / (1 - alpha) * result.residual + 1e-14
+
+
+def test_stated_accuracy_bound_against_exact_reference():
+    # the docstring's promise, checked exactly: the L1 distance to the exact
+    # stationary distribution at the float alpha the solver ran with
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        raw = random_binary_matrix(rng, int(rng.integers(2, 8)))
+        competence = _competence(raw)
+        for alpha in (0.5, 0.85, 0.99):
+            result = stationary_distribution(competence, alpha)
+            exact = exact_stationary(raw.tolist(), alpha)
+            error = sum(abs(Fraction(x) - y) for x, y in zip(result.values, exact))
+            bound = Fraction(alpha) / (1 - Fraction(alpha)) * Fraction(1e-12)
+            assert error <= bound, (raw.tolist(), alpha)
 
 
 def test_single_node_walk():
@@ -198,10 +216,11 @@ def test_solver_parameter_validation(scenario_by_id):
 def test_solver_settings_must_be_real_numbers(scenario_by_id):
     # a string raised a bare TypeError, and False or True ran as 0 or 1
     competence = scenario_by_id[1].survey.competence
-    for alpha in ("0.5", False, None, 0.5j):
+    # nor is a real number whose nearest float leaves the range
+    for alpha in ("0.5", False, None, 0.5j, 1 - Fraction(1, 10**400)):
         with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\), got "):
             stationary_distribution(competence, alpha=alpha)
-    for tol in ("1e-3", True, None):
+    for tol in ("1e-3", True, None, Fraction(1, 10**400)):
         with pytest.raises(ValueError, match="^tol must be positive and finite, got "):
             stationary_distribution(competence, tol=tol)
     # numpy scalars are numbers
@@ -211,6 +230,14 @@ def test_solver_settings_must_be_real_numbers(scenario_by_id):
     )
     assert result.iterations == exact.iterations
     assert stationary_distribution(competence, alpha=np.float32(0.5)).iterations
+    # so are a Fraction and a longdouble, which bincount would not cast to
+    # float64: they run as Python floats
+    for alpha, tol in (
+        (Fraction(1, 2), Fraction(1, 10**9)),
+        (np.longdouble(0.5), 1e-9),
+    ):
+        result = stationary_distribution(competence, alpha=alpha, tol=tol)
+        assert result.iterations == exact.iterations
 
 def test_golden_weights_most_scenarios(result_by_id):
     for sid, expected in SCENARIO_EXPECTED.items():

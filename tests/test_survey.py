@@ -551,7 +551,9 @@ def test_validate_survey_keeps_a_rating_vector_on_its_scale():
     assert (wider.scale_min, wider.scale_max, wider.values.tolist()) == (0, 10, [4, 5])
     with pytest.raises(ScaleViolation, match=r"^ratings must lie in \[1, 4\]$"):
         validate_survey(ratings, [[0, 1], [1, 0]], scale=(1, 4))
-    with pytest.raises(ScaleViolation, match="non-integer rating"):
+    with pytest.raises(
+        ScaleViolation, match=r"^non-integer rating 4\.5 with strict_likert enabled$"
+    ):
         validate_survey(RatingVector([4.5, 5]), [[0, 1], [1, 0]], strict_likert=True)
 
 
@@ -572,7 +574,9 @@ def test_strict_likert_keeps_the_rating_checks_of_the_default():
                 validate_survey(raw, [[0, 1], [1, 0]], strict_likert=strict)
             messages.add(str(excinfo.value))
         assert len(messages) == 1
-    with pytest.raises(ScaleViolation, match="non-integer rating"):
+    with pytest.raises(
+        ScaleViolation, match=r"^non-integer rating 4\.5 with strict_likert enabled$"
+    ):
         validate_survey([4.5, 5], [[0, 1], [1, 0]], strict_likert=True)
 
 
