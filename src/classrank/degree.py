@@ -16,23 +16,32 @@ import numpy as np
 from .errors import DegenerateNetwork, DimensionMismatch
 from .survey import CompetenceMatrix, RatingVector, _readonly
 
+# np.bincount's C function, called past numpy's __array_function__
+# dispatcher (NEP 18's ``_implementation``): the dispatcher costs a
+# Python-level call per power step, and the kernel is only ever given plain
+# ndarrays, which it would hand to this same function
+_bincount = np.bincount._implementation
 
-def _incoming_mass(competence: CompetenceMatrix, row_mass: np.ndarray) -> np.ndarray:
-    """The mass each student receives when row i hands ``row_mass[i]`` to
-    each of its endorsements: the one sum over the endorsements, O(nnz).
 
-    ``row_mass`` is repeated over ``row_sums`` into the edge order of
-    ``targets``. A network without edges gets an int64 array of zeros.
+def _incoming_mass(
+    targets: np.ndarray, row_sums: np.ndarray, row_mass: np.ndarray
+) -> np.ndarray:
+    """The mass each of the n = ``row_sums.size`` students receives when row
+    i hands ``row_mass[i]`` to each of its endorsements: the one sum over
+    the endorsements, O(nnz).
+
+    ``targets`` and ``row_sums`` are a CompetenceMatrix's edge arrays, which
+    the power iteration binds once per solve. ``row_mass`` is repeated over
+    ``row_sums`` into the edge order of ``targets``. A network without edges
+    gets an int64 array of zeros.
     """
-    return np.bincount(
-        competence.targets, row_mass.repeat(competence.row_sums), competence.n
-    )
+    return _bincount(targets, row_mass.repeat(row_sums), row_sums.size)
 
 
 def _incoming_weights(competence: CompetenceMatrix, row_mass: np.ndarray) -> np.ndarray:
     """Read-only weights: the incoming mass under ``row_mass``, rescaled to
     sum to 1. Raises DegenerateNetwork when no mass arrives."""
-    mass = _incoming_mass(competence, row_mass)
+    mass = _incoming_mass(competence.targets, competence.row_sums, row_mass)
     total = mass.sum()
     if total <= 0.0:
         raise DegenerateNetwork("no student endorses any other")

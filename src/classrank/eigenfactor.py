@@ -86,13 +86,15 @@ def stationary_distribution(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     alpha, tol = float(alpha), float(tol)
-    n = competence.n
+    # bound once: a step makes one kernel call and no attribute lookup
+    targets, row_sums = competence.targets, competence.row_sums
+    n = row_sums.size
     shares = alpha * competence.row_shares
     total = np.add.reduce
     current = np.full(n, 1.0 / n)
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        advanced = _incoming_mass(competence, current * shares)
+        advanced = _incoming_mass(targets, row_sums, current * shares)
         # not in place: a network without edges gets an int64 bincount
         advanced = advanced + (1.0 - total(advanced)) / n
         residual = float(total(np.abs(advanced - current)))

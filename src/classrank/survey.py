@@ -19,9 +19,10 @@ and so on) sends its grid down the general path through ``np.asarray`` or
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import InitVar, dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,42 @@ _BLOCK_CELLS = 1 << 18
 def _real(value) -> bool:
     """Whether ``value`` is a real number (numpy's too), not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _float_ratings(raw) -> np.ndarray:
+    """``raw`` as a new float array, once every entry is known to be a real
+    number. A bool, a string or any other entry that is not raises
+    ScaleViolation naming the first one, where numpy would read True as 1.0
+    and "4" as 4.0; an entry that is itself a sequence raises
+    DimensionMismatch, and an int past the float range ScaleViolation.
+
+    An array passes or fails on its dtype alone (kinds i, u and f pass),
+    except an object array, whose entries are scanned like a list's. A list
+    or tuple of Python floats and ints passes on one scan of its entries'
+    types; only other entries (numpy scalars, Fractions) are tested one by
+    one.
+    """
+    if isinstance(raw, (list, tuple)):
+        entries = raw
+    else:
+        raw = np.asarray(raw)
+        kind = raw.dtype.kind
+        # bool, string, complex, time: no entry of such an array is real
+        if kind not in "iufO" and raw.size:
+            first = raw.ravel()[:1].tolist()[0]
+            raise ScaleViolation(f"ratings must be real numbers: found {first!r}")
+        entries = raw.ravel().tolist() if kind == "O" else ()
+    if not _NUMBERS.issuperset(map(type, entries)):
+        for entry in entries:
+            if _real(entry):
+                continue
+            if np.ndim(entry):
+                raise DimensionMismatch("ratings must form a nonempty 1-d sequence")
+            raise ScaleViolation(f"ratings must be real numbers: found {entry!r}")
+    try:
+        return np.array(raw, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ScaleViolation("ratings must be finite numbers") from None
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -114,8 +151,10 @@ class RatingVector:
     rating, taken once when the ratings are checked. A scale entry that is
     a bool, not a real number or past the float range, and ratings whose
     mean overflows the float range, raise ScaleViolation; the messages show
-    the scale as given. Once checked, the scale is kept as Python floats
-    (a numpy scalar or an int too), which a report encodes as JSON.
+    the scale as given. So does a rating that is a bool, a string or any
+    other value that is not a real number, or an int past the float range
+    (see ``_float_ratings``). Once checked, the scale is kept as Python
+    floats (a numpy scalar or an int too), which a report encodes as JSON.
     """
 
     values: np.ndarray
@@ -126,7 +165,7 @@ class RatingVector:
     mean: float = field(init=False)
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _float_ratings(self.values)
         if values.ndim != 1 or values.size == 0:
             raise DimensionMismatch("ratings must form a nonempty 1-d sequence")
         if not (_real(self.scale_min) and _real(self.scale_max)):
@@ -141,8 +180,8 @@ class RatingVector:
         try:
             scale = float(self.scale_min), float(self.scale_max)
         except OverflowError:  # an int past the float range
-            scale = (np.inf, np.inf)
-        if not np.isfinite(scale).all():
+            scale = (math.inf, math.inf)
+        if not (math.isfinite(scale[0]) and math.isfinite(scale[1])):
             raise ScaleViolation(
                 f"scale [{self.scale_min}, {self.scale_max}] must be finite"
             )
@@ -156,9 +195,10 @@ class RatingVector:
                 f"ratings must lie in [{self.scale_min}, {self.scale_max}]"
             )
         # finite ratings on a finite scale can still sum past the float
-        # range, to an infinity or, both ways at once, to a NaN
+        # range, to an infinity or, both ways at once, to a NaN. The sum and
+        # division are ndarray.mean's own, without its Python wrapper.
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(values.mean())
+            mean = float(np.add.reduce(values) / values.size)
         if not -np.inf < mean < np.inf:
             raise ScaleViolation("the mean of the ratings overflows the float range")
         object.__setattr__(self, "values", _readonly(values))
@@ -424,7 +464,8 @@ def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyIn
     Ratings and competence cells must be JSON numbers: a string such as "4"
     or a boolean is not read as one. Null competence cells mean "no answer",
     which counts as 0. Content that is not numeric raises MalformedInput
-    naming ``kind``.
+    naming ``kind``, and so does an integer rating past the float range, as
+    the list of ratings is converted to floats here.
 
     One type scan over all cells lets a grid of numbers through as it is;
     only a grid with null or other cells goes row by row through
@@ -439,23 +480,24 @@ def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyIn
         odd = [value for value in ratings if type(value) not in _NUMBERS]
         if odd:
             raise MalformedInput(f"{kind} ratings are not numeric: found {odd[0]!r}")
+        try:
+            ratings = np.array(ratings, dtype=float)
+        # an integer rating too large for a float
+        except OverflowError as exc:
+            raise MalformedInput(f"{kind} ratings are out of range: {exc}") from exc
     elif not isinstance(ratings, RatingVector):
         raise MalformedInput(f"{kind} ratings are not numeric: expected a list")
+    # a type set test over all cells at once is several times cheaper than a
+    # Python-level test per cell or per row, and so are these C-level maps
     if not isinstance(competence, list) or not all(
-        isinstance(row, list) for row in competence
+        map(isinstance, competence, repeat(list))
     ):
         raise MalformedInput(f"{kind} competence must be a list of lists")
-    # a type set test over all cells at once is several times cheaper than a
-    # Python-level test per cell or per row
     if not _NUMBERS.issuperset(map(type, chain.from_iterable(competence))):
         competence = [_answers(row, kind) for row in competence]
-    if len({len(row) for row in competence}) > 1:
+    if len(set(map(len, competence))) > 1:
         raise MalformedInput(f"{kind} competence rows are ragged")
-    try:
-        return validate_survey(ratings, _packed(competence), **options)
-    # an integer rating too large for a float
-    except OverflowError as exc:
-        raise MalformedInput(f"{kind} ratings are out of range: {exc}") from exc
+    return validate_survey(ratings, _packed(competence), **options)
 
 
 def load_survey_json(

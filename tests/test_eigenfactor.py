@@ -332,6 +332,16 @@ def _bit_identity_cases():
             loops = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
             raw[loops, loops] = 1
         yield raw, matrix
+    # class sizes of 40 to 100, and one of 600 that validation scans on two
+    # threads (more than one block of rows)
+    for n in rng.integers(40, 101, 6).tolist() + [600]:
+        density = 0.02 if n == 600 else float(rng.uniform(0.05, 0.6))
+        matrix = random_binary_matrix(rng, n, density)
+        matrix[rng.random(n) < 0.25] = 0
+        raw = matrix.copy()
+        loops = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        raw[loops, loops] = 1
+        yield raw, matrix
     one_edge = np.zeros((6, 6), dtype=int)
     one_edge[4, 1] = 1
     yield one_edge, one_edge

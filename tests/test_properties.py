@@ -9,12 +9,14 @@ from classrank import (
     MalformedInput,
     NonBinaryEntry,
     RatingVector,
+    Scenario,
     degree_weights,
     eigenfactor_weights,
     load_survey_json,
     mode_of,
     rate_survey,
     read_dispersion_csv,
+    run_scenario,
     stationary_distribution,
     validate_survey,
     weighted_rating,
@@ -175,6 +177,17 @@ def test_adding_an_endorsement_never_lowers_its_target(case, alpha):
     eigen = eigenfactor_weights(x, before)[j]
     assert eigenfactor_weights(moved, after)[j] >= eigen - BOUND_SLACK
     assert degree_weights(after)[j] >= degree_weights(before)[j] - BOUND_SLACK
+
+
+@given(networks(max_n=12), st.data())
+@settings(deadline=None)
+def test_unbiased_mean_is_the_leave_one_out_mean_bit_for_bit(network, data):
+    ratings, matrix = network
+    biased = data.draw(st.integers(0, len(ratings) - 1))
+    survey = validate_survey(ratings, matrix)
+    result = run_scenario(Scenario(id=1, survey=survey, biased_index=biased))
+    kept = np.delete(np.asarray(ratings, dtype=float), biased)
+    assert result.unbiased_mean.hex() == float(kept.mean()).hex()
 
 
 def both_weightings(survey):

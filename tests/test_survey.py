@@ -543,6 +543,87 @@ def test_rating_extremes_and_mean_are_numpys_bit_for_bit(raw, scale):
         assert type(kept) is float and kept.hex() == float(expected).hex()
 
 
+@given(
+    st.lists(
+        st.one_of(st.integers(-1000, 1000), st.floats(-1e6, 1e6)),
+        min_size=1,
+        max_size=300,
+    ),
+    st.sampled_from(["list", "tuple", "array"]),
+)
+@settings(deadline=None)
+def test_rating_vector_keeps_numpys_mean_and_extremes_bit_for_bit(raw, form):
+    # the mean is numpy's own sum and division, also past the 128 entries
+    # where its pairwise sum splits, for a list, a tuple or an array (an
+    # int64 array when every entry is an int)
+    given_as = {"list": raw, "tuple": tuple(raw), "array": np.array(raw)}[form]
+    ratings = RatingVector(given_as, -1e6, 1e6)
+    values = np.asarray(raw, dtype=float)
+    for kept, expected in (
+        (ratings.mean, values.mean()),
+        (ratings.low, values.min()),
+        (ratings.high, values.max()),
+    ):
+        assert type(kept) is float and kept.hex() == float(expected).hex()
+
+
+@pytest.mark.parametrize(
+    "raw, found",
+    [
+        (["4", 3], "'4'"),
+        (["4", True], "'4'"),
+        ([True, 3], "True"),
+        ([3, None], "None"),
+        ([3, 4 + 0j], "(4+0j)"),
+        (np.array([True, False]), "True"),
+        (np.array(["4", "3"]), "'4'"),
+        (np.array([3, "4"], dtype=object), "'4'"),
+        (np.array([1, 2], dtype="m8[s]"), "datetime.timedelta(seconds=1)"),
+    ],
+)
+def test_ratings_that_are_not_real_numbers_rejected(raw, found):
+    # numpy read "4" as 4.0 and True as 1.0, where a scale holding the same
+    # values is rejected; the first entry that is no real number is named
+    message = f"^ratings must be real numbers: found {re.escape(found)}$"
+    with pytest.raises(ScaleViolation, match=message):
+        RatingVector(raw)
+    with pytest.raises(ScaleViolation, match=message):
+        validate_survey(raw, [[0, 1], [1, 0]])
+
+
+def test_integer_rating_past_the_float_range_rejected():
+    # float() of the int raised a bare OverflowError
+    for raw in ([10**400, 3], np.array([10**400, 3], dtype=object)):
+        with pytest.raises(ScaleViolation, match="^ratings must be finite numbers$"):
+            RatingVector(raw)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        np.array([2, 5]),
+        np.array([2, 5], dtype=np.uint8),
+        np.array([2, 5], dtype=np.float32),
+        [Fraction(2), Fraction(5)],
+        np.array([Fraction(2), 5], dtype=object),
+        (np.int64(2), np.float64(5)),
+    ],
+)
+def test_real_ratings_of_every_kind_accepted(raw):
+    ratings = RatingVector(raw)
+    assert ratings.values.dtype == np.float64
+    assert ratings.values.tolist() == [2.0, 5.0]
+    assert (ratings.low, ratings.high, ratings.mean) == (2.0, 5.0, 3.5)
+
+
+def test_nested_ratings_are_a_dimension_error():
+    for raw in ([[4, 5]], [[4, 5], [3]], [4, [5]]):
+        with pytest.raises(
+            DimensionMismatch, match="^ratings must form a nonempty 1-d sequence$"
+        ):
+            RatingVector(raw)
+
+
 def test_validate_survey_keeps_a_rating_vector_on_its_scale():
     ratings = RatingVector([4, 5])
     assert validate_survey(ratings, [[0, 1], [1, 0]]).ratings is ratings
