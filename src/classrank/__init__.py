@@ -19,7 +19,7 @@ _EXPORTS = {
         "mode_of",
         "read_dispersion_csv",
     ),
-    "eigenfactor": ("InfluenceVector", "eigenfactor_weights", "stationary_distribution"),
+    "eigenfactor": ("eigenfactor_weights", "stationary_distribution"),
     "errors": (
         "ClassrankError",
         "DegenerateNetwork",

@@ -206,7 +206,7 @@ def _cmd_rate(args, config: dict) -> None:
         f"mean={report.arithmetic_mean:.4f} "
         f"degree={report.degree.rating:.4f} "
         f"eigenfactor={report.eigenfactor.rating:.4f} "
-        f"({report.eigenfactor.influence.iterations} iterations)",
+        f"({report.eigenfactor.iterations} iterations)",
         file=sys.stderr,
     )
 
@@ -235,17 +235,18 @@ def _cmd_scenarios(args, config: dict) -> None:
     if path is None:
         path = str(scenario_fixture_path())
     bundle = load_scenarios(path, diagonal_policy=args.diagonal_policy)
-    # the scenario report has no warnings field: zeroed self-endorsements
-    # are told here instead
-    for scenario in bundle:
-        for warning in scenario.survey.warnings:
-            print(f"scenario {scenario.id}: {warning}", file=sys.stderr)
     results = [
         run_scenario(scenario, alpha=args.alpha, tol=args.tol, max_iter=args.max_iter)
         for scenario in bundle
     ]
     summary = error_reduction_summary(results)
     _emit(scenario_report_dict(results, summary, config), args.output)
+    # the scenario report has no warnings field: zeroed self-endorsements
+    # are told here instead, once the report is out, so that a run that
+    # fails prints its one error line and nothing else
+    for scenario in bundle:
+        for warning in scenario.survey.warnings:
+            print(f"scenario {scenario.id}: {warning}", file=sys.stderr)
     for result in results:
         parts = [f"scenario {result.id}: mean={result.arithmetic_mean:.4f}"]
         for method in METHODS:

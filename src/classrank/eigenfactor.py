@@ -13,28 +13,16 @@ mass, so endorsements from influential students count for more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
 from .degree import _incoming_mass, _incoming_weights
 from .errors import DimensionMismatch, NoConvergence
-from .survey import CompetenceMatrix, _readonly, _real
+from .survey import CompetenceMatrix, _integer, _readonly, _real
 
-
-@dataclass(frozen=True, eq=False)
-class InfluenceVector:
-    """Stationary distribution of the teleported chain, with diagnostics.
-
-    ``values`` is the read-only distribution, ``iterations`` counts the
-    power-iteration steps taken and ``residual`` is the final L1 change
-    between successive iterates.
-    """
-
-    values: np.ndarray
-    iterations: int
-    residual: float
+_Stationary = namedtuple("Stationary", "values iterations residual")
 
 
 def stationary_distribution(
@@ -42,8 +30,11 @@ def stationary_distribution(
     alpha: float = DEFAULT_ALPHA,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> InfluenceVector:
+) -> _Stationary:
     """Power iteration for the stationary distribution of the chain.
+
+    Returns a named tuple ``(values, iterations, residual)``: the read-only
+    distribution, the steps taken and the final L1 change between steps.
 
     Each step follows every endorsement once: ``y[j]`` collects
     ``x[i] * (alpha * share_i)`` over the edges i -> j, where ``share_i`` is
@@ -81,7 +72,7 @@ def stationary_distribution(
     if not (_real(tol) and 0 < float(tol) < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     # a float would fail inside range() and a bool would run one step
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+    if not _integer(max_iter):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -100,14 +91,14 @@ def stationary_distribution(
         residual = float(total(np.abs(advanced - current)))
         current = advanced
         if residual <= tol:
-            return InfluenceVector(_readonly(current), iteration, residual)
+            return _Stationary(_readonly(current), iteration, residual)
     raise NoConvergence(
         f"residual {residual:.3e} still above {tol:.3e} after {max_iter} iterations"
     )
 
 
 def eigenfactor_weights(
-    influence: InfluenceVector, competence: CompetenceMatrix
+    influence: np.ndarray, competence: CompetenceMatrix
 ) -> np.ndarray:
     """Weights proportional to influence-weighted incoming mass.
 
@@ -116,14 +107,14 @@ def eigenfactor_weights(
     ``x[i] * row_shares[i]``, so a student endorsed by nobody keeps weight
     exactly zero. The tests ``test_weights_are_convex_coefficients`` and
     ``test_unendorsed_student_rating_is_irrelevant`` in
-    ``tests/test_properties.py`` pin these invariants. Raises
-    DimensionMismatch unless ``influence`` has one entry a student, and
-    DegenerateNetwork when nobody endorses anybody.
+    ``tests/test_properties.py`` pin these invariants. ``influence`` is the
+    distribution itself, the solver's ``values``. Raises DimensionMismatch
+    unless it is 1-d with one entry a student, and DegenerateNetwork when
+    nobody endorses anybody.
     """
-    values = influence.values
-    if values.shape != (competence.n,):
+    if influence.shape != (competence.n,):
         raise DimensionMismatch(
-            f"{values.size} influence entries vs {competence.n} students"
-            f" (shape {values.shape})"
+            f"{influence.size} influence entries vs {competence.n} students"
+            f" (shape {influence.shape})"
         )
-    return _incoming_weights(competence, values * competence.row_shares)
+    return _incoming_weights(competence, influence * competence.row_shares)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, SCHEMA_VERSION
 from .degree import degree_weights, weighted_rating
-from .eigenfactor import InfluenceVector, eigenfactor_weights, stationary_distribution
+from .eigenfactor import eigenfactor_weights, stationary_distribution
 from .survey import SurveyInstance
 
 # the weighting methods score_method dispatches on, in report order
@@ -23,13 +23,16 @@ METHODS = ("degree", "eigenfactor")
 
 @dataclass(frozen=True, eq=False)
 class MethodResult:
-    """One weighting method applied to one survey: the read-only weights,
-    the weighted rating they give and, for eigenfactor only, the influence
-    (stationary distribution) they come from."""
+    """One weighting method applied to one survey: the read-only weights
+    and the weighted rating they give. For eigenfactor only, also the
+    read-only influence (stationary distribution) they come from and the
+    solver's iteration count and final residual; None for degree."""
 
     weights: np.ndarray
     rating: float
-    influence: InfluenceVector | None = None
+    influence: np.ndarray | None = None
+    iterations: int | None = None
+    residual: float | None = None
 
 
 def score_method(
@@ -45,16 +48,14 @@ def score_method(
     nobody endorses anybody; the eigenfactor solver raises ValueError on a
     bad setting and NoConvergence.
     """
-    influence = None
     if method == "degree":
         weights = degree_weights(survey.competence)
-    elif method == "eigenfactor":
-        influence = stationary_distribution(survey.competence, alpha, tol, max_iter)
-        weights = eigenfactor_weights(influence, survey.competence)
-    else:
+        return MethodResult(weights, weighted_rating(survey.ratings, weights))
+    if method != "eigenfactor":
         raise ValueError(f"unknown weighting method {method!r}")
-    rating = weighted_rating(survey.ratings, weights)
-    return MethodResult(weights, rating, influence)
+    solved = stationary_distribution(survey.competence, alpha, tol, max_iter)
+    weights = eigenfactor_weights(solved.values, survey.competence)
+    return MethodResult(weights, weighted_rating(survey.ratings, weights), *solved)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +108,9 @@ def rating_report_dict(report: WeightedRatingReport, config: dict) -> dict:
             "method": "eigenfactor",
             "alpha": report.alpha,
             "weights": report.eigenfactor.weights.tolist(),
-            "influence": report.eigenfactor.influence.values.tolist(),
-            "iterations": report.eigenfactor.influence.iterations,
-            "residual": report.eigenfactor.influence.residual,
+            "influence": report.eigenfactor.influence.tolist(),
+            "iterations": report.eigenfactor.iterations,
+            "residual": report.eigenfactor.residual,
             "weighted_rating": report.eigenfactor.rating,
         },
         "dangling": sorted(survey.competence.dangling),
@@ -129,10 +130,9 @@ def _scenario_method(result, method: str) -> dict:
         "error_reduction_pct": result.reduction(method),
     }
     if method == "eigenfactor":
-        influence = None if scored is None else scored.influence
-        block["influence"] = None if influence is None else influence.values.tolist()
-        block["iterations"] = None if influence is None else influence.iterations
-        block["residual"] = None if influence is None else influence.residual
+        block["influence"] = None if scored is None else scored.influence.tolist()
+        block["iterations"] = None if scored is None else scored.iterations
+        block["residual"] = None if scored is None else scored.residual
     block["failure"] = getattr(result, f"{method}_failure")
     return block
 

@@ -28,24 +28,24 @@ from .survey import (
     SurveyInstance,
     _document_label,
     _document_scale,
+    _integer,
     _read_document,
+    _real,
     _survey_from_document,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One survey with one rating index declared as biased."""
+    """One survey with one rating index declared as biased: an integer
+    (numpy's too, not a bool) in 0..n-1, else IndexOutOfRange."""
 
     id: int
     survey: SurveyInstance
     biased_index: int
 
     def __post_init__(self):
-        if not 0 <= self.biased_index < self.survey.n:
-            raise IndexOutOfRange(
-                f"biased index {self.biased_index} outside 0..{self.survey.n - 1}"
-            )
+        _check_index(self.biased_index, self.survey.n, "biased index")
 
     @property
     def n(self) -> int:
@@ -103,10 +103,23 @@ class ScenarioResult:
         return "eigenfactor"
 
 
+def _check_index(index, n: int, what: str) -> None:
+    # a bool would pass as 0 or 1, and numpy reads it as a mask; a float
+    # would pass the range check and fail as a slice or array index
+    if not _integer(index):
+        raise IndexOutOfRange(f"{what} must be an integer, got {index!r}")
+    if not 0 <= index < n:
+        raise IndexOutOfRange(f"{what} {index} outside 0..{n - 1}")
+
+
 def inject_bias(ratings: RatingVector, index: int, value: float) -> RatingVector:
-    """Replace one rating, keeping the scale; the value must fit the scale."""
-    if not 0 <= index < ratings.n:
-        raise IndexOutOfRange(f"index {index} outside 0..{ratings.n - 1}")
+    """Replace one rating, keeping the scale. ``index`` must be an integer
+    (numpy's too, not a bool) in 0..n-1, else IndexOutOfRange; ``value`` a
+    real number (not a bool or a string) within the scale, else
+    ScaleViolation."""
+    _check_index(index, ratings.n, "index")
+    if not _real(value):
+        raise ScaleViolation(f"injected value must be a real number, got {value!r}")
     if not ratings.scale_min <= value <= ratings.scale_max:
         raise ScaleViolation(
             f"injected value {value!r} outside "
@@ -179,7 +192,7 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
     scale = _document_scale(data)
     label = _document_label(data, "scenario")
     biased_index = data["biased_index"]
-    if not isinstance(biased_index, int) or isinstance(biased_index, bool):
+    if not _integer(biased_index):
         raise MalformedInput("biased_index must be an integer")
 
     # the first scenario checks the shared ratings; the rest reuse its
@@ -190,7 +203,7 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
         if not isinstance(entry, dict) or "competence" not in entry:
             raise MalformedInput(f"scenario #{position} lacks a competence matrix")
         sid = entry.get("id", position)
-        if not isinstance(sid, int) or isinstance(sid, bool):
+        if not _integer(sid):
             raise MalformedInput(f"scenario #{position} id must be an integer")
         if sid in scenarios:
             raise MalformedInput(f"scenario #{position} repeats id {sid}")

@@ -54,6 +54,11 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer (numpy's too), not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _float_ratings(raw) -> np.ndarray:
     """``raw`` as a new float array, once every entry is known to be a real
     number. A bool, a string or any other entry that is not raises
@@ -571,7 +576,6 @@ def load_survey_csv(
     scale=DEFAULT_SCALE,
     diagonal_policy: str = "coerce",
     strict_likert: bool = False,
-    label: str = "",
 ) -> SurveyInstance:
     matrix = load_competence_csv(matrix_path)
     ratings = load_ratings_csv(ratings_path)
@@ -581,5 +585,4 @@ def load_survey_csv(
         scale=scale,
         diagonal_policy=diagonal_policy,
         strict_likert=strict_likert,
-        label=label,
     )

@@ -90,7 +90,7 @@ def test_criterion_2_zero_weight_rule(scenario_by_id):
             competence = scenario.survey.competence
             degree = degree_weights(competence)
             influence = stationary_distribution(competence, 0.85)
-            eigen = eigenfactor_weights(influence, competence)
+            eigen = eigenfactor_weights(influence.values, competence)
             assert weighted_rating(ratings, degree) == base.degree.rating
             assert weighted_rating(ratings, eigen) == base.eigenfactor.rating
             checked += 1
@@ -186,7 +186,7 @@ def test_criterion_6_property_suite():
         competence = survey.competence
         degree = degree_weights(competence)
         influence = stationary_distribution(competence, 0.85)
-        eigen = eigenfactor_weights(influence, competence)
+        eigen = eigenfactor_weights(influence.values, competence)
 
         for weights in (degree, eigen):
             assert np.all(weights >= 0.0)
@@ -208,7 +208,7 @@ def test_criterion_6_property_suite():
         competence_p = permuted.competence
         degree_p = degree_weights(competence_p)
         eigen_p = eigenfactor_weights(
-            stationary_distribution(competence_p, 0.85), competence_p
+            stationary_distribution(competence_p, 0.85).values, competence_p
         )
         assert np.max(np.abs(degree_p - degree[perm])) <= 1e-9
         assert np.max(np.abs(eigen_p - eigen[perm])) <= 1e-9

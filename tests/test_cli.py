@@ -305,9 +305,9 @@ def test_rate_output_file_roundtrip(tmp_path, capsys):
     assert report["degree"]["weighted_rating"] == fresh.degree.rating
     assert report["eigenfactor"]["weighted_rating"] == fresh.eigenfactor.rating
     assert report["eigenfactor"]["influence"] == [
-        float(v) for v in fresh.eigenfactor.influence.values
+        float(v) for v in fresh.eigenfactor.influence
     ]
-    assert report["eigenfactor"]["residual"] == fresh.eigenfactor.influence.residual
+    assert report["eigenfactor"]["residual"] == fresh.eigenfactor.residual
 
 
 @pytest.mark.parametrize(
@@ -554,6 +554,19 @@ def test_scenarios_tell_zeroed_self_endorsements_on_stderr(tmp_path, capsys):
         ),
         "self-endorsement at index [3]",
     )
+
+
+def test_scenarios_failing_after_a_zeroed_self_endorsement_print_one_error_line(
+    tmp_path, capsys
+):
+    # the warning used to be printed before the scenarios ran, so a run that
+    # then failed wrote two stderr lines
+    doc = {"ratings": [1], "biased_index": 0, "scenarios": [{"competence": [[1]]}]}
+    bundle = tmp_path / "one.json"
+    bundle.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "scenarios", "--scenario-file", str(bundle))
+    assert (code, out, err) == (2, "", "error: cannot exclude the only rating\n")
+
 
 def test_scenarios_records_per_method_failures(tmp_path, capsys):
     doc = {

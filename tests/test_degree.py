@@ -68,8 +68,12 @@ def test_score_method_rejects_an_unknown_method():
             score_method(survey, method)
     for method in METHODS:
         assert score_method(survey, method).rating == pytest.approx(4.5, abs=1e-12)
-    assert score_method(survey, "degree").influence is None
-    assert score_method(survey, "eigenfactor").influence is not None
+    degree = score_method(survey, "degree")
+    assert (degree.influence, degree.iterations, degree.residual) == (None, None, None)
+    eigen = score_method(survey, "eigenfactor")
+    assert eigen.influence.shape == (2,) and not eigen.influence.flags.writeable
+    assert eigen.iterations >= 1
+    assert eigen.residual <= 1e-12
 
 
 def test_single_student_is_degenerate():

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ import pytest
 from classrank import (
     DegenerateNetwork,
     DimensionMismatch,
-    InfluenceVector,
     NoConvergence,
     degree_weights,
     eigenfactor_weights,
@@ -213,6 +214,34 @@ def test_solver_parameter_validation(scenario_by_id):
 
 
 
+def _perfbench_spans():
+    """perfbench/spans.py, loaded by path: it imports only the stdlib."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_solver_result_keeps_the_facts_the_benchmark_traces(scenario_by_id):
+    # the traced benchmark reads n and the step count off the solver's
+    # return value by attribute name; a return type without them would read
+    # 0 iterations in every traced run instead of failing
+    spans = _perfbench_spans()
+    for sid in (1, 2):
+        competence = scenario_by_id[sid].survey.competence
+        result = stationary_distribution(competence, 0.85)
+        assert result.iterations >= 1
+        assert spans._solver_facts((), {}, result) == {
+            "n": competence.n,
+            "iterations": result.iterations,
+        }
+        values, iterations, residual = result
+        assert values is result.values
+        assert iterations == result.iterations
+        assert residual == result.residual
+
+
 def test_solver_settings_must_be_real_numbers(scenario_by_id):
     # a string raised a bare TypeError, and False or True ran as 0 or 1
     competence = scenario_by_id[1].survey.competence
@@ -274,7 +303,7 @@ def test_near_zero_alpha_recovers_degree_weights(scenario_by_id):
     # collapses to the degree one
     competence = scenario_by_id[1].survey.competence
     influence = stationary_distribution(competence, alpha=1e-6)
-    eigen = eigenfactor_weights(influence, competence)
+    eigen = eigenfactor_weights(influence.values, competence)
     degree = degree_weights(competence)
     assert np.max(np.abs(eigen - degree)) <= 1e-4
 
@@ -290,7 +319,7 @@ def test_degenerate_network_raises():
         assert np.allclose(influence.values, 1.0 / n, rtol=0, atol=1e-15)
         assert influence.iterations == 1
         with pytest.raises(DegenerateNetwork):
-            eigenfactor_weights(influence, competence)
+            eigenfactor_weights(influence.values, competence)
         with pytest.raises(DegenerateNetwork):
             degree_weights(competence)
 
@@ -367,11 +396,11 @@ def test_compressed_rows_solve_bit_identical_to_per_edge_shares():
                 with pytest.raises(DegenerateNetwork):
                     degree_weights(competence)
                 with pytest.raises(DegenerateNetwork):
-                    eigenfactor_weights(influence, competence)
+                    eigenfactor_weights(influence.values, competence)
             else:
                 assert np.array_equal(degree_weights(competence), degree)
                 assert np.array_equal(
-                    eigenfactor_weights(influence, competence), eigen
+                    eigenfactor_weights(influence.values, competence), eigen
                 )
 
 
@@ -379,7 +408,7 @@ def test_unit_visits_give_the_degree_weights_bit_for_bit():
     # degree centrality is eigenfactor with every endorser visited once
     for raw, _ in _bit_identity_cases():
         competence = _competence(raw)
-        unit = InfluenceVector(np.ones(competence.n), 0, 0.0)
+        unit = np.ones(competence.n)
         if competence.targets.size == 0:
             with pytest.raises(DegenerateNetwork):
                 degree_weights(competence)
@@ -394,7 +423,7 @@ def test_unit_visits_give_the_degree_weights_bit_for_bit():
 @pytest.mark.parametrize("size", [1, 9, 11])
 def test_influence_of_the_wrong_length_raises(size):
     competence = _competence(random_binary_matrix(np.random.default_rng(3), 10))
-    influence = InfluenceVector(np.full(size, 1.0 / size), 0, 0.0)
+    influence = np.full(size, 1.0 / size)
     with pytest.raises(DimensionMismatch, match=f"^{size} influence entries vs 10"):
         eigenfactor_weights(influence, competence)
 
@@ -402,6 +431,6 @@ def test_influence_of_the_wrong_length_raises(size):
 @pytest.mark.parametrize("shape", [(10, 1), (1, 10)])
 def test_influence_of_another_shape_raises(shape):
     competence = _competence(random_binary_matrix(np.random.default_rng(3), 10))
-    influence = InfluenceVector(np.full(shape, 0.1), 0, 0.0)
+    influence = np.full(shape, 0.1)
     with pytest.raises(DimensionMismatch, match=r"^10 influence entries vs 10 students"):
         eigenfactor_weights(influence, competence)

@@ -174,8 +174,8 @@ def test_adding_an_endorsement_never_lowers_its_target(case, alpha):
     x = stationary_distribution(before, alpha, tol=1e-14)
     moved = stationary_distribution(after, alpha, tol=1e-14)
     assert moved.values[j] >= x.values[j] - BOUND_SLACK
-    eigen = eigenfactor_weights(x, before)[j]
-    assert eigenfactor_weights(moved, after)[j] >= eigen - BOUND_SLACK
+    eigen = eigenfactor_weights(x.values, before)[j]
+    assert eigenfactor_weights(moved.values, after)[j] >= eigen - BOUND_SLACK
     assert degree_weights(after)[j] >= degree_weights(before)[j] - BOUND_SLACK
 
 
@@ -193,7 +193,7 @@ def test_unbiased_mean_is_the_leave_one_out_mean_bit_for_bit(network, data):
 def both_weightings(survey):
     degree = degree_weights(survey.competence)
     influence = stationary_distribution(survey.competence, 0.85)
-    eigen = eigenfactor_weights(influence, survey.competence)
+    eigen = eigenfactor_weights(influence.values, survey.competence)
     return degree, eigen
 
 
@@ -207,7 +207,7 @@ def test_weights_are_convex_coefficients(network):
     assert not influence.values.flags.writeable
     for weights in (
         degree_weights(survey.competence),
-        eigenfactor_weights(influence, survey.competence),
+        eigenfactor_weights(influence.values, survey.competence),
     ):
         assert np.all(weights >= 0)
         assert abs(weights.sum() - 1.0) <= 1e-9

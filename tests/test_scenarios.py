@@ -150,15 +150,51 @@ def test_inject_bias_validation():
         inject_bias(ratings, 0, 9)
 
 
+@pytest.mark.parametrize("index", [True, False, np.True_, 1.0, 2.0, "1", None])
+def test_scenario_index_must_be_an_integer(index):
+    # True was accepted and scored as index 1, and 2.0 passed the range
+    # check to fail in run_scenario with a bare TypeError
+    survey = validate_survey([4, 5, 3], [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    with pytest.raises(IndexOutOfRange, match="^biased index must be an integer, got "):
+        Scenario(id=1, survey=survey, biased_index=index)
+
+
+@pytest.mark.parametrize("index", [True, False, np.True_, 0.0, 1.0, "0", None])
+def test_inject_bias_index_must_be_an_integer(index):
+    # numpy read True as a mask and overwrote every rating, and 0.0 raised
+    # its bare IndexError
+    with pytest.raises(IndexOutOfRange, match="^index must be an integer, got "):
+        inject_bias(RatingVector([3, 4]), index, 5)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, "4", None, 4 + 0j])
+def test_inject_bias_value_must_be_a_real_number(value):
+    # True was injected as 1.0, and "4" raised a bare TypeError
+    with pytest.raises(
+        ScaleViolation, match="^injected value must be a real number, got "
+    ):
+        inject_bias(RatingVector([3, 4]), 0, value)
+
+
+def test_numpy_integer_indices_and_real_values_still_work():
+    survey = validate_survey([4, 5, 1], [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    for index in (np.int64(2), np.int32(2), np.uint8(2)):
+        scenario = Scenario(id=1, survey=survey, biased_index=index)
+        assert run_scenario(scenario).unbiased_mean == 4.5
+        biased = inject_bias(survey.ratings, index, np.float64(2.5))
+        assert biased.values.tolist() == [4.0, 5.0, 2.5]
+    with pytest.raises(IndexOutOfRange, match=r"^biased index 3 outside 0\.\.2$"):
+        Scenario(id=1, survey=survey, biased_index=np.int64(3))
+    with pytest.raises(IndexOutOfRange, match=r"^index -1 outside 0\.\.2$"):
+        inject_bias(survey.ratings, np.int64(-1), 3)
+
+
 def test_run_scenario_is_deterministic(scenario_bundle):
     first = run_scenario(scenario_bundle[0])
     second = run_scenario(scenario_bundle[0])
     assert np.array_equal(first.eigenfactor.weights, second.eigenfactor.weights)
     assert first.eigenfactor.rating == second.eigenfactor.rating
-    assert (
-        first.eigenfactor.influence.iterations
-        == second.eigenfactor.influence.iterations
-    )
+    assert first.eigenfactor.iterations == second.eigenfactor.iterations
 
 
 TRIANGLE = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
