@@ -19,8 +19,9 @@ from .survey import CompetenceMatrix, RatingVector, _readonly
 # np.bincount's C function, called past numpy's __array_function__
 # dispatcher (NEP 18's ``_implementation``): the dispatcher costs a
 # Python-level call per power step, and the kernel is only ever given plain
-# ndarrays, which it would hand to this same function
-_bincount = np.bincount._implementation
+# ndarrays, which it would hand to this same function. A numpy without the
+# attribute gets the dispatcher itself, with the same results.
+_bincount = getattr(np.bincount, "_implementation", np.bincount)
 
 
 def _incoming_mass(
@@ -69,8 +70,12 @@ def weighted_rating(ratings: RatingVector, weights: np.ndarray) -> float:
     The result is clamped to [ratings.low, ratings.high], the smallest and
     largest rating: mathematically it always lies there, and the clamp keeps
     the guarantee under floating-point roundoff. Raises DimensionMismatch
-    unless ``weights`` is 1-d with one entry a rating.
+    unless ``weights`` is a 1-d ndarray with one entry a rating.
     """
+    if not isinstance(weights, np.ndarray):
+        raise DimensionMismatch(
+            f"weights must be a numpy array, got {type(weights).__name__}"
+        )
     if weights.shape != (ratings.n,):
         raise DimensionMismatch(
             f"{ratings.n} ratings vs {weights.size} weights (shape {weights.shape})"

@@ -109,9 +109,13 @@ def eigenfactor_weights(
     ``test_unendorsed_student_rating_is_irrelevant`` in
     ``tests/test_properties.py`` pin these invariants. ``influence`` is the
     distribution itself, the solver's ``values``. Raises DimensionMismatch
-    unless it is 1-d with one entry a student, and DegenerateNetwork when
-    nobody endorses anybody.
+    unless it is a 1-d ndarray with one entry a student, and
+    DegenerateNetwork when nobody endorses anybody.
     """
+    if not isinstance(influence, np.ndarray):
+        raise DimensionMismatch(
+            f"influence must be a numpy array, got {type(influence).__name__}"
+        )
     if influence.shape != (competence.n,):
         raise DimensionMismatch(
             f"{influence.size} influence entries vs {competence.n} students"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
+from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_SCALE, DEFAULT_TOL
 from .errors import (
     DegenerateNetwork,
     EmptyInput,
@@ -27,7 +27,6 @@ from .survey import (
     RatingVector,
     SurveyInstance,
     _document_label,
-    _document_scale,
     _integer,
     _read_document,
     _real,
@@ -185,15 +184,21 @@ def error_reduction_summary(results) -> dict[str, float | None]:
 def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
     """Load a scenario bundle: shared ratings and biased index, one
     competence matrix per scenario. Results are ordered by scenario id,
-    which must be unique."""
+    which must be unique.
+
+    Only the document's shape raises MalformedInput here: the keys, the
+    scenario entries and ids, the label and each competence grid (see
+    ``_survey_from_document``). The scale and the shared ratings are
+    checked by validate_survey when the first scenario listed is built,
+    after its grid checks, and the biased index by that scenario's
+    Scenario, after its survey is built; each raises the library's own
+    error."""
     data = _read_document(source, "scenario", ("ratings", "biased_index", "scenarios"))
     if not isinstance(data["scenarios"], list) or not data["scenarios"]:
         raise MalformedInput("scenario document holds no scenarios")
-    scale = _document_scale(data)
+    scale = data.get("scale", DEFAULT_SCALE)
     label = _document_label(data, "scenario")
     biased_index = data["biased_index"]
-    if not _integer(biased_index):
-        raise MalformedInput("biased_index must be an integer")
 
     # the first scenario checks the shared ratings; the rest reuse its
     # RatingVector, so a bundle's ratings are checked and converted once

@@ -86,7 +86,8 @@ def _float_ratings(raw) -> np.ndarray:
         for entry in entries:
             if _real(entry):
                 continue
-            if np.ndim(entry):
+            # a list or tuple may be ragged, which np.ndim cannot read
+            if isinstance(entry, (list, tuple)) or np.ndim(entry):
                 raise DimensionMismatch("ratings must form a nonempty 1-d sequence")
             raise ScaleViolation(f"ratings must be real numbers: found {entry!r}")
     try:
@@ -342,11 +343,17 @@ def validate_survey(
 
     ``scale`` is exactly two real numbers (numpy's too, not bools), the
     lowest and the highest rating; any other length or entry raises
-    ScaleViolation.
+    ScaleViolation. This and RatingVector are the only checks of the scale
+    and the ratings, whichever loader they come from.
 
-    Errors come in this order: the ratings, an unknown policy (ValueError),
-    the matrix shape, its first cell other than 0 or 1 (NonBinaryEntry,
-    under both policies), and last a self-endorsement under ``reject``.
+    Errors come in this order: a scale that is not two values, the ratings'
+    types and shape, the scale's entries, the ratings' values (finite, on
+    the scale, a finite mean, ``strict_likert``), an unknown policy
+    (ValueError), the matrix shape, its first cell other than 0 or 1
+    (NonBinaryEntry, under both policies), and last a self-endorsement under
+    ``reject``. The JSON loaders check the document's shape before they
+    call this, so from them a bad scale or rating comes after the grid
+    checks.
 
     Validation is idempotent: the zero-diagonal 0/1 matrix of a survey's
     edges validates again to the same edge list, with no warnings.
@@ -406,23 +413,6 @@ def _read_document(source, kind: str, required: tuple[str, ...]) -> dict:
     return data
 
 
-def _document_scale(data: dict) -> tuple[float, float]:
-    """The two-element ``scale`` of a document, [1, 5] when absent.
-
-    Both entries must be JSON numbers, as ratings must.
-    """
-    scale = data.get("scale", list(DEFAULT_SCALE))
-    if not (isinstance(scale, list) and len(scale) == 2):
-        raise MalformedInput("scale must be a two-element list")
-    odd = [value for value in scale if type(value) not in _NUMBERS]
-    if odd:
-        raise MalformedInput(f"scale is not numeric: found {odd[0]!r}")
-    try:
-        return float(scale[0]), float(scale[1])
-    except OverflowError as exc:
-        raise MalformedInput(f"scale is out of range: {exc}") from exc
-
-
 def _document_label(data: dict, default: str) -> str:
     """The ``label`` of a document, ``default`` when absent.
 
@@ -466,32 +456,19 @@ def _packed(grid: list) -> np.ndarray:
 def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyInstance:
     """validate_survey on parsed JSON values.
 
-    Ratings and competence cells must be JSON numbers: a string such as "4"
-    or a boolean is not read as one. Null competence cells mean "no answer",
-    which counts as 0. Content that is not numeric raises MalformedInput
-    naming ``kind``, and so does an integer rating past the float range, as
-    the list of ratings is converted to floats here.
+    Only the shape of the competence grid is checked here: a list of lists
+    of equal length whose cells are JSON numbers (a string such as "1" or a
+    boolean is not read as one) or nulls, which mean "no answer" and count
+    as 0. Content that breaks this raises MalformedInput naming ``kind``.
+    The ratings and the scale are left to validate_survey, so a bad one
+    raises the library's own error, after the grid is checked.
 
     One type scan over all cells lets a grid of numbers through as it is;
     only a grid with null or other cells goes row by row through
     ``_answers``. The grid is then packed one byte a cell (``_packed``), so
     validation reads a uint8 buffer, not an n x n int64 array, and never
     copies it.
-
-    ``ratings`` may also be a RatingVector, already checked: it skips the
-    type scan and is passed on to validate_survey as it is.
     """
-    if isinstance(ratings, list):
-        odd = [value for value in ratings if type(value) not in _NUMBERS]
-        if odd:
-            raise MalformedInput(f"{kind} ratings are not numeric: found {odd[0]!r}")
-        try:
-            ratings = np.array(ratings, dtype=float)
-        # an integer rating too large for a float
-        except OverflowError as exc:
-            raise MalformedInput(f"{kind} ratings are out of range: {exc}") from exc
-    elif not isinstance(ratings, RatingVector):
-        raise MalformedInput(f"{kind} ratings are not numeric: expected a list")
     # a type set test over all cells at once is several times cheaper than a
     # Python-level test per cell or per row, and so are these C-level maps
     if not isinstance(competence, list) or not all(
@@ -520,7 +497,7 @@ def load_survey_json(
         data["ratings"],
         data["competence"],
         "survey document",
-        scale=_document_scale(data),
+        scale=data.get("scale", DEFAULT_SCALE),
         diagonal_policy=diagonal_policy,
         strict_likert=strict_likert,
         label=_document_label(data, ""),

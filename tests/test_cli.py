@@ -161,8 +161,8 @@ def test_rate_non_number_rating_exits_2(tmp_path, capsys, rating):
     path = tmp_path / "survey.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_cli(capsys, "rate", "--survey", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "ratings are not numeric" in err
+    assert (code, out) == (2, "")
+    assert err == f"error: ratings must be real numbers: found {rating!r}\n"
 
 
 @pytest.mark.parametrize("cell", [True, "1"])
@@ -187,15 +187,15 @@ def test_rate_out_of_range_rating_exits_2(tmp_path, capsys):
     doc = {"ratings": [4, 10**400], "competence": [[0, 1], [1, 0]]}
     path = tmp_path / "survey.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    result = run_cli(capsys, "rate", "--survey", str(path))
-    assert_input_error(result, "ratings are out of range")
+    code, out, err = run_cli(capsys, "rate", "--survey", str(path))
+    assert (code, out, err) == (2, "", "error: ratings must be finite numbers\n")
     # a float too large for a double parses as inf: no finite scale
     path.write_text(
         '{"scale": [1, 1e400], "ratings": [4, 5], "competence": [[0, 1], [1, 0]]}',
         encoding="utf-8",
     )
-    result = run_cli(capsys, "rate", "--survey", str(path))
-    assert_input_error(result, "scale [1.0, inf] must be finite")
+    code, out, err = run_cli(capsys, "rate", "--survey", str(path))
+    assert (code, out, err) == (2, "", "error: scale [1, inf] must be finite\n")
 
 
 def test_rate_overflowing_mean_exits_2(tmp_path, capsys):
@@ -605,18 +605,30 @@ def test_scenarios_summary_skips_a_method_that_always_failed(tmp_path, capsys):
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"scale": 5}, "scale"),
-        ({"ratings": {"a": 4, "b": 5}}, "not numeric"),
-        ({"scenarios": [{"id": 1, "competence": [[0, 1], [1, 0]]}] * 2}, "id 1"),
-        ({"ratings": ["4", 5]}, "not numeric: found '4'"),
-        ({"ratings": [4, True]}, "not numeric: found True"),
-        ({"scenarios": [{"competence": [[0, True], [1, 0]]}]}, "found True"),
-        ({"scale": [True, "5"]}, "scale is not numeric: found True"),
-        ({"ratings": [4, 10**400]}, "ratings are out of range"),
-        ({"scenarios": [{"competence": [[0, 1], [1]]}]}, "rows are ragged"),
+        ({"scale": 5}, "scale must be two numbers, low and high: got 5"),
+        (
+            {"ratings": {"a": 4, "b": 5}},
+            "ratings must be real numbers: found {'a': 4, 'b': 5}",
+        ),
+        (
+            {"scenarios": [{"id": 1, "competence": [[0, 1], [1, 0]]}] * 2},
+            "scenario #2 repeats id 1",
+        ),
+        ({"ratings": ["4", 5]}, "ratings must be real numbers: found '4'"),
+        ({"ratings": [4, True]}, "ratings must be real numbers: found True"),
+        (
+            {"scenarios": [{"competence": [[0, True], [1, 0]]}]},
+            "scenario 1 competence cells are not numeric: found True",
+        ),
+        ({"scale": [True, "5"]}, "scale [True, '5'] must be two real numbers"),
+        ({"ratings": [4, 10**400]}, "ratings must be finite numbers"),
+        (
+            {"scenarios": [{"competence": [[0, 1], [1]]}]},
+            "scenario 1 competence rows are ragged",
+        ),
         ({"label": None}, "label must be a string: found None"),
         ({"label": [1, {}]}, "label must be a string: found [1, {}]"),
-        ({"scale": [1, 1e400]}, "scale [1.0, inf] must be finite"),
+        ({"scale": [1, 1e400]}, "scale [1, inf] must be finite"),
     ],
     ids=[
         "scalar-scale",
@@ -643,9 +655,7 @@ def test_scenarios_malformed_bundle_exits_2(tmp_path, capsys, change, message):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_cli(capsys, "scenarios", "--scenario-file", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and message in err
-    assert len(err.strip().splitlines()) == 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_scenarios_deeply_nested_json_exits_2(tmp_path, capsys):

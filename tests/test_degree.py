@@ -1,9 +1,11 @@
+import importlib
 import re
 from itertools import product
 
 import numpy as np
 import pytest
 
+import classrank.degree
 from classrank import (
     DegenerateNetwork,
     DimensionMismatch,
@@ -94,6 +96,35 @@ def test_weights_of_another_shape_rejected(shape):
     with pytest.raises(DimensionMismatch) as excinfo:
         weighted_rating(RatingVector([4, 5, 3]), np.full(shape, 1 / 3))
     assert str(excinfo.value) == f"3 ratings vs 3 weights (shape {shape})"
+
+
+def test_weights_that_are_not_an_array_rejected():
+    with pytest.raises(DimensionMismatch) as excinfo:
+        weighted_rating(RatingVector([4, 5, 3]), [0.2, 0.5, 0.3])
+    assert str(excinfo.value) == "weights must be a numpy array, got list"
+
+
+def test_degree_imports_on_a_numpy_without_the_bincount_implementation(monkeypatch):
+    matrix = [[0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 0], [1, 1, 1, 0]]
+    competence = validate_survey([4, 5, 3, 2], matrix).competence
+    expected = degree_weights(competence)
+    bincount = np.bincount
+
+    def wrapper(*args, **kwargs):
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", wrapper)
+    # the module's own objects, which the package has cached under its names
+    namespace = dict(vars(classrank.degree))
+    try:
+        reloaded = importlib.reload(classrank.degree)
+        assert reloaded._bincount is wrapper
+        assert reloaded.degree_weights(competence).tobytes() == expected.tobytes()
+    finally:
+        monkeypatch.undo()
+        importlib.reload(classrank.degree)
+        vars(classrank.degree).update(namespace)
+    assert classrank.degree._bincount is np.bincount._implementation
 
 
 def test_rating_stays_within_bounds_even_when_all_equal():

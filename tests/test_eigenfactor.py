@@ -434,3 +434,11 @@ def test_influence_of_another_shape_raises(shape):
     influence = np.full(shape, 0.1)
     with pytest.raises(DimensionMismatch, match=r"^10 influence entries vs 10 students"):
         eigenfactor_weights(influence, competence)
+
+
+def test_influence_that_is_not_an_array_raises():
+    competence = _competence(random_binary_matrix(np.random.default_rng(3), 10))
+    with pytest.raises(
+        DimensionMismatch, match="^influence must be a numpy array, got list$"
+    ):
+        eigenfactor_weights([0.1] * 10, competence)

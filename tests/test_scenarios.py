@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from classrank import (
+    ClassrankError,
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
@@ -218,7 +219,9 @@ def test_loader_validates_document(tmp_path):
         load_scenarios({"ratings": [1, 2]})
     with pytest.raises(MalformedInput):
         load_scenarios({"ratings": [1, 2], "biased_index": 0, "scenarios": []})
-    with pytest.raises(MalformedInput):
+    with pytest.raises(
+        IndexOutOfRange, match="^biased index must be an integer, got '0'$"
+    ):
         load_scenarios(
             {"ratings": [1, 2], "biased_index": "0", "scenarios": [{"competence": [[0, 1], [1, 0]]}]}
         )
@@ -226,12 +229,18 @@ def test_loader_validates_document(tmp_path):
     path.write_text("[1,2", encoding="utf-8")
     with pytest.raises(MalformedInput):
         load_scenarios(path)
-    with pytest.raises(MalformedInput, match="scale"):
+    with pytest.raises(
+        ScaleViolation, match="^scale must be two numbers, low and high: got 5$"
+    ):
         load_scenarios(_bundle(scale=5))
-    with pytest.raises(MalformedInput, match="not numeric"):
+    with pytest.raises(
+        ScaleViolation,
+        match=r"^ratings must be real numbers: found \{'a': 4, 'b': 5, 'c': 3\}$",
+    ):
         load_scenarios(_bundle(ratings={"a": 4, "b": 5, "c": 3}))
     for rating in ("4", True):
-        with pytest.raises(MalformedInput, match="ratings are not numeric"):
+        message = f"^ratings must be real numbers: found {rating!r}$"
+        with pytest.raises(ScaleViolation, match=message):
             load_scenarios(_bundle(ratings=[rating, 5, 3]))
     twice = [{"id": 1, "competence": TRIANGLE}, {"id": 1, "competence": TRIANGLE}]
     with pytest.raises(MalformedInput, match="repeats id 1"):
@@ -250,7 +259,9 @@ def test_loader_rejects_non_number_cells_and_scale():
         scenarios = [{"id": 1, "competence": [[0, 1, cell], [1, 0, 1], [1, 1, 0]]}]
         with pytest.raises(MalformedInput, match="competence cells are not numeric"):
             load_scenarios(_bundle(scenarios=scenarios))
-    with pytest.raises(MalformedInput, match="scale is not numeric: found True"):
+    with pytest.raises(
+        ScaleViolation, match=r"^scale \[True, '5'\] must be two real numbers$"
+    ):
         load_scenarios(_bundle(scale=[True, "5"]))
 
 
@@ -313,10 +324,69 @@ def test_first_scenario_reports_ragged_rows_before_out_of_scale_ratings():
 
 
 def test_boolean_rating_is_reported_by_the_first_scenario():
+    # validate_survey checks the shared ratings when the first scenario is
+    # built, after that scenario's grid checks
     listed = [{"id": 1, "competence": TRIANGLE}, {"id": 2, "competence": TRIANGLE}]
-    with pytest.raises(MalformedInput) as excinfo:
+    with pytest.raises(ScaleViolation) as excinfo:
         load_scenarios(_bundle(ratings=[4, True, 3], scenarios=listed))
-    assert str(excinfo.value) == "scenario 1 ratings are not numeric: found True"
+    assert str(excinfo.value) == "ratings must be real numbers: found True"
+    ragged = [{"id": 1, "competence": [[0, 1, 0], [1, 0], [0, 1, 0]]}]
+    with pytest.raises(MalformedInput) as excinfo:
+        load_scenarios(_bundle(ratings=[4, True, 3], scenarios=ragged))
+    assert str(excinfo.value) == "scenario 1 competence rows are ragged"
+
+
+# Each fact of the input is checked by one function, so it raises the same
+# error from the library and from either JSON loader.
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        (
+            {"scale": [True, "5"]},
+            ScaleViolation,
+            "scale [True, '5'] must be two real numbers",
+        ),
+        ({"scale": [1, 10**400]}, ScaleViolation, f"scale [1, {10**400}] must be finite"),
+        ({"ratings": [4, "5"]}, ScaleViolation, "ratings must be real numbers: found '5'"),
+        ({"ratings": [4, 10**400]}, ScaleViolation, "ratings must be finite numbers"),
+        (
+            {"ratings": [4, [5, [6]]]},
+            DimensionMismatch,
+            "ratings must form a nonempty 1-d sequence",
+        ),
+        (
+            {"biased_index": "0"},
+            IndexOutOfRange,
+            "biased index must be an integer, got '0'",
+        ),
+    ],
+    ids=[
+        "non-real-scale",
+        "huge-int-scale",
+        "non-real-rating",
+        "huge-int-rating",
+        "nested-rating",
+        "non-integer-biased-index",
+    ],
+)
+def test_same_fact_gives_the_same_error_from_every_entry_point(change, error, message):
+    competence = [[0, 1], [1, 0]]
+    doc = {"ratings": [4, 5], "scale": [1, 5], "biased_index": 0, **change}
+    bundle = {**doc, "scenarios": [{"id": 1, "competence": competence}]}
+
+    def library():
+        survey = validate_survey(doc["ratings"], competence, doc["scale"])
+        return Scenario(id=1, survey=survey, biased_index=doc["biased_index"])
+
+    calls = [library, lambda: load_scenarios(bundle)]
+    if "biased_index" not in change:  # a survey document has no biased index
+        calls.append(lambda: load_survey_json({**doc, "competence": competence}))
+    raised = []
+    for call in calls:
+        with pytest.raises(ClassrankError) as excinfo:
+            call()
+        raised.append((type(excinfo.value), str(excinfo.value)))
+    assert raised == [(error, message)] * len(calls)
 
 
 @pytest.mark.parametrize(

@@ -617,11 +617,22 @@ def test_real_ratings_of_every_kind_accepted(raw):
 
 
 def test_nested_ratings_are_a_dimension_error():
-    for raw in ([[4, 5]], [[4, 5], [3]], [4, [5]]):
-        with pytest.raises(
-            DimensionMismatch, match="^ratings must form a nonempty 1-d sequence$"
-        ):
+    deep = [6]
+    for _ in range(99):
+        deep = [deep]
+    message = "^ratings must form a nonempty 1-d sequence$"
+    for raw in ([[4, 5]], [[4, 5], [3]], [4, [5]], [4, [5, [6]]], [4, deep]):
+        with pytest.raises(DimensionMismatch, match=message):
             RatingVector(raw)
+        with pytest.raises(DimensionMismatch, match=message):
+            validate_survey(raw, [[0, 1], [1, 0]])
+        with pytest.raises(DimensionMismatch, match=message):
+            load_survey_json({"ratings": raw, "competence": [[0, 1], [1, 0]]})
+    # a 0-d array is no sequence, and no real number either
+    with pytest.raises(
+        ScaleViolation, match=r"^ratings must be real numbers: found array\(5\.\)$"
+    ):
+        RatingVector([4, np.array(5.0)])
 
 
 def test_validate_survey_keeps_a_rating_vector_on_its_scale():
@@ -812,13 +823,31 @@ def test_load_survey_json_defaults_scale():
     assert survey.ratings.scale_max == 5.0
 
 
-@pytest.mark.parametrize("rating", ["4", True, None, [4], {"value": 4}])
-def test_load_survey_json_rejects_non_number_ratings(rating):
+@pytest.mark.parametrize(
+    "rating, error, message",
+    [
+        pytest.param("4", ScaleViolation, "ratings must be real numbers: found '4'", id="4"),
+        pytest.param(True, ScaleViolation, "ratings must be real numbers: found True", id="True"),
+        pytest.param(None, ScaleViolation, "ratings must be real numbers: found None", id="None"),
+        pytest.param(
+            [4], DimensionMismatch, "ratings must form a nonempty 1-d sequence", id="rating3"
+        ),
+        pytest.param(
+            {"value": 4},
+            ScaleViolation,
+            "ratings must be real numbers: found {'value': 4}",
+            id="rating4",
+        ),
+    ],
+)
+def test_load_survey_json_rejects_non_number_ratings(rating, error, message):
     # a JSON string or boolean is not silently read as a number
     doc = {"ratings": [rating, 5], "competence": [[0, 1], [1, 0]]}
-    with pytest.raises(MalformedInput, match="ratings are not numeric"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         load_survey_json(doc)
-    with pytest.raises(MalformedInput, match="ratings are not numeric"):
+    with pytest.raises(
+        ScaleViolation, match="^ratings must be real numbers: found '45'$"
+    ):
         load_survey_json({**doc, "ratings": "45"})
 
 
@@ -833,19 +862,22 @@ def test_load_survey_json_rejects_non_number_cells(cell):
 @pytest.mark.parametrize("scale", [[True, "5"], [1, "5"], [None, 5], [1, [5]]])
 def test_load_survey_json_rejects_non_number_scale(scale):
     doc = {"scale": scale, "ratings": [4, 5], "competence": [[0, 1], [1, 0]]}
-    with pytest.raises(MalformedInput, match="scale is not numeric"):
+    low, high = scale
+    message = f"scale [{low!r}, {high!r}] must be two real numbers"
+    with pytest.raises(ScaleViolation, match=f"^{re.escape(message)}$"):
         load_survey_json(doc)
 
 
 def test_load_survey_json_rejects_numbers_too_large_for_a_float():
     doc = {"ratings": [4, 5], "competence": [[0, 1], [1, 0]]}
-    with pytest.raises(MalformedInput, match="scale is out of range"):
+    message = f"scale [1, {10**400}] must be finite"
+    with pytest.raises(ScaleViolation, match=f"^{re.escape(message)}$"):
         load_survey_json({**doc, "scale": [1, 10**400]})
-    with pytest.raises(MalformedInput, match="ratings are out of range"):
+    with pytest.raises(ScaleViolation, match="^ratings must be finite numbers$"):
         load_survey_json({**doc, "ratings": [4, 10**400]})
     # a float literal too large for a double parses as inf
     text = '{"scale": [1, 1e400], "ratings": [4, 5], "competence": [[0, 1], [1, 0]]}'
-    with pytest.raises(ScaleViolation, match=r"scale \[1.0, inf\] must be finite"):
+    with pytest.raises(ScaleViolation, match=r"^scale \[1, inf\] must be finite$"):
         load_survey_json(json.loads(text))
 
 
