@@ -16,7 +16,6 @@ _EXPORTS = {
         "DispersionRow",
         "aggregate",
         "dispersion_row",
-        "mode_of",
         "read_dispersion_csv",
     ),
     "eigenfactor": ("eigenfactor_weights", "stationary_distribution"),

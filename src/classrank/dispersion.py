@@ -29,28 +29,21 @@ DispersionAggregate = namedtuple(
 )
 
 
-def mode_of(ratings, tiebreak: str = "smallest") -> int:
-    """Most frequent value; ties resolved to the smallest or largest value."""
-    return _mode(Counter(ratings), tiebreak, "mode of an empty rating list")
-
-
-def _mode(counts: Counter, tiebreak: str, empty: str) -> int:
-    if tiebreak not in TIEBREAKS:
-        raise ValueError(f"unknown tiebreak {tiebreak!r}")
-    if not counts:
-        raise EmptyInput(empty)
-    top = max(counts.values())
-    tied = [value for value, count in counts.items() if count == top]
-    return min(tied) if tiebreak == "smallest" else max(tied)
-
-
 def dispersion_row(label: str, ratings, tiebreak: str = "smallest") -> DispersionRow:
     """Count ratings at deviation 2 and at deviation >= 3 from the mode.
 
-    One count per rating value gives n, the mode and both buckets.
+    The mode is the most frequent rating, ties resolved to the smallest or
+    the largest value by ``tiebreak``. One count per rating value gives n,
+    the mode and both buckets.
     """
+    if tiebreak not in TIEBREAKS:
+        raise ValueError(f"unknown tiebreak {tiebreak!r}")
     counts = Counter(ratings)
-    anchor = _mode(counts, tiebreak, f"no ratings for {label!r}")
+    if not counts:
+        raise EmptyInput(f"no ratings for {label!r}")
+    top = max(counts.values())
+    tied = [value for value, count in counts.items() if count == top]
+    anchor = min(tied) if tiebreak == "smallest" else max(tied)
     dev2 = counts[anchor - 2] + counts[anchor + 2]
     dev3plus = sum(count for value, count in counts.items() if abs(value - anchor) >= 3)
     return DispersionRow(label, sum(counts.values()), anchor, dev2, dev3plus)

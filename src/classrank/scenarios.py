@@ -9,7 +9,7 @@ each weighting method removes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,18 +37,24 @@ from .survey import (
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One survey with one rating index declared as biased: an integer
-    (numpy's too, not a bool) in 0..n-1, else IndexOutOfRange."""
+    (numpy's too, not a bool) in 0..n-1, else IndexOutOfRange. The survey
+    must hold at least two ratings, else EmptyInput, since
+    ``unbiased_mean`` is the mean of the others, taken once here."""
 
     id: int
     survey: SurveyInstance
     biased_index: int
+    unbiased_mean: float = field(init=False)
 
     def __post_init__(self):
-        _check_index(self.biased_index, self.survey.n, "biased index")
-
-    @property
-    def n(self) -> int:
-        return self.survey.n
+        values = self.survey.ratings.values
+        i = self.biased_index
+        _check_index(i, values.size, "biased index")
+        if values.size < 2:
+            raise EmptyInput("cannot exclude the only rating")
+        # ndarray.mean's own sum and division, without its Python wrapper
+        unbiased = np.add.reduce(np.concatenate((values[:i], values[i + 1 :])))
+        object.__setattr__(self, "unbiased_mean", float(unbiased / (values.size - 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,12 +143,8 @@ def run_scenario(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ScenarioResult:
-    """Score both weighting methods against the leave-one-out mean."""
+    """Score both weighting methods against ``scenario.unbiased_mean``."""
     survey = scenario.survey
-    if survey.n < 2:
-        raise EmptyInput("cannot exclude the only rating")
-    values = survey.ratings.values
-    i = scenario.biased_index
     # each method's MethodResult, or the reason it failed, by field name
     outcome = {}
     for method in METHODS:
@@ -153,11 +155,7 @@ def run_scenario(
     return ScenarioResult(
         id=scenario.id,
         arithmetic_mean=survey.ratings.mean,
-        # ndarray.mean's own sum and division, without its Python wrapper
-        unbiased_mean=float(
-            np.add.reduce(np.concatenate((values[:i], values[i + 1 :])))
-            / (values.size - 1)
-        ),
+        unbiased_mean=scenario.unbiased_mean,
         **outcome,
     )
 
@@ -190,9 +188,9 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
     scenario entries and ids, the label and each competence grid (see
     ``_survey_from_document``). The scale and the shared ratings are
     checked by validate_survey when the first scenario listed is built,
-    after its grid checks, and the biased index by that scenario's
-    Scenario, after its survey is built; each raises the library's own
-    error."""
+    after its grid checks, and the biased index, then the count of at
+    least two ratings, by that scenario's Scenario, after its survey is
+    built; each raises the library's own error."""
     data = _read_document(source, "scenario", ("ratings", "biased_index", "scenarios"))
     if not isinstance(data["scenarios"], list) or not data["scenarios"]:
         raise MalformedInput("scenario document holds no scenarios")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -312,7 +313,6 @@ class SurveyInstance:
     ratings: RatingVector
     competence: CompetenceMatrix
     label: str = ""
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.ratings.n != self.competence.n:
@@ -323,6 +323,13 @@ class SurveyInstance:
     @property
     def n(self) -> int:
         return self.ratings.n
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """One line naming the self-endorsements that were zeroed, if any
+        (``competence.self_endorsers``)."""
+        zeroed = list(self.competence.self_endorsers)
+        return (f"zeroed diagonal entries at indices {zeroed}",) if zeroed else ()
 
 
 def validate_survey(
@@ -336,15 +343,17 @@ def validate_survey(
     """Check raw survey arrays and build a SurveyInstance.
 
     ``diagonal_policy`` decides what happens to self-endorsements, the 1s on
-    the diagonal: ``coerce`` zeroes them and records a warning, ``reject``
-    raises NonZeroDiagonal; CompetenceMatrix applies it and makes every
-    matrix check. ``strict_likert`` additionally requires every rating to
-    be an integer.
+    the diagonal: ``coerce`` zeroes them, which the survey's ``warnings``
+    tell, ``reject`` raises NonZeroDiagonal; CompetenceMatrix applies it and
+    makes every matrix check. ``strict_likert`` additionally requires every
+    rating to be an integer.
 
     ``scale`` is exactly two real numbers (numpy's too, not bools), the
     lowest and the highest rating; any other length or entry raises
-    ScaleViolation. This and RatingVector are the only checks of the scale
-    and the ratings, whichever loader they come from.
+    ScaleViolation, and so does a string, bytes or a mapping, which are
+    never unpacked into characters, byte values or keys. This and
+    RatingVector are the only checks of the scale and the ratings, whichever
+    loader they come from.
 
     Errors come in this order: a scale that is not two values, the ratings'
     types and shape, the scale's entries, the ratings' values (finite, on
@@ -358,20 +367,29 @@ def validate_survey(
     Validation is idempotent: the zero-diagonal 0/1 matrix of a survey's
     edges validates again to the same edge list, with no warnings.
 
-    ``raw_ratings`` may be a RatingVector. One on the requested scale was
-    checked when it was built and is used as it is, so surveys can share
-    it; one on another scale has its values checked on the requested one.
+    ``raw_ratings`` may be a RatingVector. One whose scale equals the
+    requested one, both entries real numbers, was checked when it was built
+    and is used as it is, so surveys can share it; otherwise its values are
+    checked again on the requested scale, so ``(True, 5)`` fails as it does
+    for raw ratings.
     """
     try:
+        # these unpack into characters, byte values or keys, never a scale
+        if isinstance(scale, (str, bytes, bytearray, Mapping)):
+            raise TypeError
         low, high = scale
     except (TypeError, ValueError):
         raise ScaleViolation(
             f"scale must be two numbers, low and high: got {scale!r}"
         ) from None
     ratings = raw_ratings
+    # a checked vector is reused only on its own scale given as real
+    # numbers, since True == 1.0
     if not isinstance(ratings, RatingVector):
         ratings = RatingVector(ratings, scale_min=low, scale_max=high)
-    elif (ratings.scale_min, ratings.scale_max) != (low, high):
+    elif not (_real(low) and _real(high)) or (
+        (low, high) != (ratings.scale_min, ratings.scale_max)
+    ):
         ratings = RatingVector(ratings.values, scale_min=low, scale_max=high)
     if strict_likert:
         fractional = ratings.values != np.floor(ratings.values)
@@ -381,14 +399,7 @@ def validate_survey(
                 "with strict_likert enabled"
             )
     competence = CompetenceMatrix(raw_matrix, diagonal_policy)
-    zeroed = list(competence.self_endorsers)
-    warnings = (f"zeroed diagonal entries at indices {zeroed}",) if zeroed else ()
-    return SurveyInstance(
-        ratings=ratings,
-        competence=competence,
-        label=label,
-        warnings=warnings,
-    )
+    return SurveyInstance(ratings=ratings, competence=competence, label=label)
 
 
 def _read_document(source, kind: str, required: tuple[str, ...]) -> dict:

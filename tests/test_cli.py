@@ -629,6 +629,11 @@ def test_scenarios_summary_skips_a_method_that_always_failed(tmp_path, capsys):
         ({"label": None}, "label must be a string: found None"),
         ({"label": [1, {}]}, "label must be a string: found [1, {}]"),
         ({"scale": [1, 1e400]}, "scale [1, inf] must be finite"),
+        ({"scale": "15"}, "scale must be two numbers, low and high: got '15'"),
+        (
+            {"scale": {"a": 1, "b": 5}},
+            "scale must be two numbers, low and high: got {'a': 1, 'b': 5}",
+        ),
     ],
     ids=[
         "scalar-scale",
@@ -643,6 +648,8 @@ def test_scenarios_summary_skips_a_method_that_always_failed(tmp_path, capsys):
         "null-label",
         "list-label",
         "infinite-scale",
+        "string-scale",
+        "object-scale",
     ],
 )
 def test_scenarios_malformed_bundle_exits_2(tmp_path, capsys, change, message):

@@ -10,28 +10,31 @@ from classrank import (
     MalformedInput,
     aggregate,
     dispersion_row,
-    mode_of,
     read_dispersion_csv,
 )
 from classrank.data import clarity_counts_path, helpfulness_counts_path
 from goldens import CLARITY, HELPFULNESS, PCT_TOL
 
 
+def _mode(ratings, tiebreak="smallest"):
+    return dispersion_row("x", ratings, tiebreak).mode
+
+
 def test_mode_basic():
-    assert mode_of([4, 4, 3, 4, 5]) == 4
-    assert mode_of([3]) == 3
+    assert _mode([4, 4, 3, 4, 5]) == 4
+    assert _mode([3]) == 3
 
 
 def test_mode_tiebreaks():
-    assert mode_of([1, 1, 5, 5]) == 1
-    assert mode_of([1, 1, 5, 5], tiebreak="largest") == 5
+    assert _mode([1, 1, 5, 5]) == 1
+    assert _mode([1, 1, 5, 5], tiebreak="largest") == 5
     with pytest.raises(ValueError):
-        mode_of([1, 2], tiebreak="median")
+        _mode([1, 2], tiebreak="median")
 
 
 def test_mode_empty():
-    with pytest.raises(EmptyInput):
-        mode_of([])
+    with pytest.raises(EmptyInput, match="^no ratings for 'x'$"):
+        _mode([])
 
 
 def test_mode_is_order_invariant():
@@ -40,7 +43,7 @@ def test_mode_is_order_invariant():
         values = rng.integers(1, 6, size=int(rng.integers(1, 30))).tolist()
         shuffled = list(values)
         rng.shuffle(shuffled)
-        assert mode_of(values) == mode_of(shuffled)
+        assert _mode(values) == _mode(shuffled)
 
 
 def test_dispersion_row_counts():

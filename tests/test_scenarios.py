@@ -28,7 +28,7 @@ from goldens import ARITHMETIC_MEAN, ERR_MEAN, SCENARIO_EXPECTED, UNBIASED_MEAN
 def test_bundle_shape(scenario_bundle):
     assert [scenario.id for scenario in scenario_bundle] == [1, 2, 3, 4, 5, 6]
     for scenario in scenario_bundle:
-        assert scenario.n == 10
+        assert scenario.survey.n == 10
         assert scenario.biased_index == 7
         assert scenario.survey.ratings.values[7] == 1.0
 
@@ -113,9 +113,32 @@ def test_degenerate_scenario_records_failures_without_aborting():
 
 
 def test_single_rating_scenario_rejected():
+    # the leave-one-out mean is taken when the Scenario is built, so a
+    # survey with no second rating is refused there, not by run_scenario
     survey = validate_survey([4.0], [[0]])
-    with pytest.raises(EmptyInput):
-        run_scenario(Scenario(id=1, survey=survey, biased_index=0))
+    with pytest.raises(EmptyInput, match="^cannot exclude the only rating$"):
+        Scenario(id=1, survey=survey, biased_index=0)
+
+
+def test_single_rating_scenario_checks_its_index_first():
+    survey = validate_survey([4.0], [[0]])
+    with pytest.raises(IndexOutOfRange, match=r"^biased index 5 outside 0\.\.0$"):
+        Scenario(id=1, survey=survey, biased_index=5)
+
+
+def test_scenario_unbiased_mean_is_the_leave_one_out_mean_bit_for_bit(
+    scenario_bundle,
+):
+    # the fixture's pinned leave-one-out mean, copied as is into the result;
+    # at every other index, the pairwise sum and division of ndarray.mean
+    for scenario in scenario_bundle:
+        assert scenario.unbiased_mean == UNBIASED_MEAN
+        assert run_scenario(scenario).unbiased_mean == scenario.unbiased_mean
+        values = scenario.survey.ratings.values
+        for i in range(values.size):
+            moved = Scenario(id=scenario.id, survey=scenario.survey, biased_index=i)
+            kept = np.add.reduce(np.concatenate((values[:i], values[i + 1 :])))
+            assert moved.unbiased_mean == float(kept / (values.size - 1))
 
 
 def test_scenario_index_validated():

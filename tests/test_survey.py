@@ -18,6 +18,7 @@ from classrank import (
     NonZeroDiagonal,
     RatingVector,
     ScaleViolation,
+    SurveyInstance,
     load_scenarios,
     load_survey_csv,
     load_survey_json,
@@ -406,9 +407,12 @@ def test_rating_outside_scale_rejected():
         validate_survey([3, 3], [[0, 1], [1, 0]], scale=(0, 10**400))
 
 
-@pytest.mark.parametrize("scale", [(1, 5, 9), (1,), (), 5])
+@pytest.mark.parametrize(
+    "scale", [(1, 5, 9), (1,), (), 5, "15", b"15", bytearray(b"15"), {"a": 1, "b": 5}]
+)
 def test_scale_of_other_than_two_numbers_rejected(tmp_path, scale):
-    # a third number was ignored and a single one raised IndexError
+    # a third number was ignored and a single one raised IndexError; "15"
+    # was read as ['1', '5'], a mapping as its keys and b"15" as [49, 53]
     message = f"^scale must be two numbers, low and high: got {re.escape(repr(scale))}$"
     with pytest.raises(ScaleViolation, match=message):
         validate_survey([4, 4], [[0, 1], [1, 0]], scale=scale)
@@ -423,7 +427,7 @@ def test_scale_of_other_than_two_numbers_rejected(tmp_path, scale):
 
 
 @pytest.mark.parametrize(
-    "scale", [("1", "5"), (1, None), (False, True), (np.False_, 5), (1, 5j)]
+    "scale", [("1", "5"), (1, None), (False, True), (np.False_, 5), (1, 5j), (True, 5)]
 )
 def test_scale_entries_must_be_real_numbers(tmp_path, scale):
     # a string or None raised a bare TypeError, and (False, True) was taken
@@ -433,6 +437,9 @@ def test_scale_entries_must_be_real_numbers(tmp_path, scale):
         RatingVector([1, 1], *scale)
     with pytest.raises(ScaleViolation, match=message):
         validate_survey([1, 1], [[0, 1], [1, 0]], scale=scale)
+    # a checked vector on [1, 5] is not reused on (True, 5), though True == 1
+    with pytest.raises(ScaleViolation, match=message):
+        validate_survey(RatingVector([1, 1]), [[0, 1], [1, 0]], scale=scale)
     matrix_path, ratings_path = tmp_path / "matrix.csv", tmp_path / "ratings.csv"
     matrix_path.write_text("0,1\n1,0\n", encoding="utf-8")
     ratings_path.write_text("1\n1\n", encoding="utf-8")
@@ -647,6 +654,30 @@ def test_validate_survey_keeps_a_rating_vector_on_its_scale():
         ScaleViolation, match=r"^non-integer rating 4\.5 with strict_likert enabled$"
     ):
         validate_survey(RatingVector([4.5, 5]), [[0, 1], [1, 0]], strict_likert=True)
+
+
+@pytest.mark.parametrize("scale", ["15", {"a": 1, "b": 5}], ids=repr)
+def test_document_scale_that_is_a_string_or_object_rejected(scale):
+    message = f"^scale must be two numbers, low and high: got {re.escape(repr(scale))}$"
+    doc = {"scale": scale, "ratings": [4, 5], "competence": [[0, 1], [1, 0]]}
+    with pytest.raises(ScaleViolation, match=message):
+        load_survey_json(doc)
+    bundle = {"scale": scale, "ratings": [4, 5], "biased_index": 0}
+    with pytest.raises(ScaleViolation, match=message):
+        load_scenarios({**bundle, "scenarios": [{"competence": [[0, 1], [1, 0]]}]})
+
+
+def test_survey_instance_built_directly_tells_its_zeroed_diagonal():
+    # the warnings are derived from the matrix: a survey built without
+    # validate_survey wrote "warnings": [] beside a zeroed self-endorsement
+    competence = CompetenceMatrix([[1, 1, 0], [1, 0, 1], [0, 1, 0]], "coerce")
+    survey = SurveyInstance(RatingVector([3, 4, 5]), competence)
+    assert survey.warnings == ("zeroed diagonal entries at indices [0]",)
+    report = rating_report_dict(rate_survey(survey), {})
+    assert report["warnings"] == ["zeroed diagonal entries at indices [0]"]
+    # and no text can be handed in beside them
+    with pytest.raises(TypeError):
+        SurveyInstance(RatingVector([3, 4, 5]), competence, warnings=("made up",))
 
 
 def test_strict_likert_flag():
