@@ -39,6 +39,17 @@ def _incoming_mass(
     return _bincount(targets, row_mass.repeat(row_sums), row_sums.size)
 
 
+def _per_student(array, n: int, name: str) -> None:
+    """Raise DimensionMismatch unless ``array``, the ``name`` of the caller's
+    argument, is an ndarray of shape (n,), one entry a student."""
+    if not isinstance(array, np.ndarray):
+        raise DimensionMismatch(
+            f"{name} must be a numpy array, got {type(array).__name__}"
+        )
+    if array.shape != (n,):
+        raise DimensionMismatch(f"{name} must have shape ({n},), got {array.shape}")
+
+
 def _incoming_weights(competence: CompetenceMatrix, row_mass: np.ndarray) -> np.ndarray:
     """Read-only weights: the incoming mass under ``row_mass``, rescaled to
     sum to 1. Raises DegenerateNetwork when no mass arrives."""
@@ -72,13 +83,6 @@ def weighted_rating(ratings: RatingVector, weights: np.ndarray) -> float:
     the guarantee under floating-point roundoff. Raises DimensionMismatch
     unless ``weights`` is a 1-d ndarray with one entry a rating.
     """
-    if not isinstance(weights, np.ndarray):
-        raise DimensionMismatch(
-            f"weights must be a numpy array, got {type(weights).__name__}"
-        )
-    if weights.shape != (ratings.n,):
-        raise DimensionMismatch(
-            f"{ratings.n} ratings vs {weights.size} weights (shape {weights.shape})"
-        )
+    _per_student(weights, ratings.n, "weights")
     value = float(weights @ ratings.values)
     return min(max(value, ratings.low), ratings.high)

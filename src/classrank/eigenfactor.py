@@ -18,8 +18,8 @@ from collections import namedtuple
 import numpy as np
 
 from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .degree import _incoming_mass, _incoming_weights
-from .errors import DimensionMismatch, NoConvergence
+from .degree import _incoming_mass, _incoming_weights, _per_student
+from .errors import NoConvergence
 from .survey import CompetenceMatrix, _integer, _readonly, _real
 
 _Stationary = namedtuple("Stationary", "values iterations residual")
@@ -112,13 +112,5 @@ def eigenfactor_weights(
     unless it is a 1-d ndarray with one entry a student, and
     DegenerateNetwork when nobody endorses anybody.
     """
-    if not isinstance(influence, np.ndarray):
-        raise DimensionMismatch(
-            f"influence must be a numpy array, got {type(influence).__name__}"
-        )
-    if influence.shape != (competence.n,):
-        raise DimensionMismatch(
-            f"{influence.size} influence entries vs {competence.n} students"
-            f" (shape {influence.shape})"
-        )
+    _per_student(influence, competence.n, "influence")
     return _incoming_weights(competence, influence * competence.row_shares)

@@ -9,6 +9,7 @@ each weighting method removes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,8 @@ from .survey import (
     SurveyInstance,
     _document_label,
     _integer,
+    _mean,
     _read_document,
-    _real,
     _survey_from_document,
 )
 
@@ -39,7 +40,11 @@ class Scenario:
     """One survey with one rating index declared as biased: an integer
     (numpy's too, not a bool) in 0..n-1, else IndexOutOfRange. The survey
     must hold at least two ratings, else EmptyInput, since
-    ``unbiased_mean`` is the mean of the others, taken once here."""
+    ``unbiased_mean`` is the mean of the others, taken once here by
+    ``_mean``, as RatingVector takes the mean of all. Every score is a
+    distance between two points of the scale, so a scale wider than the
+    largest float, and a leave-one-out mean past the float range, raise
+    ScaleViolation."""
 
     id: int
     survey: SurveyInstance
@@ -47,14 +52,20 @@ class Scenario:
     unbiased_mean: float = field(init=False)
 
     def __post_init__(self):
-        values = self.survey.ratings.values
+        ratings = self.survey.ratings
         i = self.biased_index
-        _check_index(i, values.size, "biased index")
-        if values.size < 2:
+        _check_index(i, ratings.n, "biased index")
+        if ratings.n < 2:
             raise EmptyInput("cannot exclude the only rating")
-        # ndarray.mean's own sum and division, without its Python wrapper
-        unbiased = np.add.reduce(np.concatenate((values[:i], values[i + 1 :])))
-        object.__setattr__(self, "unbiased_mean", float(unbiased / (values.size - 1)))
+        if not math.isfinite(ratings.scale_max - ratings.scale_min):
+            raise ScaleViolation(
+                f"scale [{ratings.scale_min}, {ratings.scale_max}] is wider than "
+                "the largest float"
+            )
+        values = ratings.values
+        others = np.concatenate((values[:i], values[i + 1 :]))
+        unbiased = _mean(others, "the ratings other than the biased one")
+        object.__setattr__(self, "unbiased_mean", unbiased)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +102,14 @@ class ScenarioResult:
         return None if scored is None else abs(scored.rating - self.unbiased_mean)
 
     def reduction(self, method: str) -> float | None:
-        """Percent of the mean's error the method removes."""
+        """Percent of the mean's error the method removes; None when the
+        method failed, the baseline is zero or the percent is not finite
+        (a tiny baseline can make the ratio overflow)."""
         error = self.error(method)
         if error is None or self.zero_baseline:
             return None
-        return 100.0 * (1.0 - error / self.err_mean)
+        reduction = 100.0 * (1.0 - error / self.err_mean)
+        return reduction if math.isfinite(reduction) else None
 
     @property
     def winner(self) -> str | None:
@@ -119,18 +133,11 @@ def _check_index(index, n: int, what: str) -> None:
 
 def inject_bias(ratings: RatingVector, index: int, value: float) -> RatingVector:
     """Replace one rating, keeping the scale. ``index`` must be an integer
-    (numpy's too, not a bool) in 0..n-1, else IndexOutOfRange; ``value`` a
-    real number (not a bool or a string) within the scale, else
-    ScaleViolation."""
+    (numpy's too, not a bool) in 0..n-1, else IndexOutOfRange; ``value``
+    is checked with the other ratings by RatingVector, so one that is not a
+    real number or lies off the scale raises its ScaleViolation."""
     _check_index(index, ratings.n, "index")
-    if not _real(value):
-        raise ScaleViolation(f"injected value must be a real number, got {value!r}")
-    if not ratings.scale_min <= value <= ratings.scale_max:
-        raise ScaleViolation(
-            f"injected value {value!r} outside "
-            f"[{ratings.scale_min}, {ratings.scale_max}]"
-        )
-    values = np.array(ratings.values)
+    values = ratings.values.tolist()
     values[index] = value
     return RatingVector(
         values, scale_min=ratings.scale_min, scale_max=ratings.scale_max
@@ -166,7 +173,8 @@ def error_reduction_summary(results) -> dict[str, float | None]:
     The keys are ``METHODS``, in that order. Scenarios where a method
     failed, or whose baseline error is zero (see
     ``ScenarioResult.zero_baseline``), are left out of that method's mean,
-    which is None when no scenario is left.
+    which is None when no scenario is left or when the mean is not finite
+    (finite reductions can sum past the float range).
     """
     results = list(results)
     if not results:
@@ -175,7 +183,8 @@ def error_reduction_summary(results) -> dict[str, float | None]:
     for method in METHODS:
         reductions = [r.reduction(method) for r in results]
         kept = [value for value in reductions if value is not None]
-        means[method] = sum(kept) / len(kept) if kept else None
+        mean = sum(kept) / len(kept) if kept else math.nan
+        means[method] = mean if math.isfinite(mean) else None
     return means
 
 

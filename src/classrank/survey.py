@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -95,6 +95,19 @@ def _float_ratings(raw) -> np.ndarray:
         return np.array(raw, dtype=float)
     except OverflowError:  # an int past the float range
         raise ScaleViolation("ratings must be finite numbers") from None
+
+
+def _mean(values: np.ndarray, what: str) -> float:
+    """The mean of a nonempty float array, ``what`` naming it in the
+    ScaleViolation raised when it is not finite: finite values can still
+    sum past the float range, to an infinity or, both ways at once, to a
+    NaN. The sum and division are ndarray.mean's own, without its Python
+    wrapper, so the mean is bit for bit ndarray.mean's."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.add.reduce(values) / values.size)
+    if not -np.inf < mean < np.inf:
+        raise ScaleViolation(f"the mean of {what} overflows the float range")
+    return mean
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -201,13 +214,7 @@ class RatingVector:
             raise ScaleViolation(
                 f"ratings must lie in [{self.scale_min}, {self.scale_max}]"
             )
-        # finite ratings on a finite scale can still sum past the float
-        # range, to an infinity or, both ways at once, to a NaN. The sum and
-        # division are ndarray.mean's own, without its Python wrapper.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(np.add.reduce(values) / values.size)
-        if not -np.inf < mean < np.inf:
-            raise ScaleViolation("the mean of the ratings overflows the float range")
+        mean = _mean(values, "the ratings")
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "scale_min", scale[0])
         object.__setattr__(self, "scale_max", scale[1])
@@ -350,8 +357,9 @@ def validate_survey(
 
     ``scale`` is exactly two real numbers (numpy's too, not bools), the
     lowest and the highest rating; any other length or entry raises
-    ScaleViolation, and so does a string, bytes or a mapping, which are
-    never unpacked into characters, byte values or keys. This and
+    ScaleViolation, and so does a string, bytes, a mapping or a set (the
+    keys of a dict too), which are never unpacked into characters, byte
+    values, keys or an unordered pair. This and
     RatingVector are the only checks of the scale and the ratings, whichever
     loader they come from.
 
@@ -374,8 +382,9 @@ def validate_survey(
     for raw ratings.
     """
     try:
-        # these unpack into characters, byte values or keys, never a scale
-        if isinstance(scale, (str, bytes, bytearray, Mapping)):
+        # these unpack into characters, byte values, keys or an order that
+        # is not the caller's, never a scale
+        if isinstance(scale, (str, bytes, bytearray, Mapping, Set)):
             raise TypeError
         low, high = scale
     except (TypeError, ValueError):

@@ -602,6 +602,75 @@ def test_scenarios_summary_skips_a_method_that_always_failed(tmp_path, capsys):
     assert err.splitlines()[-1] == "mean error reduction: degree -100.00%"
 
 
+# students 1 and 2 endorse student 0 only, so both weightings rate the
+# course at student 0's rating
+TO_FIRST = [[0, 0, 0], [1, 0, 0], [1, 0, 0]]
+LEAVE_ONE_OUT_GRID = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        pytest.param(
+            {
+                "scale": [-1e308, 7e307],
+                "ratings": [7e307, -1e308, 7e307, 7e307],
+                "biased_index": 1,
+                "scenarios": [{"id": 1, "competence": LEAVE_ONE_OUT_GRID}],
+            },
+            "the mean of the ratings other than the biased one overflows the "
+            "float range",
+            id="leave-one-out-sum-overflows",
+        ),
+        pytest.param(
+            {
+                "scale": [-1.7e308, 1.7e308],
+                "ratings": [1.7e308, -1.7e308, 0],
+                "biased_index": 0,
+                "scenarios": [{"id": 1, "competence": TO_FIRST}],
+            },
+            "scale [-1.7e+308, 1.7e+308] is wider than the largest float",
+            id="scale-wider-than-floats",
+        ),
+        pytest.param(
+            {
+                "scale": [-5, 5],
+                "ratings": [5, -5, 1e-323],
+                "biased_index": 2,
+                "scenarios": [{"id": 1, "competence": TO_FIRST}],
+            },
+            None,
+            id="tiny-baseline",
+        ),
+        pytest.param(
+            {
+                "scale": [-5, 5],
+                "ratings": [2, -2, 6e-306],
+                "biased_index": 2,
+                "scenarios": [{"id": k, "competence": TO_FIRST} for k in (1, 2)],
+            },
+            None,
+            id="summary-mean-overflows",
+        ),
+    ],
+)
+def test_scenarios_past_the_float_range_keep_the_report_strict(
+    tmp_path, capsys, doc, error
+):
+    # each ran with exit 0 and wrote Infinity or NaN into its report, the
+    # first with a numpy RuntimeWarning on the way
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "scenarios", "--scenario-file", str(path))
+    if error is not None:
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+    else:
+        assert code == 0
+        json.dumps(json.loads(out), allow_nan=False)
+
+
 @pytest.mark.parametrize(
     "change, message",
     [

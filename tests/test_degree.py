@@ -95,7 +95,7 @@ def test_length_mismatch_rejected():
 def test_weights_of_another_shape_rejected(shape):
     with pytest.raises(DimensionMismatch) as excinfo:
         weighted_rating(RatingVector([4, 5, 3]), np.full(shape, 1 / 3))
-    assert str(excinfo.value) == f"3 ratings vs 3 weights (shape {shape})"
+    assert str(excinfo.value) == f"weights must have shape (3,), got {shape}"
 
 
 def test_weights_that_are_not_an_array_rejected():

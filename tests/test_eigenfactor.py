@@ -424,7 +424,8 @@ def test_unit_visits_give_the_degree_weights_bit_for_bit():
 def test_influence_of_the_wrong_length_raises(size):
     competence = _competence(random_binary_matrix(np.random.default_rng(3), 10))
     influence = np.full(size, 1.0 / size)
-    with pytest.raises(DimensionMismatch, match=f"^{size} influence entries vs 10"):
+    message = rf"^influence must have shape \(10,\), got \({size},\)$"
+    with pytest.raises(DimensionMismatch, match=message):
         eigenfactor_weights(influence, competence)
 
 
@@ -432,8 +433,9 @@ def test_influence_of_the_wrong_length_raises(size):
 def test_influence_of_another_shape_raises(shape):
     competence = _competence(random_binary_matrix(np.random.default_rng(3), 10))
     influence = np.full(shape, 0.1)
-    with pytest.raises(DimensionMismatch, match=r"^10 influence entries vs 10 students"):
+    with pytest.raises(DimensionMismatch) as excinfo:
         eigenfactor_weights(influence, competence)
+    assert str(excinfo.value) == f"influence must have shape (10,), got {shape}"
 
 
 def test_influence_that_is_not_an_array_raises():

@@ -1,11 +1,14 @@
 """Property-based checks over randomly generated surveys."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from classrank import (
+    ClassrankError,
     MalformedInput,
     NonBinaryEntry,
     RatingVector,
@@ -13,6 +16,8 @@ from classrank import (
     degree_weights,
     dispersion_row,
     eigenfactor_weights,
+    error_reduction_summary,
+    load_scenarios,
     load_survey_json,
     rate_survey,
     read_dispersion_csv,
@@ -21,6 +26,7 @@ from classrank import (
     validate_survey,
     weighted_rating,
 )
+from classrank.report import scenario_report_dict
 
 ratings_values = st.floats(min_value=1.0, max_value=5.0, allow_nan=False)
 
@@ -188,6 +194,57 @@ def test_unbiased_mean_is_the_leave_one_out_mean_bit_for_bit(network, data):
     result = run_scenario(Scenario(id=1, survey=survey, biased_index=biased))
     kept = np.delete(np.asarray(ratings, dtype=float), biased)
     assert result.unbiased_mean.hex() == float(kept.mean()).hex()
+
+
+# the edges of the float range, where sums, distances and ratios overflow
+# or vanish
+magnitudes = st.sampled_from([0.0, 5e-324, 1.0, 1e308, 1.7976931348623157e308])
+float_edges = st.builds(float.__mul__, magnitudes, st.sampled_from([-1.0, 1.0]))
+
+
+@st.composite
+def float_range_bundles(draw):
+    """Scenario bundles of 1 to 3 scenarios of 2 or 3 students, whose scale
+    ends lie at the edges of the float range (zero, the smallest subnormal,
+    one, 1e308 and the largest float, either sign) and whose ratings lie
+    anywhere on that scale, subnormals included, or at any edge."""
+    n = draw(st.integers(2, 3))
+    scale = st.lists(float_edges, min_size=2, max_size=2, unique=True)
+    low, high = sorted(draw(scale))
+    rating = st.sampled_from([low, high]) | float_edges | st.floats(low, high)
+    # a star, where everyone else endorses student k, puts each weighted
+    # rating at k's rating; or any 0/1 grid, self-endorsements included
+    star = st.integers(0, n - 1).map(
+        lambda k: [[int(j == k != i) for j in range(n)] for i in range(n)]
+    )
+    grid = star | st.lists(
+        st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+    return {
+        "scale": [low, high],
+        "ratings": draw(st.lists(rating, min_size=n, max_size=n)),
+        "biased_index": draw(st.integers(0, n - 1)),
+        "scenarios": [
+            {"competence": competence}
+            for competence in draw(st.lists(grid, min_size=1, max_size=3))
+        ],
+    }
+
+
+@given(float_range_bundles())
+@settings(deadline=None)
+def test_scenario_report_is_strict_json_over_the_whole_float_range(bundle):
+    # a bundle is refused while loading, or every score, reduction and
+    # summary mean it reports is finite
+    try:
+        scenarios = load_scenarios(bundle)
+    except ClassrankError:
+        return
+    results = [run_scenario(scenario) for scenario in scenarios]
+    report = scenario_report_dict(results, error_reduction_summary(results), {})
+    json.dumps(report, allow_nan=False)
 
 
 def both_weightings(survey):

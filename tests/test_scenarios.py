@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from classrank import (
     inject_bias,
     load_scenarios,
     load_survey_json,
+    rate_survey,
     run_scenario,
     validate_survey,
 )
@@ -79,6 +81,44 @@ def test_reduction_handles_zero_baseline():
     assert result.zero_baseline
     assert result.reduction("degree") is None
     assert summary["degree"] is None
+
+
+# students 1 and 2 endorse student 0 only, so both weightings rate the
+# course at student 0's rating
+TO_FIRST = [[0, 0, 0], [1, 0, 0], [1, 0, 0]]
+
+
+def test_reduction_past_the_float_range_is_none():
+    # a subnormal baseline error: the ratio overflows, where the report
+    # wrote -Infinity
+    survey = validate_survey([5, -5, 1e-323], TO_FIRST, scale=(-5, 5))
+    result = run_scenario(Scenario(id=1, survey=survey, biased_index=2))
+    assert (result.err_mean, result.error("degree")) == (5e-324, 5.0)
+    assert not result.zero_baseline
+    assert result.reduction("degree") is None
+    assert result.reduction("eigenfactor") is None
+    assert error_reduction_summary([result]) == {"degree": None, "eigenfactor": None}
+
+
+def test_summary_mean_past_the_float_range_is_none():
+    # two finite reductions of -1e308 sum to -Infinity
+    survey = validate_survey([2, -2, 6e-306], TO_FIRST, scale=(-5, 5))
+    results = [
+        run_scenario(Scenario(id=k, survey=survey, biased_index=2)) for k in (1, 2)
+    ]
+    assert [r.reduction("degree") for r in results] == [-1e308, -1e308]
+    assert error_reduction_summary(results) == {"degree": None, "eigenfactor": None}
+
+
+def test_scenario_scale_wider_than_the_largest_float_rejected():
+    # a score is a distance between two points of the scale, which would
+    # overflow; rate_survey takes no such distance and accepts the survey
+    scale = (-1.7e308, 1.7e308)
+    survey = validate_survey([1.7e308, -1.7e308, 0], TO_FIRST, scale=scale)
+    message = r"^scale \[-1\.7e\+308, 1\.7e\+308\] is wider than the largest float$"
+    with pytest.raises(ScaleViolation, match=message):
+        Scenario(id=1, survey=survey, biased_index=0)
+    assert rate_survey(survey).degree.rating == 1.7e308
 
 
 def test_reduction_empty_rejected():
@@ -170,7 +210,7 @@ def test_inject_bias_validation():
     ratings = RatingVector([4, 2, 5])
     with pytest.raises(IndexOutOfRange):
         inject_bias(ratings, 3, 1)
-    with pytest.raises(ScaleViolation):
+    with pytest.raises(ScaleViolation, match=r"^ratings must lie in \[1\.0, 5\.0\]$"):
         inject_bias(ratings, 0, 9)
 
 
@@ -193,10 +233,10 @@ def test_inject_bias_index_must_be_an_integer(index):
 
 @pytest.mark.parametrize("value", [True, False, np.True_, "4", None, 4 + 0j])
 def test_inject_bias_value_must_be_a_real_number(value):
-    # True was injected as 1.0, and "4" raised a bare TypeError
-    with pytest.raises(
-        ScaleViolation, match="^injected value must be a real number, got "
-    ):
+    # True was injected as 1.0, and "4" raised a bare TypeError; the value is
+    # checked with the other ratings, by RatingVector's own rule
+    message = f"^ratings must be real numbers: found {re.escape(repr(value))}$"
+    with pytest.raises(ScaleViolation, match=message):
         inject_bias(RatingVector([3, 4]), 0, value)
 
 

@@ -408,11 +408,14 @@ def test_rating_outside_scale_rejected():
 
 
 @pytest.mark.parametrize(
-    "scale", [(1, 5, 9), (1,), (), 5, "15", b"15", bytearray(b"15"), {"a": 1, "b": 5}]
+    "scale",
+    [(1, 5, 9), (1,), (), 5, "15", b"15", bytearray(b"15"), {"a": 1, "b": 5}]
+    + [{5, 1}, frozenset((5, 1)), {1: "a", 5: "b"}.keys()],
 )
 def test_scale_of_other_than_two_numbers_rejected(tmp_path, scale):
     # a third number was ignored and a single one raised IndexError; "15"
-    # was read as ['1', '5'], a mapping as its keys and b"15" as [49, 53]
+    # was read as ['1', '5'], a mapping as its keys and b"15" as [49, 53];
+    # a set, unordered, was read in its iteration order
     message = f"^scale must be two numbers, low and high: got {re.escape(repr(scale))}$"
     with pytest.raises(ScaleViolation, match=message):
         validate_survey([4, 4], [[0, 1], [1, 0]], scale=scale)
