@@ -44,7 +44,8 @@ EXIT_CODES = {DegenerateNetwork: 3, NoConvergence: 4}
 
 
 # the settings every report's config holds after its command, in report
-# order, with their defaults
+# order, with their defaults: each subcommand sets them all, the one home of
+# each flag's default and of the settings it has no flag for
 REPORTED_SETTINGS = {
     "alpha": DEFAULT_ALPHA,
     "tol": DEFAULT_TOL,
@@ -62,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bias-robust weighted course ratings from peer "
         "competence-perception networks.",
     )
-    # the settings a command has no flag for; each flag's default is the
-    # same value
-    parser.set_defaults(**REPORTED_SETTINGS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the flags rate and scenarios share, declared once
@@ -72,29 +70,25 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument(
         "--alpha",
         type=number,
-        default=DEFAULT_ALPHA,
         help="walk-following probability, teleportation is 1-alpha "
-        "(default 0.85)",
+        "(default %(default)s)",
     )
     walk.add_argument(
         "--tol",
         type=number,
-        default=DEFAULT_TOL,
         help="stop once the L1 change between power-iteration steps is at "
-        "most TOL (default 1e-12); the influence vector is then within "
+        "most TOL (default %(default)s); the influence vector is then within "
         "alpha/(1-alpha)*TOL of exact in L1",
     )
     walk.add_argument(
         "--max-iter",
         type=integer,
-        default=DEFAULT_MAX_ITER,
-        help="power iteration cap (default 1000)",
+        help="power iteration cap (default %(default)s)",
     )
     walk.add_argument(
         "--diagonal-policy",
         choices=DIAGONAL_POLICIES,
-        default="coerce",
-        help="what to do with self-endorsements (default coerce to 0)",
+        help="what to do with self-endorsements (default %(default)s)",
     )
     walk.add_argument("--output", help="write the JSON report here instead of stdout")
 
@@ -122,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reject non-integer ratings",
     )
-    rate.set_defaults(handler=_cmd_rate)
+    rate.set_defaults(handler=_cmd_rate, **REPORTED_SETTINGS)
 
     dispersion = sub.add_parser(
         "dispersion", help="aggregate mode-deviation counts from a CSV"
@@ -135,17 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     dispersion.add_argument(
         "--min-n",
         type=integer,
-        default=DEFAULT_MIN_N,
-        help="exclude instructors with fewer ratings (default 5)",
+        help="exclude instructors with fewer ratings (default %(default)s)",
     )
     dispersion.add_argument(
         "--mode-tiebreak",
         choices=TIEBREAKS,
-        default="smallest",
-        help="mode tie resolution for long-form input (default smallest)",
+        help="mode tie resolution for long-form input (default %(default)s)",
     )
     dispersion.add_argument("--output", help="write the JSON report here")
-    dispersion.set_defaults(handler=_cmd_dispersion)
+    dispersion.set_defaults(handler=_cmd_dispersion, **REPORTED_SETTINGS)
 
     scenarios = sub.add_parser(
         "scenarios", parents=[walk], help="run a biased-rating scenario bundle"
@@ -154,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario-file",
         help="scenario bundle JSON (default: bundled six-scenario fixture)",
     )
-    scenarios.set_defaults(handler=_cmd_scenarios)
+    scenarios.set_defaults(handler=_cmd_scenarios, **REPORTED_SETTINGS)
 
     return parser
 

@@ -25,13 +25,15 @@ from .errors import (
 )
 from .report import METHODS, MethodResult, score_method
 from .survey import (
+    CompetenceMatrix,
     RatingVector,
     SurveyInstance,
     _document_label,
+    _grid,
     _integer,
     _mean,
+    _rating_vector,
     _read_document,
-    _survey_from_document,
 )
 
 
@@ -173,8 +175,11 @@ def error_reduction_summary(results) -> dict[str, float | None]:
     The keys are ``METHODS``, in that order. Scenarios where a method
     failed, or whose baseline error is zero (see
     ``ScenarioResult.zero_baseline``), are left out of that method's mean,
-    which is None when no scenario is left or when the mean is not finite
-    (finite reductions can sum past the float range).
+    which is None when no scenario is left. Finite reductions can sum past
+    the float range; only then is the mean taken as the sum of each
+    reduction over the count, which stays finite, so every other mean is
+    bit for bit ``sum(kept) / len(kept)``. A mean that is still not finite
+    is None.
     """
     results = list(results)
     if not results:
@@ -184,6 +189,8 @@ def error_reduction_summary(results) -> dict[str, float | None]:
         reductions = [r.reduction(method) for r in results]
         kept = [value for value in reductions if value is not None]
         mean = sum(kept) / len(kept) if kept else math.nan
+        if math.isinf(mean):
+            mean = sum(value / len(kept) for value in kept)
         means[method] = mean if math.isfinite(mean) else None
     return means
 
@@ -195,10 +202,11 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
 
     Only the document's shape raises MalformedInput here: the keys, the
     scenario entries and ids, the label and each competence grid (see
-    ``_survey_from_document``). The scale and the shared ratings are
-    checked by validate_survey when the first scenario listed is built,
-    after its grid checks, and the biased index, then the count of at
-    least two ratings, by that scenario's Scenario, after its survey is
+    ``_grid``). The scale and the shared ratings are checked once, by
+    ``_rating_vector`` right after the first listed scenario's grid, and
+    every scenario's survey shares that RatingVector; each matrix is then
+    checked by CompetenceMatrix, and the biased index, then the count of
+    at least two ratings, by the scenario's Scenario, after its survey is
     built; each raises the library's own error."""
     data = _read_document(source, "scenario", ("ratings", "biased_index", "scenarios"))
     if not isinstance(data["scenarios"], list) or not data["scenarios"]:
@@ -207,9 +215,7 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
     label = _document_label(data, "scenario")
     biased_index = data["biased_index"]
 
-    # the first scenario checks the shared ratings; the rest reuse its
-    # RatingVector, so a bundle's ratings are checked and converted once
-    ratings = data["ratings"]
+    ratings = None
     scenarios = {}
     for position, entry in enumerate(data["scenarios"], start=1):
         if not isinstance(entry, dict) or "competence" not in entry:
@@ -219,14 +225,13 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
             raise MalformedInput(f"scenario #{position} id must be an integer")
         if sid in scenarios:
             raise MalformedInput(f"scenario #{position} repeats id {sid}")
-        survey = _survey_from_document(
-            ratings,
-            entry["competence"],
-            f"scenario {sid}",
-            scale=scale,
-            diagonal_policy=diagonal_policy,
-            label=f"{label}-{sid}",
+        grid = _grid(entry["competence"], f"scenario {sid}")
+        # checked after the first grid, so a bundle reports its errors in
+        # the order a survey document does
+        if ratings is None:
+            ratings = _rating_vector(data["ratings"], scale)
+        survey = SurveyInstance(
+            ratings, CompetenceMatrix(grid, diagonal_policy), f"{label}-{sid}"
         )
-        ratings = survey.ratings
         scenarios[sid] = Scenario(id=sid, survey=survey, biased_index=biased_index)
     return [scenarios[sid] for sid in sorted(scenarios)]

@@ -339,6 +339,31 @@ class SurveyInstance:
         return (f"zeroed diagonal entries at indices {zeroed}",) if zeroed else ()
 
 
+def _rating_vector(raw_ratings, scale, strict_likert: bool = False) -> RatingVector:
+    """The RatingVector of raw ratings on ``scale``, checked as
+    validate_survey documents; a bundle calls it once for its shared
+    ratings."""
+    try:
+        # these unpack into characters, byte values, keys or an order that
+        # is not the caller's, never a scale
+        if isinstance(scale, (str, bytes, bytearray, Mapping, Set)):
+            raise TypeError
+        low, high = scale
+    except (TypeError, ValueError):
+        raise ScaleViolation(
+            f"scale must be two numbers, low and high: got {scale!r}"
+        ) from None
+    ratings = RatingVector(raw_ratings, scale_min=low, scale_max=high)
+    if strict_likert:
+        fractional = ratings.values != np.floor(ratings.values)
+        if fractional.any():
+            raise ScaleViolation(
+                f"non-integer rating {float(ratings.values[fractional][0])!r} "
+                "with strict_likert enabled"
+            )
+    return ratings
+
+
 def validate_survey(
     raw_ratings,
     raw_matrix,
@@ -359,9 +384,8 @@ def validate_survey(
     lowest and the highest rating; any other length or entry raises
     ScaleViolation, and so does a string, bytes, a mapping or a set (the
     keys of a dict too), which are never unpacked into characters, byte
-    values, keys or an unordered pair. This and
-    RatingVector are the only checks of the scale and the ratings, whichever
-    loader they come from.
+    values, keys or an unordered pair. ``_rating_vector`` is the only check
+    of the scale and the ratings, whichever loader they come from.
 
     Errors come in this order: a scale that is not two values, the ratings'
     types and shape, the scale's entries, the ratings' values (finite, on
@@ -374,41 +398,12 @@ def validate_survey(
 
     Validation is idempotent: the zero-diagonal 0/1 matrix of a survey's
     edges validates again to the same edge list, with no warnings.
-
-    ``raw_ratings`` may be a RatingVector. One whose scale equals the
-    requested one, both entries real numbers, was checked when it was built
-    and is used as it is, so surveys can share it; otherwise its values are
-    checked again on the requested scale, so ``(True, 5)`` fails as it does
-    for raw ratings.
     """
-    try:
-        # these unpack into characters, byte values, keys or an order that
-        # is not the caller's, never a scale
-        if isinstance(scale, (str, bytes, bytearray, Mapping, Set)):
-            raise TypeError
-        low, high = scale
-    except (TypeError, ValueError):
-        raise ScaleViolation(
-            f"scale must be two numbers, low and high: got {scale!r}"
-        ) from None
-    ratings = raw_ratings
-    # a checked vector is reused only on its own scale given as real
-    # numbers, since True == 1.0
-    if not isinstance(ratings, RatingVector):
-        ratings = RatingVector(ratings, scale_min=low, scale_max=high)
-    elif not (_real(low) and _real(high)) or (
-        (low, high) != (ratings.scale_min, ratings.scale_max)
-    ):
-        ratings = RatingVector(ratings.values, scale_min=low, scale_max=high)
-    if strict_likert:
-        fractional = ratings.values != np.floor(ratings.values)
-        if fractional.any():
-            raise ScaleViolation(
-                f"non-integer rating {float(ratings.values[fractional][0])!r} "
-                "with strict_likert enabled"
-            )
-    competence = CompetenceMatrix(raw_matrix, diagonal_policy)
-    return SurveyInstance(ratings=ratings, competence=competence, label=label)
+    return SurveyInstance(
+        _rating_vector(raw_ratings, scale, strict_likert),
+        CompetenceMatrix(raw_matrix, diagonal_policy),
+        label,
+    )
 
 
 def _read_document(source, kind: str, required: tuple[str, ...]) -> dict:
@@ -473,15 +468,14 @@ def _packed(grid: list) -> np.ndarray:
         return np.asarray(grid)
 
 
-def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyInstance:
-    """validate_survey on parsed JSON values.
+def _grid(competence, kind: str) -> np.ndarray:
+    """A parsed JSON competence grid, its shape checked, as a 2-d array.
 
-    Only the shape of the competence grid is checked here: a list of lists
-    of equal length whose cells are JSON numbers (a string such as "1" or a
-    boolean is not read as one) or nulls, which mean "no answer" and count
-    as 0. Content that breaks this raises MalformedInput naming ``kind``.
-    The ratings and the scale are left to validate_survey, so a bad one
-    raises the library's own error, after the grid is checked.
+    Only the shape of the grid is checked here: a list of lists of equal
+    length whose cells are JSON numbers (a string such as "1" or a boolean
+    is not read as one) or nulls, which mean "no answer" and count as 0.
+    Content that breaks this raises MalformedInput naming ``kind``; the
+    cells' values are left to CompetenceMatrix.
 
     One type scan over all cells lets a grid of numbers through as it is;
     only a grid with null or other cells goes row by row through
@@ -499,7 +493,7 @@ def _survey_from_document(ratings, competence, kind: str, **options) -> SurveyIn
         competence = [_answers(row, kind) for row in competence]
     if len(set(map(len, competence))) > 1:
         raise MalformedInput(f"{kind} competence rows are ragged")
-    return validate_survey(ratings, _packed(competence), **options)
+    return _packed(competence)
 
 
 def load_survey_json(
@@ -510,17 +504,19 @@ def load_survey_json(
     """Load a survey document: label, scale, ratings, competence.
 
     ``source`` is a path or an already-parsed dict. ``scale`` defaults to
-    [1, 5] when absent.
+    [1, 5] when absent. The competence grid's shape is checked first
+    (``_grid``); the ratings and the scale are left to validate_survey, so
+    a bad one raises the library's own error.
     """
     data = _read_document(source, "survey", ("ratings", "competence"))
-    return _survey_from_document(
+    label = _document_label(data, "")
+    return validate_survey(
         data["ratings"],
-        data["competence"],
-        "survey document",
+        _grid(data["competence"], "survey document"),
         scale=data.get("scale", DEFAULT_SCALE),
         diagonal_policy=diagonal_policy,
         strict_likert=strict_likert,
-        label=_document_label(data, ""),
+        label=label,
     )
 
 

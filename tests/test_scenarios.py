@@ -100,14 +100,14 @@ def test_reduction_past_the_float_range_is_none():
     assert error_reduction_summary([result]) == {"degree": None, "eigenfactor": None}
 
 
-def test_summary_mean_past_the_float_range_is_none():
-    # two finite reductions of -1e308 sum to -Infinity
+def test_summary_mean_of_reductions_summing_past_the_float_range():
+    # two finite reductions of -1e308 sum to -Infinity: the mean was None
     survey = validate_survey([2, -2, 6e-306], TO_FIRST, scale=(-5, 5))
     results = [
         run_scenario(Scenario(id=k, survey=survey, biased_index=2)) for k in (1, 2)
     ]
     assert [r.reduction("degree") for r in results] == [-1e308, -1e308]
-    assert error_reduction_summary(results) == {"degree": None, "eigenfactor": None}
+    assert error_reduction_summary(results) == {"degree": -1e308, "eigenfactor": -1e308}
 
 
 def test_scenario_scale_wider_than_the_largest_float_rejected():

@@ -440,9 +440,6 @@ def test_scale_entries_must_be_real_numbers(tmp_path, scale):
         RatingVector([1, 1], *scale)
     with pytest.raises(ScaleViolation, match=message):
         validate_survey([1, 1], [[0, 1], [1, 0]], scale=scale)
-    # a checked vector on [1, 5] is not reused on (True, 5), though True == 1
-    with pytest.raises(ScaleViolation, match=message):
-        validate_survey(RatingVector([1, 1]), [[0, 1], [1, 0]], scale=scale)
     matrix_path, ratings_path = tmp_path / "matrix.csv", tmp_path / "ratings.csv"
     matrix_path.write_text("0,1\n1,0\n", encoding="utf-8")
     ratings_path.write_text("1\n1\n", encoding="utf-8")
@@ -645,18 +642,14 @@ def test_nested_ratings_are_a_dimension_error():
         RatingVector([4, np.array(5.0)])
 
 
-def test_validate_survey_keeps_a_rating_vector_on_its_scale():
+def test_checked_ratings_pair_with_a_matrix_through_survey_instance():
+    # validate_survey takes raw ratings only: a RatingVector is not a rating
     ratings = RatingVector([4, 5])
-    assert validate_survey(ratings, [[0, 1], [1, 0]]).ratings is ratings
-    # on another scale its values are checked again, on that scale
-    wider = validate_survey(ratings, [[0, 1], [1, 0]], scale=(0, 10)).ratings
-    assert (wider.scale_min, wider.scale_max, wider.values.tolist()) == (0, 10, [4, 5])
-    with pytest.raises(ScaleViolation, match=r"^ratings must lie in \[1, 4\]$"):
-        validate_survey(ratings, [[0, 1], [1, 0]], scale=(1, 4))
-    with pytest.raises(
-        ScaleViolation, match=r"^non-integer rating 4\.5 with strict_likert enabled$"
-    ):
-        validate_survey(RatingVector([4.5, 5]), [[0, 1], [1, 0]], strict_likert=True)
+    m = [[0, 1], [1, 0]]
+    message = rf"^ratings must be real numbers: found {re.escape(repr(ratings))}$"
+    with pytest.raises(ScaleViolation, match=message):
+        validate_survey(ratings, m)
+    assert SurveyInstance(ratings, CompetenceMatrix(m, "coerce")).ratings is ratings
 
 
 @pytest.mark.parametrize("scale", ["15", {"a": 1, "b": 5}], ids=repr)
