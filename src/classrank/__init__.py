@@ -44,7 +44,6 @@ _EXPORTS = {
         "CompetenceMatrix",
         "RatingVector",
         "SurveyInstance",
-        "load_survey_csv",
         "load_survey_json",
         "validate_survey",
     ),

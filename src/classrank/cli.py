@@ -168,9 +168,17 @@ def _emit(document: dict, output: str | None) -> None:
         handle.write("\n")
 
 
+def _figure(value: float, places: int) -> str:
+    """``value`` with ``places`` decimals for a stderr summary: fixed point
+    below a magnitude of 1e15, e notation from there up, where fixed point
+    would print every one of a large float's up to 309 digits."""
+    return f"{value:.{places}{'f' if abs(value) < 1e15 else 'e'}}"
+
+
 def _cmd_rate(args, config: dict) -> None:
     from .report import rate_survey, rating_report_dict
-    from .survey import load_survey_csv, load_survey_json
+    from .survey import load_competence_csv, load_ratings_csv
+    from .survey import load_survey_json, validate_survey
 
     if args.survey and (args.competence_csv or args.ratings_csv or args.scale):
         raise ValueError("--survey excludes --competence-csv/--ratings-csv/--scale")
@@ -181,9 +189,11 @@ def _cmd_rate(args, config: dict) -> None:
             strict_likert=args.strict_likert,
         )
     elif args.competence_csv and args.ratings_csv:
-        survey = load_survey_csv(
-            args.competence_csv,
-            args.ratings_csv,
+        # the matrix file first, so that its errors come before the ratings'
+        matrix = load_competence_csv(args.competence_csv)
+        survey = validate_survey(
+            load_ratings_csv(args.ratings_csv),
+            matrix,
             scale=tuple(args.scale or DEFAULT_SCALE),
             diagonal_policy=args.diagonal_policy,
             strict_likert=args.strict_likert,
@@ -195,9 +205,9 @@ def _cmd_rate(args, config: dict) -> None:
     _emit(rating_report_dict(report, config), args.output)
     print(
         f"{survey.label or 'survey'}: n={survey.n} "
-        f"mean={report.arithmetic_mean:.4f} "
-        f"degree={report.degree.rating:.4f} "
-        f"eigenfactor={report.eigenfactor.rating:.4f} "
+        f"mean={_figure(report.arithmetic_mean, 4)} "
+        f"degree={_figure(report.degree.rating, 4)} "
+        f"eigenfactor={_figure(report.eigenfactor.rating, 4)} "
         f"({report.eigenfactor.iterations} iterations)",
         file=sys.stderr,
     )
@@ -240,17 +250,19 @@ def _cmd_scenarios(args, config: dict) -> None:
         for warning in scenario.survey.warnings:
             print(f"scenario {scenario.id}: {warning}", file=sys.stderr)
     for result in results:
-        parts = [f"scenario {result.id}: mean={result.arithmetic_mean:.4f}"]
+        parts = [f"scenario {result.id}: mean={_figure(result.arithmetic_mean, 4)}"]
         for method in METHODS:
             scored = getattr(result, method)
             if scored is not None:
-                parts.append(f"{method}={scored.rating:.4f}")
+                parts.append(f"{method}={_figure(scored.rating, 4)}")
         if result.winner:
             parts.append(f"winner={result.winner}")
         print(" ".join(parts), file=sys.stderr)
     # a method that failed in every scenario has no mean
     shown = [
-        f"{method} {mean:.2f}%" for method, mean in summary.items() if mean is not None
+        f"{method} {_figure(mean, 2)}%"
+        for method, mean in summary.items()
+        if mean is not None
     ]
     if shown:
         print(f"mean error reduction: {', '.join(shown)}", file=sys.stderr)

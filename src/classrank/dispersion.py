@@ -10,6 +10,7 @@ each one's fields, in declaration order, from its ``_asdict()``.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, namedtuple
 
 from .common import SCHEMA_VERSION, _csv_reader, _records, number
@@ -88,9 +89,16 @@ def read_dispersion_csv(
     pre-counted rows, one per label. Returns the retained rows plus the
     labels excluded for having fewer than ``min_n`` ratings.
 
-    ``min_n`` (at least 1) and ``tiebreak`` are checked before the file is
-    opened. The long form is streamed into one list of ratings per label.
+    ``min_n`` (an integer of at least 1, Python's or numpy's, not a bool)
+    and ``tiebreak`` are checked before the file is opened. The long form
+    is streamed into one list of ratings per label.
     """
+    try:
+        if isinstance(min_n, bool):
+            raise TypeError
+        operator.index(min_n)
+    except TypeError:
+        raise ValueError(f"min_n must be an integer, got {min_n!r}") from None
     if min_n < 1:
         raise ValueError("min_n must be at least 1")
     if tiebreak not in TIEBREAKS:

@@ -523,6 +523,11 @@ def load_survey_json(
 def load_competence_csv(path) -> np.ndarray:
     """Read an n x n matrix of 0/1 cells; blank cells count as 0.
 
+    With ``load_ratings_csv`` this is the CSV API: read the matrix, then the
+    ratings, and hand both to ``validate_survey``, which makes every check
+    of their values and takes the scale, policy and label, as
+    ``classrank rate --competence-csv ... --ratings-csv ...`` does.
+
     A file of ``0``, ``1`` and empty cells only, as programs write it, is
     packed one byte a cell into a read-only uint8 array. Any other cell
     (``1.0``, `` 1 ``, ``1e0``, a whitespace-only cell) sends the whole
@@ -550,7 +555,12 @@ def load_competence_csv(path) -> np.ndarray:
 
 
 def load_ratings_csv(path) -> list[float]:
-    """Read a single-column list of ratings, one per line."""
+    """Read a single-column list of ratings, one per line.
+
+    With ``load_competence_csv`` this is the CSV API: the list goes to
+    ``validate_survey`` as its raw ratings, which it checks against the
+    scale.
+    """
     values = []
     with _csv_reader(path) as reader:
         for (cell,) in _records(reader, path, 1, "expected one rating per line"):
@@ -561,21 +571,3 @@ def load_ratings_csv(path) -> list[float]:
     if not values:
         raise MalformedInput(f"no ratings in {path}")
     return values
-
-
-def load_survey_csv(
-    matrix_path,
-    ratings_path,
-    scale=DEFAULT_SCALE,
-    diagonal_policy: str = "coerce",
-    strict_likert: bool = False,
-) -> SurveyInstance:
-    matrix = load_competence_csv(matrix_path)
-    ratings = load_ratings_csv(ratings_path)
-    return validate_survey(
-        ratings,
-        matrix,
-        scale=scale,
-        diagonal_policy=diagonal_policy,
-        strict_likert=strict_likert,
-    )

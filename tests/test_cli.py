@@ -672,6 +672,51 @@ def test_scenarios_past_the_float_range_keep_the_report_strict(
 
 
 @pytest.mark.parametrize(
+    "command, doc, lines",
+    [
+        pytest.param(
+            ["rate", "--survey"],
+            {
+                "scale": [0, 1.7e308],
+                "ratings": [1e308, 5e307],
+                "competence": [[0, 1], [1, 0]],
+            },
+            [
+                "survey: n=2 mean=7.5000e+307 degree=7.5000e+307 "
+                "eigenfactor=7.5000e+307 (1 iterations)"
+            ],
+            id="rate",
+        ),
+        pytest.param(
+            ["scenarios", "--scenario-file"],
+            {
+                "scale": [-5, 5],
+                "ratings": [2, -2, 6e-306],
+                "biased_index": 2,
+                "scenarios": [{"id": k, "competence": TO_FIRST} for k in (1, 2)],
+            },
+            [
+                "scenario 1: mean=0.0000 degree=2.0000 eigenfactor=2.0000 winner=tie",
+                "scenario 2: mean=0.0000 degree=2.0000 eigenfactor=2.0000 winner=tie",
+                "mean error reduction: degree -1.00e+308%, eigenfactor -1.00e+308%",
+            ],
+            id="scenarios-summary",
+        ),
+    ],
+)
+def test_stderr_numbers_near_the_float_range_use_e_notation(
+    tmp_path, capsys, command, doc, lines
+):
+    # fixed point printed every digit: a 993-byte rate line and two summary
+    # means of 309 digits each
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run_cli(capsys, *command, str(path))
+    assert code == 0
+    assert err.splitlines() == lines
+
+
+@pytest.mark.parametrize(
     "change, message",
     [
         ({"scale": 5}, "scale must be two numbers, low and high: got 5"),

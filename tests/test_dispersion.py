@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -194,6 +195,8 @@ def test_counted_form_min_n_filter(tmp_path):
     rows, excluded = read_dispersion_csv(path, min_n=5)
     assert [row.label for row in rows] == ["a"]
     assert excluded == ["b"]
+    # a numpy integer is an integer
+    assert read_dispersion_csv(path, min_n=np.int64(5)) == (rows, excluded)
 
 
 def test_malformed_csv_rejected(tmp_path):
@@ -305,6 +308,14 @@ def test_options_are_checked_before_the_file_is_read(tmp_path, text):
             read_dispersion_csv(source, min_n=0)
         with pytest.raises(ValueError, match="^unknown tiebreak 'median'$"):
             read_dispersion_csv(source, tiebreak="median")
+
+
+@pytest.mark.parametrize("min_n", ["5", None, True, 2.5])
+def test_min_n_must_be_an_integer(tmp_path, min_n):
+    # "5" and None raised a bare TypeError; True and 2.5 were accepted
+    message = f"^min_n must be an integer, got {re.escape(repr(min_n))}$"
+    with pytest.raises(ValueError, match=message):
+        read_dispersion_csv(tmp_path / "missing.csv", min_n=min_n)
 
 
 def test_long_form_reader_memory_grows_with_the_ratings_kept(tmp_path):

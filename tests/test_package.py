@@ -79,6 +79,13 @@ def test_unknown_name_raises_attribute_error_naming_the_module():
         classrank.nope
 
 
+def test_csv_pair_has_no_wrapper_among_the_public_names():
+    # the two CSV readers feed validate_survey, which takes the label too
+    assert len(classrank.__all__) == 33
+    with pytest.raises(AttributeError):
+        classrank.load_survey_csv
+
+
 def test_names_moved_to_common_keep_their_old_import_paths():
     from classrank import eigenfactor, report, survey
 

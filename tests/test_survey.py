@@ -20,13 +20,18 @@ from classrank import (
     ScaleViolation,
     SurveyInstance,
     load_scenarios,
-    load_survey_csv,
     load_survey_json,
     validate_survey,
 )
 from classrank.report import rate_survey, rating_report_dict
-from classrank.survey import load_competence_csv
+from classrank.survey import load_competence_csv, load_ratings_csv
 from oracles import dense_normalized, random_binary_matrix
+
+
+def _load_survey_csv(matrix_path, ratings_path, **options):
+    # the CSV API: the matrix is read first, then the ratings
+    matrix = load_competence_csv(matrix_path)
+    return validate_survey(load_ratings_csv(ratings_path), matrix, **options)
 
 
 def _shares(competence):
@@ -425,7 +430,7 @@ def test_scale_of_other_than_two_numbers_rejected(tmp_path, scale):
     matrix_path.write_text("0,1\n1,0\n", encoding="utf-8")
     ratings_path.write_text("4\n4\n", encoding="utf-8")
     with pytest.raises(ScaleViolation, match=message):
-        load_survey_csv(matrix_path, ratings_path, scale=scale)
+        _load_survey_csv(matrix_path, ratings_path, scale=scale)
 
 
 
@@ -444,7 +449,7 @@ def test_scale_entries_must_be_real_numbers(tmp_path, scale):
     matrix_path.write_text("0,1\n1,0\n", encoding="utf-8")
     ratings_path.write_text("1\n1\n", encoding="utf-8")
     with pytest.raises(ScaleViolation, match=message):
-        load_survey_csv(matrix_path, ratings_path, scale=scale)
+        _load_survey_csv(matrix_path, ratings_path, scale=scale)
 
 
 def test_numpy_scale_entries_are_accepted():
@@ -933,10 +938,19 @@ def test_load_survey_csv_blank_cells_count_as_zero(tmp_path):
     matrix_path.write_text("0,1,1\n1,0,\n,1,0\n", encoding="utf-8")
     ratings_path = tmp_path / "ratings.csv"
     ratings_path.write_text("4\n2\n5\n", encoding="utf-8")
-    survey = load_survey_csv(matrix_path, ratings_path)
+    survey = _load_survey_csv(matrix_path, ratings_path)
     # no edges (1, 2) and (2, 0)
     assert _pairs(survey.competence) == [(0, 1), (0, 2), (1, 0), (2, 1)]
     assert survey.ratings.values.tolist() == [4.0, 2.0, 5.0]
+
+
+def test_csv_pair_carries_its_label_into_the_report(tmp_path):
+    matrix_path = tmp_path / "matrix.csv"
+    matrix_path.write_text("0,1\n1,0\n", encoding="utf-8")
+    ratings_path = tmp_path / "ratings.csv"
+    ratings_path.write_text("4\n2\n", encoding="utf-8")
+    survey = _load_survey_csv(matrix_path, ratings_path, label="week 3")
+    assert rating_report_dict(rate_survey(survey), {})["label"] == "week 3"
 
 
 @pytest.mark.parametrize(
@@ -953,7 +967,7 @@ def test_load_survey_csv_rejects_ragged_rows(tmp_path, matrix, ratings, bad, mes
     paths["ratings"].write_text(ratings, encoding="utf-8")
     exact = f"^{re.escape(f'{message} in {paths[bad]}')}$"
     with pytest.raises(MalformedInput, match=exact):
-        load_survey_csv(paths["matrix"], paths["ratings"])
+        _load_survey_csv(paths["matrix"], paths["ratings"])
 
 
 @pytest.mark.parametrize("blank", ["", " , ", "\t"], ids=["empty", "comma", "tab"])
@@ -964,7 +978,7 @@ def test_load_survey_csv_skips_blank_lines(tmp_path, blank):
     )
     ratings_path = tmp_path / "ratings.csv"
     ratings_path.write_text(f"{blank}\n4\n{blank}\n2\n5\n{blank}\n", encoding="utf-8")
-    survey = load_survey_csv(matrix_path, ratings_path)
+    survey = _load_survey_csv(matrix_path, ratings_path)
     assert _pairs(survey.competence) == [(0, 1), (0, 2), (1, 0), (2, 1)]
     assert survey.ratings.values.tolist() == [4.0, 2.0, 5.0]
 
@@ -985,8 +999,8 @@ def test_load_survey_csv_spelled_out_cells_match_their_plain_twin(tmp_path):
     plain.write_text("0,1,1\n1,0,0\n0,1,0\n", encoding="utf-8")
     ratings_path = tmp_path / "ratings.csv"
     ratings_path.write_text("4\n2\n5\n", encoding="utf-8")
-    spelled_survey = load_survey_csv(spelled, ratings_path)
-    plain_survey = load_survey_csv(plain, ratings_path)
+    spelled_survey = _load_survey_csv(spelled, ratings_path)
+    plain_survey = _load_survey_csv(plain, ratings_path)
     assert load_competence_csv(spelled).dtype == np.float64
     assert _edges(spelled_survey.competence) == _edges(plain_survey.competence)
     assert np.array_equal(
@@ -1011,7 +1025,7 @@ def test_load_survey_csv_rejects_bad_cells(tmp_path, cell, error):
     ratings_path = tmp_path / "ratings.csv"
     ratings_path.write_text("4\n2\n", encoding="utf-8")
     with pytest.raises(error):
-        load_survey_csv(matrix_path, ratings_path)
+        _load_survey_csv(matrix_path, ratings_path)
 
 
 @pytest.mark.parametrize("rating", ["0_5", "\u0664", "\uff14"])
@@ -1021,4 +1035,4 @@ def test_load_survey_csv_rejects_underscored_or_non_ascii_ratings(tmp_path, rati
     ratings_path = tmp_path / "ratings.csv"
     ratings_path.write_text(f"4\n{rating}\n", encoding="utf-8")
     with pytest.raises(MalformedInput, match="non-numeric rating"):
-        load_survey_csv(matrix_path, ratings_path)
+        _load_survey_csv(matrix_path, ratings_path)
