@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 invalid input, 3 degenerate network,
 own to that code, which its subclasses share; any other input or file
 error exits 2.
 
-Only ``rate`` and ``scenarios`` import the numpy-backed modules, when they
-run: parsing the command line and ``dispersion`` load no numpy.
+Each command imports its modules when it runs, so parsing the command
+line loads none of them: ``dispersion`` loads no numpy, and ``rate`` and
+``scenarios`` do not load the dispersion module.
 """
 
 from __future__ import annotations
@@ -25,18 +26,13 @@ import sys
 from .common import (
     DEFAULT_ALPHA,
     DEFAULT_MAX_ITER,
+    DEFAULT_MIN_N,
     DEFAULT_SCALE,
     DEFAULT_TOL,
     DIAGONAL_POLICIES,
+    TIEBREAKS,
     integer,
     number,
-)
-from .dispersion import (
-    DEFAULT_MIN_N,
-    TIEBREAKS,
-    aggregate,
-    dispersion_report_dict,
-    read_dispersion_csv,
 )
 from .errors import ClassrankError, DegenerateNetwork, NoConvergence
 
@@ -214,6 +210,8 @@ def _cmd_rate(args, config: dict) -> None:
 
 
 def _cmd_dispersion(args, config: dict) -> None:
+    from .dispersion import aggregate, dispersion_report_dict, read_dispersion_csv
+
     rows, excluded = read_dispersion_csv(
         args.ratings_csv, min_n=args.min_n, tiebreak=args.mode_tiebreak
     )

@@ -2,9 +2,12 @@
 
 This module imports no numpy: the CLI parser and ``classrank dispersion``
 need only what is here, so they run without loading the numeric pipeline.
+It holds every default the parser shows, the dispersion ones too, so
+parsing loads no command's module.
 A module that uses one of these names also has it under its own name:
 ``survey`` the scale, policy and reader names, ``eigenfactor`` the solver
-defaults and ``report`` ``SCHEMA_VERSION``.
+defaults, ``dispersion`` ``DEFAULT_MIN_N`` and ``TIEBREAKS``, and
+``report`` ``SCHEMA_VERSION``.
 """
 
 from __future__ import annotations
@@ -20,16 +23,19 @@ DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 SCHEMA_VERSION = 1
+DEFAULT_MIN_N = 5
+TIEBREAKS = ("smallest", "largest")
 
 
 @contextmanager
 def _csv_reader(path):
-    """A csv reader over a UTF-8 file, closed on leaving the block.
+    """A csv reader over a UTF-8 file, closed on leaving the block. A
+    leading byte-order mark, as spreadsheets write, is skipped.
 
     A file that is not UTF-8, or that the csv module cannot split (a field
     longer than its field size limit, say), raises MalformedInput.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             yield csv.reader(handle)
         except (csv.Error, UnicodeDecodeError) as exc:

@@ -13,14 +13,12 @@ from __future__ import annotations
 import operator
 from collections import Counter, namedtuple
 
-from .common import SCHEMA_VERSION, _csv_reader, _records, number
+from .common import DEFAULT_MIN_N, SCHEMA_VERSION, TIEBREAKS, number
+from .common import _csv_reader, _records
 from .errors import EmptyInput, MalformedInput
 
-TIEBREAKS = ("smallest", "largest")
 LONG_HEADER = ("label", "rating")
 COUNT_HEADER = ("label", "n", "mode", "dev2", "dev3plus")
-
-DEFAULT_MIN_N = 5
 
 
 DispersionRow = namedtuple("DispersionRow", "label n mode dev2 dev3plus")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_SCALE, DEFAULT_TOL
 from .errors import (
+    ClassrankError,
     DegenerateNetwork,
     EmptyInput,
     IndexOutOfRange,
@@ -207,7 +208,9 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
     every scenario's survey shares that RatingVector; each matrix is then
     checked by CompetenceMatrix, and the biased index, then the count of
     at least two ratings, by the scenario's Scenario, after its survey is
-    built; each raises the library's own error."""
+    built; each raises the library's own error. An error of one scenario's
+    matrix, or of its size against the ratings, is raised again as the
+    same class with ``scenario <id>: `` in front."""
     data = _read_document(source, "scenario", ("ratings", "biased_index", "scenarios"))
     if not isinstance(data["scenarios"], list) or not data["scenarios"]:
         raise MalformedInput("scenario document holds no scenarios")
@@ -230,8 +233,12 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
         # the order a survey document does
         if ratings is None:
             ratings = _rating_vector(data["ratings"], scale)
-        survey = SurveyInstance(
-            ratings, CompetenceMatrix(grid, diagonal_policy), f"{label}-{sid}"
-        )
+        try:
+            survey = SurveyInstance(
+                ratings, CompetenceMatrix(grid, diagonal_policy), f"{label}-{sid}"
+            )
+        except ClassrankError as exc:
+            # one network of up to hundreds: say which, keeping the class
+            raise type(exc)(f"scenario {sid}: {exc}") from exc
         scenarios[sid] = Scenario(id=sid, survey=survey, biased_index=biased_index)
     return [scenarios[sid] for sid in sorted(scenarios)]

@@ -244,7 +244,8 @@ class CompetenceMatrix:
 
     The source of each endorsement is ``np.arange(n).repeat(row_sums)`` and
     its share ``row_shares.repeat(row_sums)``, both in the order of
-    ``targets``; no array of either is kept.
+    ``targets``; no array of either is kept, nor the ``dangling`` set, which
+    is read off ``row_sums`` on access.
 
     ``diagonal_policy`` decides the fate of self-endorsements, 1s on the
     diagonal, once every cell is 0 or 1: ``reject`` (the default) raises
@@ -268,7 +269,6 @@ class CompetenceMatrix:
     targets: np.ndarray = field(init=False)
     row_sums: np.ndarray = field(init=False)
     row_shares: np.ndarray = field(init=False)
-    dangling: frozenset[int] = field(init=False)
     self_endorsers: tuple[int, ...] = field(init=False)
 
     def __post_init__(self, entries, diagonal_policy):
@@ -294,23 +294,31 @@ class CompetenceMatrix:
         self_endorsers = sources[loops].tolist()
         if self_endorsers:
             if diagonal_policy == "reject":
-                raise NonZeroDiagonal(f"self-endorsement at index {self_endorsers}")
+                # the first ten, so that a looped class of thousands gives
+                # one short error line
+                more = len(self_endorsers) - 10
+                raise NonZeroDiagonal(
+                    f"self-endorsement at index {self_endorsers[:10]}"
+                    + (f" and {more} more" if more > 0 else "")
+                )
             sources, targets = sources[~loops], targets[~loops]
         counts = np.bincount(sources, minlength=n)
-        endorsing = counts > 0
         # edges are in row-major order, so the sources are the run lengths
         # of counts: only the counts and one share a student outlive this call
-        row_shares = np.divide(1.0, counts, out=np.zeros(n), where=endorsing)
-        dangling = frozenset(np.flatnonzero(~endorsing).tolist())
+        row_shares = np.divide(1.0, counts, out=np.zeros(n), where=counts > 0)
         object.__setattr__(self, "targets", _readonly(targets))
         object.__setattr__(self, "row_sums", _readonly(counts))
         object.__setattr__(self, "row_shares", _readonly(row_shares))
-        object.__setattr__(self, "dangling", dangling)
         object.__setattr__(self, "self_endorsers", tuple(self_endorsers))
 
     @property
     def n(self) -> int:
         return self.row_sums.size
+
+    @property
+    def dangling(self) -> frozenset[int]:
+        """The students who endorse nobody, derived from ``row_sums``."""
+        return frozenset(np.flatnonzero(self.row_sums == 0).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,13 +415,14 @@ def validate_survey(
 
 
 def _read_document(source, kind: str, required: tuple[str, ...]) -> dict:
-    """Parse a JSON document from a path, or take an already-parsed dict.
+    """Parse a UTF-8 JSON document from a path, a leading byte-order mark
+    skipped, or take an already-parsed dict.
 
     The document must be a JSON object holding every key in ``required``.
     """
     if isinstance(source, (str, Path)):
         try:
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
+            data = json.loads(Path(source).read_text(encoding="utf-8-sig"))
         # decode errors are ValueErrors; nesting too deep for the parser
         # raises RecursionError
         except (ValueError, RecursionError) as exc:

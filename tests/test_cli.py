@@ -442,6 +442,64 @@ def test_dispersion_overlong_csv_field_exits_2(tmp_path, capsys):
     assert_input_error(result, "field larger than field limit")
 
 
+def _reader_runs(tmp_path):
+    """Per reader, the argv of a run on valid input and the file in it that
+    a test prefixes with a UTF-8 byte-order mark."""
+    doc = json.loads(example_survey_path().read_text(encoding="utf-8"))
+    matrix, ratings, long = (tmp_path / f"{name}.csv" for name in ("m", "r", "l"))
+    matrix.write_text(
+        "".join(",".join(map(str, row)) + "\n" for row in doc["competence"]),
+        encoding="utf-8",
+    )
+    ratings.write_text(
+        "".join(f"{value}\n" for value in doc["ratings"]), encoding="utf-8"
+    )
+    long.write_text("label,rating\na,4\na,4\na,1\nb,5\nb,3\n", encoding="utf-8")
+    pair = ["rate", "--competence-csv", matrix, "--ratings-csv", ratings]
+    return {
+        "survey": (["rate", "--survey", example_survey_path()], example_survey_path()),
+        "bundle": (
+            ["scenarios", "--scenario-file", scenario_fixture_path()],
+            scenario_fixture_path(),
+        ),
+        "competence-csv": (pair, matrix),
+        "ratings-csv": (pair, ratings),
+        "long-form": (["dispersion", "--ratings-csv", long, "--min-n", "1"], long),
+        "counted-form": (
+            ["dispersion", "--ratings-csv", clarity_counts_path()],
+            clarity_counts_path(),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "reader",
+    ["survey", "bundle", "competence-csv", "ratings-csv", "long-form", "counted-form"],
+)
+def test_every_reader_accepts_a_byte_order_mark(tmp_path, capsys, reader):
+    # spreadsheets write "CSV UTF-8" with a leading U+FEFF, and a JSON
+    # parser may ignore one (RFC 8259, section 8.1)
+    argv, target = _reader_runs(tmp_path)[reader]
+    bom = tmp_path / f"bom{target.suffix}"
+    bom.write_bytes(b"\xef\xbb\xbf" + target.read_bytes())
+    expected = run_cli(capsys, *map(str, argv))
+    assert expected[0] == 0
+    marked = [bom if arg == target else arg for arg in argv]
+    assert run_cli(capsys, *map(str, marked)) == expected
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("rate", "--survey"), ("dispersion", "--ratings-csv")]
+)
+def test_invalid_utf8_after_a_byte_order_mark_is_an_input_error(
+    tmp_path, capsys, command, flag
+):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xef\xbb\xbf\xff")
+    result = run_cli(capsys, command, flag, str(path))
+    assert_input_error(result, "'utf-8' codec can't decode byte 0xff")
+
+
 def test_dispersion_huge_counts_do_not_overflow(tmp_path, capsys):
     # percentages of counts too large for a float are still exact ratios
     huge = 10**400

@@ -61,6 +61,22 @@ def test_rate_leaves_the_thread_pool_unloaded(tmp_path):
     )
     assert fresh(script, example_survey_path(), tmp_path / "report.json") == "False\n"
 
+
+@pytest.mark.parametrize("command", ["rate", "scenarios"])
+def test_numeric_commands_leave_the_dispersion_module_unloaded(tmp_path, command):
+    # each command imports its own modules when it runs; the parser's
+    # dispersion defaults live in common
+    source = ["--survey", example_survey_path()] if command == "rate" else []
+    script = (
+        "import sys\n"
+        "from classrank.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('classrank.dispersion' in sys.modules)"
+    )
+    output = ["--output", tmp_path / "report.json"]
+    assert fresh(script, command, *source, *output) == "False\n"
+
+
 def test_public_names_are_their_home_module_objects():
     for name in classrank.__all__:
         value = getattr(classrank, name)
@@ -87,7 +103,7 @@ def test_csv_pair_has_no_wrapper_among_the_public_names():
 
 
 def test_names_moved_to_common_keep_their_old_import_paths():
-    from classrank import eigenfactor, report, survey
+    from classrank import dispersion, eigenfactor, report, survey
 
     # the names each old home still uses itself
     olds = {
@@ -100,6 +116,7 @@ def test_names_moved_to_common_keep_their_old_import_paths():
         ),
         eigenfactor: ("DEFAULT_ALPHA", "DEFAULT_MAX_ITER", "DEFAULT_TOL"),
         report: ("SCHEMA_VERSION",),
+        dispersion: ("DEFAULT_MIN_N", "TIEBREAKS"),
     }
     for module, names in olds.items():
         for name in names:

@@ -455,11 +455,31 @@ def test_same_fact_gives_the_same_error_from_every_entry_point(change, error, me
 @pytest.mark.parametrize(
     "matrix, policy, error, message",
     [
-        ([[0, 1], [1, 0]], "coerce", DimensionMismatch, "3 ratings vs 2 students"),
+        (
+            [[0, 1], [1, 0]],
+            "coerce",
+            DimensionMismatch,
+            "scenario 2: 3 ratings vs 2 students",
+        ),
         ([[0, 1], [1]], "coerce", MalformedInput, "scenario 2 competence rows are ragged"),
-        ([[0, 1], [1, 2]], "coerce", NonBinaryEntry, "matrix entries must be 0 or 1, found 2"),
-        ([[0, 1]], "coerce", DimensionMismatch, "competence matrix must be square"),
-        ([[1, 1], [1, 0]], "reject", NonZeroDiagonal, "self-endorsement at index [0]"),
+        (
+            [[0, 1], [1, 2]],
+            "coerce",
+            NonBinaryEntry,
+            "scenario 2: matrix entries must be 0 or 1, found 2",
+        ),
+        (
+            [[0, 1]],
+            "coerce",
+            DimensionMismatch,
+            "scenario 2: competence matrix must be square",
+        ),
+        (
+            [[1, 1], [1, 0]],
+            "reject",
+            NonZeroDiagonal,
+            "scenario 2: self-endorsement at index [0]",
+        ),
     ],
     ids=["size", "ragged", "non-binary", "not-square", "self-endorsement"],
 )
@@ -472,3 +492,40 @@ def test_later_scenario_of_another_size_fails_after_its_matrix_checks(
     with pytest.raises(error) as excinfo:
         load_scenarios(_bundle(scenarios=listed), diagonal_policy=policy)
     assert str(excinfo.value) == message
+
+
+SQUARE = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "matrix, policy, error, message",
+    [
+        (
+            [[0, 1, 0, 0], [1, 0, 2, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
+            "coerce",
+            NonBinaryEntry,
+            "scenario 3: matrix entries must be 0 or 1, found 2",
+        ),
+        (
+            [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1], [0, 0, 1, 0]],
+            "reject",
+            NonZeroDiagonal,
+            "scenario 3: self-endorsement at index [2]",
+        ),
+        (TRIANGLE, "coerce", DimensionMismatch, "scenario 3: 4 ratings vs 3 students"),
+    ],
+    ids=["non-binary", "self-endorsement", "size"],
+)
+def test_bad_network_of_a_bundle_names_its_scenario(matrix, policy, error, message):
+    # the error of one network among many says which scenario to fix,
+    # keeps its class, and so its exit code
+    listed = [
+        {"id": 1, "competence": SQUARE},
+        {"id": 2, "competence": SQUARE},
+        {"id": 3, "competence": matrix},
+    ]
+    bundle = _bundle(ratings=[4, 5, 3, 2], scenarios=listed)
+    with pytest.raises(error) as excinfo:
+        load_scenarios(bundle, diagonal_policy=policy)
+    assert str(excinfo.value) == message
+    assert type(excinfo.value) is error

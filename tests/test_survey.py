@@ -73,6 +73,21 @@ def test_reject_policy_raises_on_self_endorsement():
         validate_survey([4, 4], [[1, 1], [0, 0]], diagonal_policy="reject")
 
 
+def test_reject_error_lists_ten_self_endorsers_and_counts_the_rest():
+    # one short error line for a looped class of thousands
+    with pytest.raises(NonZeroDiagonal) as excinfo:
+        CompetenceMatrix(np.eye(2000, dtype=np.uint8), "reject")
+    assert str(excinfo.value) == (
+        "self-endorsement at index [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] and 1990 more"
+    )
+    # ten or fewer are all listed, as before
+    with pytest.raises(NonZeroDiagonal) as excinfo:
+        CompetenceMatrix(np.eye(10, dtype=np.uint8), "reject")
+    assert str(excinfo.value) == (
+        "self-endorsement at index [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]"
+    )
+
+
 def test_coerce_policy_zeroes_diagonal_and_warns(monkeypatch):
     survey = validate_survey([4, 4], [[1, 1], [0, 0]], diagonal_policy="coerce")
     # the self-endorsement (0, 0) is dropped, (0, 1) is kept
@@ -322,9 +337,10 @@ def test_validation_allocates_no_full_size_mask(transposed):
 
 
 def test_validated_network_keeps_one_edge_array():
-    # compressed rows: the targets (8 bytes an edge) and three n-length
-    # parts, row_sums, row_shares and the dangling set; three edge arrays
-    # (24 bytes an edge) would break the bound
+    # compressed rows: the targets (8 bytes an edge) and two n-length
+    # arrays, row_sums and row_shares (the dangling set is derived from
+    # row_sums when read); three edge arrays (24 bytes an edge) would break
+    # the bound
     n = 1500
     rng = np.random.default_rng(1)
     matrix = (rng.random((n, n)) < 8 / n).astype(np.uint8)
