@@ -12,8 +12,9 @@ own to that code, which its subclasses share; any other input or file
 error exits 2.
 
 Each command imports its modules when it runs, so parsing the command
-line loads none of them: ``dispersion`` loads no numpy, and ``rate`` and
-``scenarios`` do not load the dispersion module.
+line loads none of them: ``dispersion`` loads no numpy, ``rate`` and
+``scenarios`` do not load the dispersion module, and ``scenarios`` looks
+up the bundled fixture only when no ``--scenario-file`` is given.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ import sys
 
 from .common import (
     DEFAULT_ALPHA,
+    DEFAULT_DIAGONAL_POLICY,
     DEFAULT_MAX_ITER,
     DEFAULT_MIN_N,
     DEFAULT_SCALE,
+    DEFAULT_TIEBREAK,
     DEFAULT_TOL,
     DIAGONAL_POLICIES,
     TIEBREAKS,
@@ -46,9 +49,9 @@ REPORTED_SETTINGS = {
     "alpha": DEFAULT_ALPHA,
     "tol": DEFAULT_TOL,
     "max_iter": DEFAULT_MAX_ITER,
-    "diagonal_policy": "coerce",
+    "diagonal_policy": DEFAULT_DIAGONAL_POLICY,
     "min_n": DEFAULT_MIN_N,
-    "mode_tiebreak": "smallest",
+    "mode_tiebreak": DEFAULT_TIEBREAK,
     "strict_likert": False,
 }
 
@@ -227,12 +230,13 @@ def _cmd_dispersion(args, config: dict) -> None:
 
 
 def _cmd_scenarios(args, config: dict) -> None:
-    from .data import scenario_fixture_path
     from .report import METHODS, scenario_report_dict
     from .scenarios import error_reduction_summary, load_scenarios, run_scenario
 
     path = args.scenario_file
     if path is None:
+        from .data import scenario_fixture_path
+
         path = str(scenario_fixture_path())
     bundle = load_scenarios(path, diagonal_policy=args.diagonal_policy)
     results = [

@@ -1,30 +1,54 @@
-"""Defaults and plain-text readers shared across the package.
+"""Argument rules, defaults and plain-text readers shared across the package.
 
 This module imports no numpy: the CLI parser and ``classrank dispersion``
 need only what is here, so they run without loading the numeric pipeline.
-It holds every default the parser shows, the dispersion ones too, so
-parsing loads no command's module.
-A module that uses one of these names also has it under its own name:
-``survey`` the scale, policy and reader names, ``eigenfactor`` the solver
-defaults, ``dispersion`` ``DEFAULT_MIN_N`` and ``TIEBREAKS``, and
-``report`` ``SCHEMA_VERSION``.
+It holds the one rule for each kind of numeric argument, ``_integer`` and
+``_real`` (and ``_check_count`` for an integer of at least 1), and every
+default: those the parser shows, the dispersion ones too, so parsing loads
+no command's module, and those the library's signatures take. A module that uses one of these names also has it under
+its own name: ``survey`` the scale, policy and reader names,
+``eigenfactor`` the solver defaults, ``dispersion`` ``DEFAULT_MIN_N`` and
+``TIEBREAKS``, and ``report`` ``SCHEMA_VERSION``.
 """
 
 from __future__ import annotations
 
-import csv
+import numbers
 from contextlib import contextmanager
 
 from .errors import MalformedInput
 
 DEFAULT_SCALE = (1.0, 5.0)
 DIAGONAL_POLICIES = ("coerce", "reject")
+DEFAULT_DIAGONAL_POLICY = "coerce"
 DEFAULT_ALPHA = 0.85
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 1000
 SCHEMA_VERSION = 1
 DEFAULT_MIN_N = 5
 TIEBREAKS = ("smallest", "largest")
+DEFAULT_TIEBREAK = "smallest"
+
+
+# a Python int or float is matched by the tuple's first types, before the
+# ABC check; numpy registers its integer and floating scalars with numbers
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer (numpy's too), not a bool."""
+    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number (numpy's too), not a bool."""
+    return isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+
+
+def _check_count(value, name: str) -> None:
+    """Raise ValueError unless ``value``, the ``name`` of the caller's
+    argument, is an integer (``_integer``) of at least 1."""
+    if not _integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 @contextmanager
@@ -35,6 +59,10 @@ def _csv_reader(path):
     A file that is not UTF-8, or that the csv module cannot split (a field
     longer than its field size limit, say), raises MalformedInput.
     """
+    # imported here: only the CSV readers need it, not rate --survey or
+    # scenarios
+    import csv
+
     with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             yield csv.reader(handle)

@@ -10,11 +10,10 @@ each one's fields, in declaration order, from its ``_asdict()``.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter, namedtuple
 
-from .common import DEFAULT_MIN_N, SCHEMA_VERSION, TIEBREAKS, number
-from .common import _csv_reader, _records
+from .common import DEFAULT_MIN_N, DEFAULT_TIEBREAK, SCHEMA_VERSION, TIEBREAKS, number
+from .common import _check_count, _csv_reader, _records
 from .errors import EmptyInput, MalformedInput
 
 LONG_HEADER = ("label", "rating")
@@ -28,7 +27,9 @@ DispersionAggregate = namedtuple(
 )
 
 
-def dispersion_row(label: str, ratings, tiebreak: str = "smallest") -> DispersionRow:
+def dispersion_row(
+    label: str, ratings, tiebreak: str = DEFAULT_TIEBREAK
+) -> DispersionRow:
     """Count ratings at deviation 2 and at deviation >= 3 from the mode.
 
     The mode is the most frequent rating, ties resolved to the smallest or
@@ -78,7 +79,7 @@ def _parse_int(cell: str, what: str, path) -> int:
 def read_dispersion_csv(
     path,
     min_n: int = DEFAULT_MIN_N,
-    tiebreak: str = "smallest",
+    tiebreak: str = DEFAULT_TIEBREAK,
 ) -> tuple[list[DispersionRow], list[str]]:
     """Read either accepted CSV form and apply the minimum-count filter.
 
@@ -91,14 +92,7 @@ def read_dispersion_csv(
     and ``tiebreak`` are checked before the file is opened. The long form
     is streamed into one list of ratings per label.
     """
-    try:
-        if isinstance(min_n, bool):
-            raise TypeError
-        operator.index(min_n)
-    except TypeError:
-        raise ValueError(f"min_n must be an integer, got {min_n!r}") from None
-    if min_n < 1:
-        raise ValueError("min_n must be at least 1")
+    _check_count(min_n, "min_n")
     if tiebreak not in TIEBREAKS:
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
     with _csv_reader(path) as reader:

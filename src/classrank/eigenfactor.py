@@ -17,10 +17,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL
+from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, _check_count, _real
 from .degree import _incoming_mass, _incoming_weights, _per_student
 from .errors import NoConvergence
-from .survey import CompetenceMatrix, _integer, _readonly, _real
+from .survey import CompetenceMatrix, _readonly
 
 _Stationary = namedtuple("Stationary", "values iterations residual")
 
@@ -72,10 +72,7 @@ def stationary_distribution(
     if not (_real(tol) and 0 < float(tol) < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     # a float would fail inside range() and a bool would run one step
-    if not _integer(max_iter):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    _check_count(max_iter, "max_iter")
     alpha, tol = float(alpha), float(tol)
     # bound once: a step makes one kernel call and no attribute lookup
     targets, row_sums = competence.targets, competence.row_sums

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_SCALE, DEFAULT_TOL
+from .common import DEFAULT_ALPHA, DEFAULT_DIAGONAL_POLICY, DEFAULT_MAX_ITER
+from .common import DEFAULT_SCALE, DEFAULT_TOL, _integer
 from .errors import (
     ClassrankError,
     DegenerateNetwork,
@@ -29,9 +30,8 @@ from .survey import (
     CompetenceMatrix,
     RatingVector,
     SurveyInstance,
-    _document_label,
     _grid,
-    _integer,
+    _label,
     _mean,
     _rating_vector,
     _read_document,
@@ -196,7 +196,9 @@ def error_reduction_summary(results) -> dict[str, float | None]:
     return means
 
 
-def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
+def load_scenarios(
+    source, diagonal_policy: str = DEFAULT_DIAGONAL_POLICY
+) -> list[Scenario]:
     """Load a scenario bundle: shared ratings and biased index, one
     competence matrix per scenario. Results are ordered by scenario id,
     which must be unique.
@@ -215,7 +217,7 @@ def load_scenarios(source, diagonal_policy: str = "coerce") -> list[Scenario]:
     if not isinstance(data["scenarios"], list) or not data["scenarios"]:
         raise MalformedInput("scenario document holds no scenarios")
     scale = data.get("scale", DEFAULT_SCALE)
-    label = _document_label(data, "scenario")
+    label = _label(data.get("label", "scenario"))
     biased_index = data["biased_index"]
 
     ratings = None

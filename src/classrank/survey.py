@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Mapping, Set
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, repeat
@@ -28,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import DEFAULT_SCALE, DIAGONAL_POLICIES, _csv_reader, _records, number
+from .common import DEFAULT_DIAGONAL_POLICY, DEFAULT_SCALE, DIAGONAL_POLICIES, number
+from .common import _csv_reader, _real, _records
 from .errors import (
     DimensionMismatch,
     MalformedInput,
@@ -48,16 +48,6 @@ _CSV_CELLS = {"0": 0, "1": 1, "": 0}
 # threads in blocks of half this size, so the masks live at once still hold
 # 2^18 cells (twice that for a transposed matrix).
 _BLOCK_CELLS = 1 << 18
-
-
-def _real(value) -> bool:
-    """Whether ``value`` is a real number (numpy's too), not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _integer(value) -> bool:
-    """Whether ``value`` is an integer (numpy's too), not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _float_ratings(raw) -> np.ndarray:
@@ -321,15 +311,28 @@ class CompetenceMatrix:
         return frozenset(np.flatnonzero(self.row_sums == 0).tolist())
 
 
+def _label(value) -> str:
+    """``value``, once it is known to be a string: null, a number or a list
+    raises MalformedInput, and is not turned into its repr."""
+    if not isinstance(value, str):
+        raise MalformedInput(f"label must be a string: found {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class SurveyInstance:
-    """A validated pair of ratings and competence matrix for one course."""
+    """A validated pair of ratings and competence matrix for one course.
+
+    The label must be a string (``_label``), checked before the ratings
+    count is matched with the matrix size.
+    """
 
     ratings: RatingVector
     competence: CompetenceMatrix
     label: str = ""
 
     def __post_init__(self):
+        _label(self.label)
         if self.ratings.n != self.competence.n:
             raise DimensionMismatch(
                 f"{self.ratings.n} ratings vs {self.competence.n} students"
@@ -351,6 +354,9 @@ def _rating_vector(raw_ratings, scale, strict_likert: bool = False) -> RatingVec
     """The RatingVector of raw ratings on ``scale``, checked as
     validate_survey documents; a bundle calls it once for its shared
     ratings."""
+    # a string or a number would switch the check on or off by its truth
+    if not isinstance(strict_likert, bool):
+        raise ValueError(f"strict_likert must be True or False, got {strict_likert!r}")
     try:
         # these unpack into characters, byte values, keys or an order that
         # is not the caller's, never a scale
@@ -376,7 +382,7 @@ def validate_survey(
     raw_ratings,
     raw_matrix,
     scale=DEFAULT_SCALE,
-    diagonal_policy: str = "coerce",
+    diagonal_policy: str = DEFAULT_DIAGONAL_POLICY,
     strict_likert: bool = False,
     label: str = "",
 ) -> SurveyInstance:
@@ -385,8 +391,8 @@ def validate_survey(
     ``diagonal_policy`` decides what happens to self-endorsements, the 1s on
     the diagonal: ``coerce`` zeroes them, which the survey's ``warnings``
     tell, ``reject`` raises NonZeroDiagonal; CompetenceMatrix applies it and
-    makes every matrix check. ``strict_likert`` additionally requires every
-    rating to be an integer.
+    makes every matrix check. ``strict_likert``, True or False, additionally
+    requires every rating to be an integer. ``label`` must be a string.
 
     ``scale`` is exactly two real numbers (numpy's too, not bools), the
     lowest and the highest rating; any other length or entry raises
@@ -395,12 +401,14 @@ def validate_survey(
     values, keys or an unordered pair. ``_rating_vector`` is the only check
     of the scale and the ratings, whichever loader they come from.
 
-    Errors come in this order: a scale that is not two values, the ratings'
-    types and shape, the scale's entries, the ratings' values (finite, on
-    the scale, a finite mean, ``strict_likert``), an unknown policy
-    (ValueError), the matrix shape, its first cell other than 0 or 1
-    (NonBinaryEntry, under both policies), and last a self-endorsement under
-    ``reject``. The JSON loaders check the document's shape before they
+    Errors come in this order: a ``strict_likert`` that is not a bool
+    (ValueError), a scale that is not two values, the ratings' types and
+    shape, the scale's entries, the ratings' values (finite, on the scale, a
+    finite mean, ``strict_likert``), an unknown policy (ValueError), the
+    matrix shape, its first cell other than 0 or 1 (NonBinaryEntry, under
+    both policies), a self-endorsement under ``reject``, a label that is not
+    a string (MalformedInput), and last a ratings count that does not match
+    the matrix. The JSON loaders check the document's shape before they
     call this, so from them a bad scale or rating comes after the grid
     checks.
 
@@ -435,18 +443,6 @@ def _read_document(source, kind: str, required: tuple[str, ...]) -> dict:
     if missing:
         raise MalformedInput(f"{kind} document lacks {missing}")
     return data
-
-
-def _document_label(data: dict, default: str) -> str:
-    """The ``label`` of a document, ``default`` when absent.
-
-    A label that is present must be a JSON string: null, a number or a list
-    is rejected, not turned into its repr.
-    """
-    label = data.get("label", default)
-    if not isinstance(label, str):
-        raise MalformedInput(f"label must be a string: found {label!r}")
-    return label
 
 
 def _answers(row: list, kind: str) -> list:
@@ -507,25 +503,25 @@ def _grid(competence, kind: str) -> np.ndarray:
 
 def load_survey_json(
     source,
-    diagonal_policy: str = "coerce",
+    diagonal_policy: str = DEFAULT_DIAGONAL_POLICY,
     strict_likert: bool = False,
 ) -> SurveyInstance:
     """Load a survey document: label, scale, ratings, competence.
 
     ``source`` is a path or an already-parsed dict. ``scale`` defaults to
-    [1, 5] when absent. The competence grid's shape is checked first
-    (``_grid``); the ratings and the scale are left to validate_survey, so
-    a bad one raises the library's own error.
+    [1, 5] and ``label`` to "" when absent. The competence grid's shape is
+    checked first (``_grid``); the ratings, the scale and the label are left
+    to validate_survey, so a bad one raises the library's own error, in its
+    order: a label that is not a string after the matrix checks.
     """
     data = _read_document(source, "survey", ("ratings", "competence"))
-    label = _document_label(data, "")
     return validate_survey(
         data["ratings"],
         _grid(data["competence"], "survey document"),
         scale=data.get("scale", DEFAULT_SCALE),
         diagonal_policy=diagonal_policy,
         strict_likert=strict_likert,
-        label=label,
+        label=data.get("label", ""),
     )
 
 

@@ -7,7 +7,11 @@ import pytest
 
 import classrank
 from classrank import common
-from classrank.data import clarity_counts_path, example_survey_path
+from classrank.data import (
+    clarity_counts_path,
+    example_survey_path,
+    scenario_fixture_path,
+)
 
 
 def fresh(script, *args):
@@ -75,6 +79,34 @@ def test_numeric_commands_leave_the_dispersion_module_unloaded(tmp_path, command
     )
     output = ["--output", tmp_path / "report.json"]
     assert fresh(script, command, *source, *output) == "False\n"
+
+
+def test_scenarios_on_a_given_bundle_leaves_the_bundled_data_unloaded(tmp_path):
+    # the bundled fixture is looked up only when --scenario-file is absent
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(scenario_fixture_path().read_text(encoding="utf-8"), "utf-8")
+    script = (
+        "import sys\n"
+        "from classrank.cli import main\n"
+        "assert main(['scenarios', '--scenario-file', sys.argv[1], "
+        "'--output', sys.argv[2]]) == 0\n"
+        "print('classrank.data' in sys.modules)"
+    )
+    assert fresh(script, bundle, tmp_path / "report.json") == "False\n"
+
+
+def test_rate_on_a_survey_document_leaves_csv_unloaded(tmp_path):
+    # only the CSV readers import csv
+    survey = tmp_path / "survey.json"
+    survey.write_text(example_survey_path().read_text(encoding="utf-8"), "utf-8")
+    script = (
+        "import sys\n"
+        "from classrank.cli import main\n"
+        "assert main(['rate', '--survey', sys.argv[1], "
+        "'--output', sys.argv[2]]) == 0\n"
+        "print('csv' in sys.modules)"
+    )
+    assert fresh(script, survey, tmp_path / "report.json") == "False\n"
 
 
 def test_public_names_are_their_home_module_objects():

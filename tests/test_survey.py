@@ -720,6 +720,17 @@ def test_strict_likert_keeps_the_rating_checks_of_the_default():
         validate_survey([4.5, 5], [[0, 1], [1, 0]], strict_likert=True)
 
 
+@pytest.mark.parametrize("flag", ["no", 0.0, 1, None, np.True_])
+def test_strict_likert_must_be_a_bool(flag):
+    # "no" switched the check on by its truth, and 0.0 switched it off
+    message = f"^strict_likert must be True or False, got {re.escape(repr(flag))}$"
+    doc = {"ratings": [4.5, 5], "competence": [[0, 1], [1, 0]]}
+    with pytest.raises(ValueError, match=message):
+        validate_survey(doc["ratings"], doc["competence"], strict_likert=flag)
+    with pytest.raises(ValueError, match=message):
+        load_survey_json(doc, strict_likert=flag)
+
+
 def test_dimension_mismatches():
     with pytest.raises(DimensionMismatch):
         validate_survey([4, 4, 4], [[0, 1], [1, 0]])
