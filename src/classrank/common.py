@@ -3,18 +3,22 @@
 This module imports no numpy: the CLI parser and ``classrank dispersion``
 need only what is here, so they run without loading the numeric pipeline.
 It holds the one rule for each kind of numeric argument, ``_integer`` and
-``_real`` (and ``_check_count`` for an integer of at least 1), and every
-default: those the parser shows, the dispersion ones too, so parsing loads
-no command's module, and those the library's signatures take. A module that uses one of these names also has it under
-its own name: ``survey`` the scale, policy and reader names,
-``eigenfactor`` the solver defaults, ``dispersion`` ``DEFAULT_MIN_N`` and
-``TIEBREAKS``, and ``report`` ``SCHEMA_VERSION``.
+``_real`` (with ``_check_count`` for an integer of at least 1 and
+``_unreal`` for the ratings of a list), the one rule for a CSV cell,
+``_cell``, which every CSV reader parses its cells through, and every
+default: those the parser shows, the dispersion ones too, so parsing
+loads no command's module, and those the library's signatures take. A
+module that uses one of these names also has it under its own name:
+``survey`` the scale, policy and reader names, ``eigenfactor`` the solver
+defaults, ``dispersion`` ``DEFAULT_MIN_N`` and ``TIEBREAKS``, and
+``report`` ``SCHEMA_VERSION``.
 """
 
 from __future__ import annotations
 
 import numbers
 from contextlib import contextmanager
+from itertools import filterfalse
 
 from .errors import MalformedInput
 
@@ -28,6 +32,8 @@ SCHEMA_VERSION = 1
 DEFAULT_MIN_N = 5
 TIEBREAKS = ("smallest", "largest")
 DEFAULT_TIEBREAK = "smallest"
+# the types of Python numbers, matched exactly: bool is a subclass of int
+_NUMBERS = frozenset((int, float))
 
 
 # a Python int or float is matched by the tuple's first types, before the
@@ -40,6 +46,13 @@ def _integer(value) -> bool:
 def _real(value) -> bool:
     """Whether ``value`` is a real number (numpy's too), not a bool."""
     return isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+
+
+def _unreal(values):
+    """The entries of a list or tuple that are not real numbers (``_real``),
+    lazily, in order. A list of Python ints and floats has none, which one
+    C-level scan of its entries' types shows with no test of each entry."""
+    return () if _NUMBERS.issuperset(map(type, values)) else filterfalse(_real, values)
 
 
 def _check_count(value, name: str) -> None:
@@ -84,23 +97,40 @@ def number(text: str, kind=float):
     return kind(text)
 
 
+def _cell(text: str, path, what: str, kind=float):
+    """``number(text, kind)`` for a cell of the CSV file ``path``. A cell
+    that is not a plain ASCII number raises MalformedInput naming ``what``
+    the cell holds, the cell and the file: ``non-numeric rating '4x' in
+    r.csv``, or ``non-integer rating 'x' in f.csv`` for ``kind=int``."""
+    try:
+        return number(text, kind)
+    except ValueError as exc:
+        adjective = "non-integer" if kind is int else "non-numeric"
+        raise MalformedInput(f"{adjective} {what} {text!r} in {path}") from exc
+
+
 def integer(text: str) -> int:
     """``number(text)`` read by ``int()``: a plain ASCII integer."""
     return number(text, int)
 
 
-def _records(reader, path, width: int | None, message: str):
+def _records(reader, path, width: int | None, ragged: str, empty: str):
     """The records of ``reader`` that are not blank, each ``width`` cells wide.
 
     A record whose cells hold only whitespace is skipped. When ``width`` is
     None the first record kept sets it. A record of another width raises
-    MalformedInput ``f"{message} in {path}"``.
+    MalformedInput ``f"{ragged} in {path}"``, and a reader that runs out
+    with no record kept ``f"{empty} in {path}"``.
     """
+    kept = 0
     for record in reader:
         if not "".join(record).strip():
             continue
         if width is None:
             width = len(record)
         if len(record) != width:
-            raise MalformedInput(f"{message} in {path}")
+            raise MalformedInput(f"{ragged} in {path}")
+        kept += 1
         yield record
+    if not kept:
+        raise MalformedInput(f"{empty} in {path}")

@@ -39,13 +39,19 @@ def _incoming_mass(
     return _bincount(targets, row_mass.repeat(row_sums), row_sums.size)
 
 
+def _require_type(value, kind: type, name: str, what: str) -> None:
+    """Raise DimensionMismatch unless ``value``, the ``name`` of the caller's
+    argument, is an instance of ``kind``, which the message calls ``what``:
+    a list where an array belongs, or an array where a CompetenceMatrix
+    does, would fail later on a missing attribute."""
+    if not isinstance(value, kind):
+        raise DimensionMismatch(f"{name} must be {what}, got {type(value).__name__}")
+
+
 def _per_student(array, n: int, name: str) -> None:
     """Raise DimensionMismatch unless ``array``, the ``name`` of the caller's
     argument, is an ndarray of shape (n,), one entry a student."""
-    if not isinstance(array, np.ndarray):
-        raise DimensionMismatch(
-            f"{name} must be a numpy array, got {type(array).__name__}"
-        )
+    _require_type(array, np.ndarray, name, "a numpy array")
     if array.shape != (n,):
         raise DimensionMismatch(f"{name} must have shape ({n},), got {array.shape}")
 
@@ -70,8 +76,10 @@ def degree_weights(competence: CompetenceMatrix) -> np.ndarray:
     ``test_unendorsed_student_rating_is_irrelevant`` in
     ``tests/test_properties.py`` pin these invariants. Raises
     DegenerateNetwork when the matrix has no endorsements at all, since then
-    there is no mass to distribute.
+    there is no mass to distribute, and DimensionMismatch when
+    ``competence`` is not a CompetenceMatrix (a raw matrix, say).
     """
+    _require_type(competence, CompetenceMatrix, "competence", "a CompetenceMatrix")
     return _incoming_weights(competence, competence.row_shares)
 
 

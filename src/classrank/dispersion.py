@@ -10,11 +10,12 @@ each one's fields, in declaration order, from its ``_asdict()``.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, namedtuple
 
-from .common import DEFAULT_MIN_N, DEFAULT_TIEBREAK, SCHEMA_VERSION, TIEBREAKS, number
-from .common import _check_count, _csv_reader, _records
-from .errors import EmptyInput, MalformedInput
+from .common import DEFAULT_MIN_N, DEFAULT_TIEBREAK, SCHEMA_VERSION, TIEBREAKS
+from .common import _cell, _check_count, _csv_reader, _records, _unreal
+from .errors import EmptyInput, MalformedInput, ScaleViolation
 
 LONG_HEADER = ("label", "rating")
 COUNT_HEADER = ("label", "n", "mode", "dev2", "dev3plus")
@@ -35,12 +36,24 @@ def dispersion_row(
     The mode is the most frequent rating, ties resolved to the smallest or
     the largest value by ``tiebreak``. One count per rating value gives n,
     the mode and both buckets.
+
+    Every rating must be a real number (Python's or numpy's, not a bool)
+    and finite, else ScaleViolation, as for a RatingVector. A list or tuple
+    of Python ints and floats passes on one scan of its entries' types, and
+    any other iterable is read into a list first; finiteness is checked on
+    the distinct values.
     """
     if tiebreak not in TIEBREAKS:
         raise ValueError(f"unknown tiebreak {tiebreak!r}")
+    ratings = ratings if isinstance(ratings, (list, tuple)) else list(ratings)
+    for rating in _unreal(ratings):
+        raise ScaleViolation(f"ratings must be real numbers: found {rating!r}")
     counts = Counter(ratings)
     if not counts:
         raise EmptyInput(f"no ratings for {label!r}")
+    # a comparison, not math.isfinite, which cannot convert a huge int
+    if not all(-math.inf < value < math.inf for value in counts):
+        raise ScaleViolation("ratings must be finite numbers")
     top = max(counts.values())
     tied = [value for value, count in counts.items() if count == top]
     anchor = min(tied) if tiebreak == "smallest" else max(tied)
@@ -69,13 +82,6 @@ def aggregate(rows) -> DispersionAggregate:
     )
 
 
-def _parse_int(cell: str, what: str, path) -> int:
-    try:
-        return number(cell, int)
-    except ValueError as exc:
-        raise MalformedInput(f"non-integer {what} {cell!r} in {path}") from exc
-
-
 def read_dispersion_csv(
     path,
     min_n: int = DEFAULT_MIN_N,
@@ -101,7 +107,7 @@ def read_dispersion_csv(
             raise MalformedInput(f"empty CSV {path}")
         header = tuple(cell.strip().lower() for cell in header)
         expected = f"expected {','.join(header)} rows"
-        records = _records(reader, path, len(header), expected)
+        records = _records(reader, path, len(header), expected, "no data rows")
         if header == LONG_HEADER:
             rows = _long_rows(records, path, tiebreak)
         elif header == COUNT_HEADER:
@@ -111,8 +117,6 @@ def read_dispersion_csv(
                 f"unrecognized header {header!r} in {path}; expected "
                 f"{','.join(LONG_HEADER)} or {','.join(COUNT_HEADER)}"
             )
-    if not rows:
-        raise MalformedInput(f"no data rows in {path}")
     kept = [row for row in rows if row.n >= min_n]
     excluded = [row.label for row in rows if row.n < min_n]
     return kept, excluded
@@ -131,7 +135,7 @@ def _long_rows(records, path, tiebreak: str) -> list[DispersionRow]:
     for label, rating in records:
         value = values.get(rating)
         if value is None:
-            value = values[rating] = _parse_int(rating.strip(), "rating", path)
+            value = values[rating] = _cell(rating.strip(), path, "rating", int)
         groups.setdefault(label.strip(), []).append(value)
     labels = list(groups)
     return [dispersion_row(label, groups.pop(label), tiebreak) for label in labels]
@@ -142,7 +146,7 @@ def _counted_rows(records, path) -> list[DispersionRow]:
     for record in records:
         label = record[0].strip()
         cells = zip(record[1:], ("count", "mode", "count", "count"))
-        n, mode, dev2, dev3plus = (_parse_int(cell, what, path) for cell, what in cells)
+        n, mode, dev2, dev3plus = (_cell(cell, path, what, int) for cell, what in cells)
         if n < 1 or dev2 < 0 or dev3plus < 0:
             raise MalformedInput(f"negative or empty counts for {label!r} in {path}")
         if dev2 + dev3plus > n:

@@ -18,7 +18,7 @@ from collections import namedtuple
 import numpy as np
 
 from .common import DEFAULT_ALPHA, DEFAULT_MAX_ITER, DEFAULT_TOL, _check_count, _real
-from .degree import _incoming_mass, _incoming_weights, _per_student
+from .degree import _incoming_mass, _incoming_weights, _per_student, _require_type
 from .errors import NoConvergence
 from .survey import CompetenceMatrix, _readonly
 
@@ -55,7 +55,8 @@ def stationary_distribution(
     bools or strings, and are run as Python floats; ``max_iter`` must be an
     integer of at least 1 (a Python or numpy integer, not a bool or a float).
     Each raises ValueError otherwise.
-    Raises NoConvergence if ``max_iter`` steps are not enough.
+    Raises NoConvergence if ``max_iter`` steps are not enough, and first
+    DimensionMismatch if ``competence`` is not a CompetenceMatrix.
 
     The returned ``values`` are strictly positive (each entry holds at
     least the teleport mass ``(1 - alpha) / n``) and sum to 1 within 1e-12,
@@ -63,6 +64,7 @@ def stationary_distribution(
     and ``tests/test_eigenfactor.py::test_influence_meets_teleportation_floor``
     pin.
     """
+    _require_type(competence, CompetenceMatrix, "competence", "a CompetenceMatrix")
     # a bool or a string is no setting: True would run as 1, "0.5" would
     # fail with a TypeError. Any other real number runs as the nearest float,
     # since bincount casts no Fraction or longdouble to float64, so that
@@ -106,8 +108,10 @@ def eigenfactor_weights(
     ``test_unendorsed_student_rating_is_irrelevant`` in
     ``tests/test_properties.py`` pin these invariants. ``influence`` is the
     distribution itself, the solver's ``values``. Raises DimensionMismatch
-    unless it is a 1-d ndarray with one entry a student, and
-    DegenerateNetwork when nobody endorses anybody.
+    unless ``competence`` is a CompetenceMatrix and ``influence`` a 1-d
+    ndarray with one entry a student, and DegenerateNetwork when nobody
+    endorses anybody.
     """
+    _require_type(competence, CompetenceMatrix, "competence", "a CompetenceMatrix")
     _per_student(influence, competence.n, "influence")
     return _incoming_weights(competence, influence * competence.row_shares)

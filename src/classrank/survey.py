@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import DEFAULT_DIAGONAL_POLICY, DEFAULT_SCALE, DIAGONAL_POLICIES, number
-from .common import _csv_reader, _real, _records
+from .common import DEFAULT_DIAGONAL_POLICY, DEFAULT_SCALE, DIAGONAL_POLICIES
+from .common import _NUMBERS, _cell, _csv_reader, _real, _records, _unreal
 from .errors import (
     DimensionMismatch,
     MalformedInput,
@@ -37,8 +37,6 @@ from .errors import (
     ScaleViolation,
 )
 
-# the types of JSON numbers, matched exactly: bool is a subclass of int
-_NUMBERS = frozenset((int, float))
 # the competence CSV cells packed as they are; any other cell is parsed
 _CSV_CELLS = {"0": 0, "1": 1, "": 0}
 # cells per block of whole rows in the competence matrix scan, one block for
@@ -73,14 +71,12 @@ def _float_ratings(raw) -> np.ndarray:
             first = raw.ravel()[:1].tolist()[0]
             raise ScaleViolation(f"ratings must be real numbers: found {first!r}")
         entries = raw.ravel().tolist() if kind == "O" else ()
-    if not _NUMBERS.issuperset(map(type, entries)):
-        for entry in entries:
-            if _real(entry):
-                continue
-            # a list or tuple may be ragged, which np.ndim cannot read
-            if isinstance(entry, (list, tuple)) or np.ndim(entry):
-                raise DimensionMismatch("ratings must form a nonempty 1-d sequence")
-            raise ScaleViolation(f"ratings must be real numbers: found {entry!r}")
+    # the first entry that is not a real number, if any, is refused
+    for entry in _unreal(entries):
+        # a list or tuple may be ragged, which np.ndim cannot read
+        if isinstance(entry, (list, tuple)) or np.ndim(entry):
+            raise DimensionMismatch("ratings must form a nonempty 1-d sequence")
+        raise ScaleViolation(f"ratings must be real numbers: found {entry!r}")
     try:
         return np.array(raw, dtype=float)
     except OverflowError:  # an int past the float range
@@ -221,8 +217,8 @@ class RatingVector:
 class CompetenceMatrix:
     """Square 0/1 matrix of peer competence perceptions, kept as compressed rows.
 
-    ``CompetenceMatrix(entries)`` checks the raw n x n matrix: square and
-    nonempty, cells 0 or 1. It keeps only the endorsements, as compressed
+    ``CompetenceMatrix(entries)`` checks the raw n x n matrix: nonempty and
+    square, cells 0 or 1. It keeps only the endorsements, as compressed
     rows: ``targets`` lists whom each endorsement goes to, in row-major
     order, ``row_sums`` counts each student's endorsements, so student i's
     endorsements are the ``row_sums[i]`` targets after those of students
@@ -265,11 +261,12 @@ class CompetenceMatrix:
         if diagonal_policy not in DIAGONAL_POLICIES:
             raise ValueError(f"unknown diagonal policy {diagonal_policy!r}")
         entries = np.asarray(entries)
+        # first, so that [] (1-d) and [[]] are called empty, not non-square
+        if entries.size == 0:
+            raise DimensionMismatch("competence matrix must be nonempty")
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionMismatch("competence matrix must be square")
         n = entries.shape[0]
-        if n == 0:
-            raise DimensionMismatch("competence matrix must be nonempty")
         # only the cells that are not 0 are read again, by a 2-d gather that
         # copies no transposed (F-ordered) matrix. The flat indices are a
         # temporary of divmod, so they are not live beside it.
@@ -460,10 +457,11 @@ def _packed(grid: list) -> np.ndarray:
 
     Integer cells in 0..255, which hold the 0/1 answers of a survey, are
     packed by ``bytes`` into one read-only uint8 buffer, one byte a cell and
-    no copy after the join. ``bytes`` raises on a float cell and on any
-    other integer; only then is the grid converted by ``np.asarray``, so a
-    ``1.0`` cell is still accepted and a ``0.5`` or ``300`` cell rejected by
-    CompetenceMatrix, never truncated.
+    no copy after the join; a row that is already ``bytes``, as the
+    competence CSV reader makes, is joined as it is. ``bytes`` raises on a
+    float cell and on any other integer; only then is the grid converted by
+    ``np.asarray``, so a ``1.0`` cell is still accepted and a ``0.5`` or
+    ``300`` cell rejected by CompetenceMatrix, never truncated.
     """
     try:
         cells = b"".join(map(bytes, grid))
@@ -534,29 +532,21 @@ def load_competence_csv(path) -> np.ndarray:
     ``classrank rate --competence-csv ... --ratings-csv ...`` does.
 
     A file of ``0``, ``1`` and empty cells only, as programs write it, is
-    packed one byte a cell into a read-only uint8 array. Any other cell
-    (``1.0``, `` 1 ``, ``1e0``, a whitespace-only cell) sends the whole
-    file through ``float()`` into a float array, which accepts the same
-    cells as ever: one that is not a number raises MalformedInput, and a
+    packed one byte a cell into a read-only uint8 array by ``_packed``, as
+    a JSON grid is. Any other cell (``1.0``, `` 1 ``, ``1e0``, a
+    whitespace-only cell) sends the whole file through ``_cell`` into a
+    float array, which accepts the same cells as ever: a blank cell reads
+    as 0, one that is not a number raises MalformedInput naming it, and a
     number other than 0 or 1 is left for validation to reject.
     """
     with _csv_reader(path) as reader:
-        rows = list(_records(reader, path, None, "ragged matrix rows"))
-    if not rows:
-        raise MalformedInput(f"no matrix rows in {path}")
+        rows = [*_records(reader, path, None, "ragged matrix rows", "no matrix rows")]
     try:
-        cells = b"".join(bytes(map(_CSV_CELLS.__getitem__, row)) for row in rows)
+        return _packed([bytes(map(_CSV_CELLS.__getitem__, row)) for row in rows])
     except KeyError:
-        try:
-            return np.array(
-                [
-                    [number(cell) if cell.strip() else 0.0 for cell in row]
-                    for row in rows
-                ]
-            )
-        except ValueError as exc:
-            raise MalformedInput(f"non-numeric matrix cell in {path}") from exc
-    return np.frombuffer(cells, np.uint8).reshape(len(rows), -1)
+        cells = chain.from_iterable(rows)
+        values = [_cell(cell.strip() or "0", path, "matrix cell") for cell in cells]
+        return np.array(values).reshape(len(rows), -1)
 
 
 def load_ratings_csv(path) -> list[float]:
@@ -564,15 +554,9 @@ def load_ratings_csv(path) -> list[float]:
 
     With ``load_competence_csv`` this is the CSV API: the list goes to
     ``validate_survey`` as its raw ratings, which it checks against the
-    scale.
+    scale. A cell that is not a number raises MalformedInput naming it.
     """
-    values = []
+    ragged = "expected one rating per line"
     with _csv_reader(path) as reader:
-        for (cell,) in _records(reader, path, 1, "expected one rating per line"):
-            try:
-                values.append(number(cell))
-            except ValueError as exc:
-                raise MalformedInput(f"non-numeric rating in {path}") from exc
-    if not values:
-        raise MalformedInput(f"no ratings in {path}")
-    return values
+        records = _records(reader, path, 1, ragged, "no ratings")
+        return [_cell(cell, path, "rating") for (cell,) in records]

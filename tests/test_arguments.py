@@ -1,5 +1,6 @@
 """One rule per argument kind, whichever entry point takes the argument:
-integers, labels, and the defaults the library and the parser share."""
+integers, labels, ratings, the competence network of the weighting
+functions, and the defaults the library and the parser share."""
 
 import inspect
 import re
@@ -11,11 +12,16 @@ import pytest
 import classrank
 from classrank import (
     CompetenceMatrix,
+    DimensionMismatch,
     IndexOutOfRange,
     MalformedInput,
     RatingVector,
+    ScaleViolation,
     Scenario,
     SurveyInstance,
+    degree_weights,
+    dispersion_row,
+    eigenfactor_weights,
     inject_bias,
     load_scenarios,
     load_survey_json,
@@ -104,6 +110,51 @@ def test_every_entry_point_refuses_a_label_that_is_not_a_string(entry):
     # validate_survey and SurveyInstance wrote "label": 5 into the report
     with pytest.raises(MalformedInput, match="^label must be a string: found 5$"):
         LABELLED[entry]()
+
+
+RATED = {
+    "RatingVector": RatingVector,
+    "dispersion_row": lambda ratings: dispersion_row("x", ratings),
+}
+
+
+@pytest.mark.parametrize(
+    "ratings, message",
+    [
+        ([True, True, 3], "ratings must be real numbers: found True"),
+        ([1, True], "ratings must be real numbers: found True"),
+        ([4, "4"], "ratings must be real numbers: found '4'"),
+        ([float("nan"), 4], "ratings must be finite numbers"),
+        ([4, -float("inf")], "ratings must be finite numbers"),
+    ],
+    ids=["bools", "bool-after-one", "string", "nan", "infinity"],
+)
+@pytest.mark.parametrize("entry", RATED)
+def test_every_entry_point_refuses_a_rating_that_is_not_a_finite_real(
+    entry, ratings, message
+):
+    # dispersion_row took True as a mode, counted it as a 1, returned a NaN
+    # mode or raised a bare TypeError
+    with pytest.raises(ScaleViolation, match=f"^{re.escape(message)}$"):
+        RATED[entry](ratings)
+
+
+# each weighting function, called with what should be its CompetenceMatrix
+WEIGHTINGS = {
+    "degree_weights": degree_weights,
+    "stationary_distribution": stationary_distribution,
+    "eigenfactor_weights": lambda matrix: eigenfactor_weights(np.full(2, 0.5), matrix),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHTINGS)
+def test_every_weighting_function_refuses_a_raw_matrix(name):
+    # each failed on a missing attribute with a bare AttributeError
+    for matrix in (np.array(PAIR), PAIR):
+        kind = type(matrix).__name__
+        message = f"^competence must be a CompetenceMatrix, got {kind}$"
+        with pytest.raises(DimensionMismatch, match=message):
+            WEIGHTINGS[name](matrix)
 
 
 def test_library_defaults_are_the_reported_settings():

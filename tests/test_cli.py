@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from classrank import rate_survey, validate_survey
+from classrank import MalformedInput, rate_survey, read_dispersion_csv, validate_survey
 from classrank.cli import main
 from classrank.data import (
     clarity_counts_path,
@@ -17,6 +18,7 @@ from classrank.data import (
     helpfulness_counts_path,
     scenario_fixture_path,
 )
+from classrank.survey import load_competence_csv, load_ratings_csv
 from goldens import PCT_TOL, SCENARIO_EXPECTED
 
 
@@ -486,6 +488,34 @@ def test_every_reader_accepts_a_byte_order_mark(tmp_path, capsys, reader):
     assert expected[0] == 0
     marked = [bom if arg == target else arg for arg in argv]
     assert run_cli(capsys, *map(str, marked)) == expected
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        ("competence-csv", "0,x\n1,0\n", "non-numeric matrix cell 'x'"),
+        ("ratings-csv", "4\n4x\n", "non-numeric rating '4x'"),
+        ("long-form", "label,rating\na,4\na,x\n", "non-integer rating 'x'"),
+        (
+            "counted-form",
+            "label,n,mode,dev2,dev3plus\na,10,x,1,1\n",
+            "non-integer mode 'x'",
+        ),
+    ],
+    ids=["competence-csv", "ratings-csv", "long-form", "counted-form"],
+)
+def test_every_csv_reader_names_its_bad_cell_and_file(
+    tmp_path, capsys, reader, text, message
+):
+    # the two survey readers named only the file
+    argv, target = _reader_runs(tmp_path)[reader]
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    load = {"competence-csv": load_competence_csv, "ratings-csv": load_ratings_csv}
+    with pytest.raises(MalformedInput, match=f"^{re.escape(f'{message} in {bad}')}$"):
+        load.get(reader, read_dispersion_csv)(bad)
+    argv = [bad if arg == target else arg for arg in argv]
+    assert run_cli(capsys, *map(str, argv)) == (2, "", f"error: {message} in {bad}\n")
 
 
 @pytest.mark.parametrize(

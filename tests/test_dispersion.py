@@ -261,6 +261,16 @@ def test_long_form_reads_each_repeated_cell_alike(tmp_path):
     ]
 
 
+def test_dispersion_row_reads_any_iterable_of_real_numbers():
+    # the ratings' types are read before they are counted, so an iterator
+    # is read into a list first; an int past the float range is finite
+    expected = dispersion_row("x", [4, 4, 5])
+    assert dispersion_row("x", iter([4, 4, 5])) == expected
+    assert dispersion_row("x", np.array([4, 4, 5])) == expected
+    assert dispersion_row("x", [4.0, np.int64(4), 5]) == expected
+    assert dispersion_row("x", [10**400, 4]) == ("x", 2, 4, 0, 1)
+
+
 def test_empty_record_rejected():
     with pytest.raises(EmptyInput):
         dispersion_row("empty", ())

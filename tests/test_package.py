@@ -144,7 +144,6 @@ def test_names_moved_to_common_keep_their_old_import_paths():
             "DIAGONAL_POLICIES",
             "_csv_reader",
             "_records",
-            "number",
         ),
         eigenfactor: ("DEFAULT_ALPHA", "DEFAULT_MAX_ITER", "DEFAULT_TOL"),
         report: ("SCHEMA_VERSION",),

@@ -474,6 +474,13 @@ def test_same_fact_gives_the_same_error_from_every_entry_point(change, error, me
             DimensionMismatch,
             "scenario 2: competence matrix must be square",
         ),
+        # packed as a 1-d array, which was called non-square
+        (
+            [],
+            "coerce",
+            DimensionMismatch,
+            "scenario 2: competence matrix must be nonempty",
+        ),
         (
             [[1, 1], [1, 0]],
             "reject",
@@ -481,7 +488,7 @@ def test_same_fact_gives_the_same_error_from_every_entry_point(change, error, me
             "scenario 2: self-endorsement at index [0]",
         ),
     ],
-    ids=["size", "ragged", "non-binary", "not-square", "self-endorsement"],
+    ids=["size", "ragged", "non-binary", "not-square", "empty", "self-endorsement"],
 )
 def test_later_scenario_of_another_size_fails_after_its_matrix_checks(
     matrix, policy, error, message

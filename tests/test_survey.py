@@ -492,8 +492,18 @@ def test_scale_that_is_not_an_interval_rejected(scale):
 
 
 def test_empty_competence_matrix_rejected():
-    with pytest.raises(DimensionMismatch, match="^competence matrix must be nonempty$"):
-        CompetenceMatrix(np.zeros((0, 0)))
+    # no cell at all is emptiness before it is a shape: a 0 x 3 array, and
+    # a JSON grid of no rows (packed as a 1-d array) or of one empty row,
+    # were called non-square
+    message = "^competence matrix must be nonempty$"
+    for load in (
+        lambda: CompetenceMatrix(np.zeros((0, 0))),
+        lambda: CompetenceMatrix(np.zeros((0, 3))),
+        lambda: load_survey_json({"ratings": [4], "competence": []}),
+        lambda: load_survey_json({"ratings": [4], "competence": [[]]}),
+    ):
+        with pytest.raises(DimensionMismatch, match=message):
+            load()
 
 def test_non_finite_rating_rejected():
     with pytest.raises(ScaleViolation):
@@ -1051,8 +1061,11 @@ def test_load_survey_csv_rejects_bad_cells(tmp_path, cell, error):
     matrix_path.write_text(f"0,{cell}\n1,0\n", encoding="utf-8")
     ratings_path = tmp_path / "ratings.csv"
     ratings_path.write_text("4\n2\n", encoding="utf-8")
-    with pytest.raises(error):
+    with pytest.raises(error) as excinfo:
         _load_survey_csv(matrix_path, ratings_path)
+    if error is MalformedInput:  # the cell that is not a number, and its file
+        message = f"non-numeric matrix cell {cell!r} in {matrix_path}"
+        assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("rating", ["0_5", "\u0664", "\uff14"])
@@ -1061,5 +1074,6 @@ def test_load_survey_csv_rejects_underscored_or_non_ascii_ratings(tmp_path, rati
     matrix_path.write_text("0,1\n1,0\n", encoding="utf-8")
     ratings_path = tmp_path / "ratings.csv"
     ratings_path.write_text(f"4\n{rating}\n", encoding="utf-8")
-    with pytest.raises(MalformedInput, match="non-numeric rating"):
+    message = f"non-numeric rating {rating!r} in {ratings_path}"
+    with pytest.raises(MalformedInput, match=f"^{re.escape(message)}$"):
         _load_survey_csv(matrix_path, ratings_path)
