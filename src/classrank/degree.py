@@ -32,9 +32,11 @@ def _incoming_mass(
     the endorsements, O(nnz).
 
     ``targets`` and ``row_sums`` are a CompetenceMatrix's edge arrays, which
-    the power iteration binds once per solve. ``row_mass`` is repeated over
-    ``row_sums`` into the edge order of ``targets``. A network without edges
-    gets an int64 array of zeros.
+    the power iteration binds once per solve, ``targets`` as an intp copy;
+    a weighting hands over the stored narrow ``targets``, which bincount
+    casts once. ``row_mass`` is repeated over ``row_sums`` into the
+    edge order of ``targets``. A network without edges gets an int64 array
+    of zeros.
     """
     return _bincount(targets, row_mass.repeat(row_sums), row_sums.size)
 

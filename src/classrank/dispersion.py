@@ -54,6 +54,12 @@ def dispersion_row(
     # a comparison, not math.isfinite, which cannot convert a huge int
     if not all(-math.inf < value < math.inf for value in counts):
         raise ScaleViolation("ratings must be finite numbers")
+    return _row_from_counts(label, counts, tiebreak)
+
+
+def _row_from_counts(label: str, counts: Counter, tiebreak: str) -> DispersionRow:
+    """``dispersion_row`` on the nonempty ``counts`` of finite real ratings,
+    under a known ``tiebreak``, checking none of that again."""
     top = max(counts.values())
     tied = [value for value, count in counts.items() if count == top]
     anchor = min(tied) if tiebreak == "smallest" else max(tied)
@@ -128,7 +134,9 @@ def _long_rows(records, path, tiebreak: str) -> list[DispersionRow]:
     Each distinct rating cell is parsed once: a file repeats the same few on
     every line. Every rating read is held until the file ends, those of
     labels later excluded below ``min_n`` too; each label's list is released
-    once its row is counted.
+    once its row is counted. Each list holds one or more ints, and
+    ``read_dispersion_csv`` has checked the tiebreak, so the lists are
+    counted with none of ``dispersion_row``'s checks.
     """
     groups = {}  # stripped label -> its ratings
     values = {}  # raw rating cell -> its value, for the cells that parsed
@@ -138,7 +146,9 @@ def _long_rows(records, path, tiebreak: str) -> list[DispersionRow]:
             value = values[rating] = _cell(rating.strip(), path, "rating", int)
         groups.setdefault(label.strip(), []).append(value)
     labels = list(groups)
-    return [dispersion_row(label, groups.pop(label), tiebreak) for label in labels]
+    return [
+        _row_from_counts(label, Counter(groups.pop(label)), tiebreak) for label in labels
+    ]
 
 
 def _counted_rows(records, path) -> list[DispersionRow]:

@@ -76,8 +76,9 @@ def stationary_distribution(
     # a float would fail inside range() and a bool would run one step
     _check_count(max_iter, "max_iter")
     alpha, tol = float(alpha), float(tol)
-    # bound once: a step makes one kernel call and no attribute lookup
-    targets, row_sums = competence.targets, competence.row_sums
+    # bound once: a step makes one kernel call and no attribute lookup, and
+    # bincount gets intp targets, which it would otherwise cast every step
+    targets, row_sums = competence.targets.astype(np.intp), competence.row_sums
     n = row_sums.size
     shares = alpha * competence.row_shares
     total = np.add.reduce

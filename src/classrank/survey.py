@@ -226,7 +226,11 @@ class CompetenceMatrix:
     who endorses nobody, the dangling set): each endorsing student hands out
     a total of 1, and that is the row-normalized matrix. ``targets`` is the
     only array that grows with the number of endorsements; every sum over
-    the matrix is a sum over them, O(nnz) rather than O(n^2).
+    the matrix is a sum over them, O(nnz) rather than O(n^2). Its dtype is
+    ``np.min_scalar_type(n - 1)``, the narrowest that holds an index: uint8
+    (1 byte an endorsement) up to 256 students, uint16 (2 bytes) up to
+    65 536, uint32 beyond. ``row_sums`` (intp) and ``row_shares`` (float64)
+    are n wide and keep their dtypes.
 
     The source of each endorsement is ``np.arange(n).repeat(row_sums)`` and
     its share ``row_shares.repeat(row_sums)``, both in the order of
@@ -277,6 +281,9 @@ class CompetenceMatrix:
             # the first bad cell as a plain Python value, whatever the dtype
             bad = found[invalid][:1].tolist()[0]
             raise NonBinaryEntry(f"matrix entries must be 0 or 1, found {bad!r}")
+        # a target is an index below n: one byte up to 256 students, two up
+        # to 65 536, not the eight of divmod's result, which is released here
+        targets = targets.astype(np.min_scalar_type(n - 1))
         loops = sources == targets
         self_endorsers = sources[loops].tolist()
         if self_endorsers:

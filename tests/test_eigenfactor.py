@@ -371,6 +371,15 @@ def _bit_identity_cases():
         loops = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
         raw[loops, loops] = 1
         yield raw, matrix
+    # either side of the switch from uint8 to uint16 targets (n = 256, 257)
+    # and past it
+    for n in (256, 257, 300):
+        matrix = random_binary_matrix(rng, n, float(rng.uniform(0.02, 0.1)))
+        matrix[rng.random(n) < 0.25] = 0
+        raw = matrix.copy()
+        loops = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        raw[loops, loops] = 1
+        yield raw, matrix
     one_edge = np.zeros((6, 6), dtype=int)
     one_edge[4, 1] = 1
     yield one_edge, one_edge

@@ -337,23 +337,38 @@ def test_validation_allocates_no_full_size_mask(transposed):
 
 
 def test_validated_network_keeps_one_edge_array():
-    # compressed rows: the targets (8 bytes an edge) and two n-length
-    # arrays, row_sums and row_shares (the dangling set is derived from
-    # row_sums when read); three edge arrays (24 bytes an edge) would break
-    # the bound
+    # compressed rows: the targets (uint16 at this n, 2 bytes an edge) and
+    # two n-length arrays, row_sums and row_shares (the dangling set is
+    # derived from row_sums when read); a second edge array, or int64
+    # targets (8 bytes an edge) kept beside them, would break the bound
     n = 1500
     rng = np.random.default_rng(1)
     matrix = (rng.random((n, n)) < 8 / n).astype(np.uint8)
     np.fill_diagonal(matrix, 0)
     nnz = int(np.count_nonzero(matrix))
+    # a first call imports the two-scanner executor, which stays held
+    CompetenceMatrix(matrix)
     tracemalloc.start()
     try:
         competence = CompetenceMatrix(matrix)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert competence.targets.size == nnz
-    assert held < 8 * nnz + 4 * 8 * n + 4096
+    targets = competence.targets
+    assert targets.size == nnz
+    assert targets.dtype == np.uint16
+    assert held < targets.itemsize * nnz + 4 * 8 * n + 4096
+
+
+@pytest.mark.parametrize("n", [1, 2, 256, 257])
+def test_targets_take_the_narrowest_index_type(n):
+    # one byte an edge up to 256 students, two from 257
+    matrix = np.ones((n, n), dtype=np.uint8)
+    np.fill_diagonal(matrix, 0)
+    targets = CompetenceMatrix(matrix).targets
+    assert targets.dtype == np.min_scalar_type(n - 1)
+    assert targets.size == n * (n - 1)
+    assert not targets.flags.writeable
 
 
 @pytest.mark.parametrize(
