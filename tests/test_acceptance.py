@@ -27,16 +27,20 @@ from classrank import (
 )
 from classrank.cli import main
 from classrank.data import clarity_counts_path, helpfulness_counts_path
-from goldens import CLARITY, HELPFULNESS, PCT_TOL, SCENARIO_EXPECTED
+from goldens import (
+    CLARITY,
+    HELPFULNESS,
+    PCT_TOL,
+    RATING_TOL,
+    SCENARIO_EXPECTED,
+    WEIGHT_TOL,
+)
 from oracles import (
     dense_normalized,
     random_binary_matrix,
     stationary_oracle,
     walk_matrix,
 )
-
-RATING_TOL = 1e-3
-WEIGHT_TOL = 5e-4
 
 
 def _passed(number, message):

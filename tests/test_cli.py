@@ -1,8 +1,8 @@
 import json
-import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -28,6 +28,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """``text`` parsed as JSON, which must hold no ``NaN`` or ``Infinity``."""
+
+    def reject(constant):
+        raise AssertionError(f"report holds {constant}, which is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def assert_input_error(result, message):
     """Exit 2, no report, and one ``error:`` line holding ``message``."""
     code, out, err = result
@@ -39,10 +48,66 @@ def assert_input_error(result, message):
 SURVEY = str(example_survey_path())
 EDGE_BUNDLE = str(Path(__file__).parent / "snapshots" / "edge_bundle.json")
 CLARITY = str(clarity_counts_path())
+METHODS = ("degree", "eigenfactor")
 # a field past the csv module's default limit of 131072 characters
 OVERLONG_FIELD = "1" * 200_000
 # nesting far deeper than the JSON parser's recursion limit
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def write_csv_grid(path, matrix):
+    """A square 0/1 matrix as CSV cells, one byte a digit."""
+    text = np.full((len(matrix), 2 * len(matrix)), ord(","), dtype=np.uint8)
+    text[:, ::2] = np.asarray(matrix) + ord("0")
+    text[:, -1] = ord("\n")
+    path.write_bytes(text.tobytes())
+
+
+def write_csv_pair(folder, competence, ratings):
+    """The matrix and ratings CSV files of a survey, in ``folder``."""
+    matrix, ratings_csv = folder / "matrix.csv", folder / "ratings.csv"
+    write_csv_grid(matrix, competence)
+    ratings_csv.write_text("".join(f"{value}\n" for value in ratings), encoding="utf-8")
+    return matrix, ratings_csv
+
+
+@pytest.fixture(scope="module")
+def large_inputs(tmp_path_factory):
+    """Inputs the size of a real export, written once: a sparse 2000-student
+    0/1 network as a CSV pair, with a copy in which every student endorses
+    themselves; a 50-scenario bundle at n = 30 sharing one rating vector,
+    every tenth network empty; and a long-form dispersion CSV of 3000
+    instructors with 1-32 ratings each (~50k rows, ~1 MB), with the drawn
+    counts."""
+    folder = tmp_path_factory.mktemp("large")
+    rng = np.random.default_rng(1)
+    n = 2000
+    matrix = (rng.random((n, n)) < 8 / n).astype(np.uint8)
+    np.fill_diagonal(matrix, 0)
+    write_csv_pair(folder, matrix, rng.integers(1, 6, n))
+    np.fill_diagonal(matrix, 1)
+    write_csv_grid(folder / "looped.csv", matrix)
+
+    n = 30
+    ratings = rng.integers(1, 6, n).tolist()
+    ratings[4] = 1
+    networks = [(rng.random((n, n)) < 0.2) * (k % 10 > 0) for k in range(50)]
+    for network in networks:
+        np.fill_diagonal(network, 0)
+    scenarios = [
+        {"id": k + 1, "competence": network.astype(int).tolist()}
+        for k, network in enumerate(networks)
+    ]
+    bundle = {"ratings": ratings, "biased_index": 4, "scenarios": scenarios}
+    (folder / "bundle.json").write_text(json.dumps(bundle), encoding="utf-8")
+
+    counts = rng.integers(1, 33, 3000)
+    with open(folder / "long.csv", "w", encoding="utf-8") as handle:
+        handle.write("label,rating\n")
+        for k, count in enumerate(counts):
+            label = f"instructor-{k:05d}"
+            handle.writelines(f"{label},{r}\n" for r in rng.integers(1, 6, count))
+    return {path.name: str(path) for path in folder.iterdir()} | {"counts": counts}
 
 
 def test_rate_survey_json(capsys):
@@ -79,6 +144,36 @@ def test_rate_csv_pair(tmp_path, capsys):
     mean = (4 + 2 + 5) / 3
     assert report["degree"]["weighted_rating"] == pytest.approx(mean, abs=1e-12)
     assert report["eigenfactor"]["weighted_rating"] == pytest.approx(mean, abs=1e-12)
+
+
+def _wide_survey(n=300):
+    """A sparse 0/1 survey past 256 students, where each endorsement's target
+    is stored in two bytes, not one."""
+    rng = np.random.default_rng(3)
+    matrix = (rng.random((n, n)) < 8 / n).astype(int)
+    np.fill_diagonal(matrix, 0)
+    return {"ratings": rng.integers(1, 6, n).tolist(), "competence": matrix.tolist()}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [json.loads(example_survey_path().read_text(encoding="utf-8")), _wide_survey()],
+    ids=["example", "300-students"],
+)
+def test_csv_pair_gets_the_weights_of_its_survey_document(tmp_path, capsys, doc):
+    survey = tmp_path / "survey.json"
+    survey.write_text(json.dumps(doc), encoding="utf-8")
+    matrix, ratings = write_csv_pair(tmp_path, doc["competence"], doc["ratings"])
+    code, out, _ = run_cli(capsys, "rate", "--survey", str(survey))
+    assert code == 0
+    expected = strict_json(out)
+    argv = ["rate", "--competence-csv", str(matrix), "--ratings-csv", str(ratings)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = strict_json(out)
+    # weights, influence, ratings and the solver's figures alike
+    for method in METHODS:
+        assert report[method] == expected[method]
 
 
 def test_rate_requires_exactly_one_source(capsys, tmp_path):
@@ -312,43 +407,119 @@ def test_rate_output_file_roundtrip(tmp_path, capsys):
     assert report["eigenfactor"]["residual"] == fresh.eigenfactor.residual
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("rate", "--survey", SURVEY),
-        ("scenarios",),
-        ("dispersion", "--ratings-csv", CLARITY),
-        ("dispersion", "--ratings-csv", str(helpfulness_counts_path())),
-    ],
-    ids=["rate", "scenarios", "dispersion-clarity", "dispersion-helpfulness"],
-)
-def test_stdout_and_output_file_hold_the_same_report(tmp_path, capsys, argv):
+def same_report_both_ways(tmp_path, capsys, argv):
+    """The report of ``argv``, after checking that stdout and an ``--output``
+    file hold the same strict JSON text and that no thread is left running."""
+    threads = threading.active_count()
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     path = tmp_path / "report.json"
     code, written, _ = run_cli(capsys, *argv, "--output", str(path))
     assert code == 0 and written == ""
+    assert threading.active_count() == threads
     text = path.read_bytes().decode("utf-8")
     # floats round-trip exactly, so re-encoding the parsed report is the
     # reference
-    assert out == text == json.dumps(json.loads(text), indent=2) + "\n"
+    report = strict_json(text)
+    reference = json.dumps(report, indent=2) + "\n"
+    # compared as lists of lines, which pytest explains by the first line
+    # that differs; its diff of two texts this long can take minutes
+    lines = [copy.splitlines(keepends=True) for copy in (out, text, reference)]
+    assert lines[0] == lines[1] == lines[2]
+    return report
 
 
-def test_dispersion_report_is_not_held_whole(tmp_path, capsys):
-    # shaped like a ratings export: 3000 labels with 1-32 ratings each,
-    # ~50k rows and a ~1 MB file; the peak is the reader's lists plus the
-    # rows, not a copy of the ~300 KB report text
-    rng = random.Random(5)
-    path = tmp_path / "long.csv"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("label,rating\n")
-        for k in range(3000):
-            label = f"instructor-{k:05d}"
-            handle.writelines(
-                f"{label},{rng.randint(1, 5)}\n" for _ in range(rng.randint(1, 32))
-            )
+@pytest.mark.parametrize(
+    "name",
+    [
+        "rate",
+        "scenarios",
+        "dispersion-clarity",
+        "dispersion-helpfulness",
+        "scenarios-50-networks",
+        "dispersion-long-form",
+    ],
+)
+def test_stdout_and_output_file_hold_the_same_report(
+    tmp_path, capsys, large_inputs, name
+):
+    argv = {
+        "rate": ["rate", "--survey", SURVEY],
+        "scenarios": ["scenarios"],
+        "dispersion-clarity": ["dispersion", "--ratings-csv", CLARITY],
+        "dispersion-helpfulness": [
+            "dispersion",
+            "--ratings-csv",
+            str(helpfulness_counts_path()),
+        ],
+        "scenarios-50-networks": [
+            "scenarios",
+            "--scenario-file",
+            large_inputs["bundle.json"],
+        ],
+        "dispersion-long-form": [
+            "dispersion",
+            "--ratings-csv",
+            large_inputs["long.csv"],
+        ],
+    }[name]
+    same_report_both_ways(tmp_path, capsys, argv)
+
+
+def test_a_2000_student_csv_pair_and_its_self_endorsing_copy(
+    tmp_path, capsys, large_inputs
+):
+    ratings = ["--ratings-csv", large_inputs["ratings.csv"]]
+    # validated by two scanners, the caller and one pool worker
+    clean = same_report_both_ways(
+        tmp_path,
+        capsys,
+        ["rate", "--competence-csv", large_inputs["matrix.csv"], *ratings],
+    )
+    assert all(abs(sum(clean[method]["weights"]) - 1) <= 1e-9 for method in METHODS)
+    # zeroed with one warning under the default policy
+    looped = ["rate", "--competence-csv", large_inputs["looped.csv"], *ratings]
+    code, out, _ = run_cli(capsys, *looped)
+    assert code == 0
+    report = strict_json(out)
+    (warning,) = report["warnings"]
+    assert warning.startswith("zeroed diagonal entries at indices [0, 1, ")
+    for method in METHODS:
+        assert report[method]["weights"] == clean[method]["weights"]
+    # rejected with one short line: the first ten self-endorsers and a count
+    # of the rest, not all 2000
+    result = run_cli(capsys, *looped, "--diagonal-policy", "reject")
+    assert_input_error(
+        result, f"self-endorsement at index {list(range(10))} and 1990 more"
+    )
+    assert len(result[2]) < 200
+
+
+@pytest.mark.parametrize("tiebreak", ["smallest", "largest"])
+def test_dispersion_long_form_keeps_the_drawn_counts(capsys, large_inputs, tiebreak):
+    counts = large_inputs["counts"]
+    code, out, _ = run_cli(
+        capsys,
+        "dispersion",
+        "--ratings-csv",
+        large_inputs["long.csv"],
+        "--mode-tiebreak",
+        tiebreak,
+    )
+    assert code == 0
+    report = strict_json(out)
+    # the instructors below the default --min-n 5 are excluded
+    assert report["aggregate"]["total_n"] == int(counts[counts >= 5].sum())
+    excluded = [f"instructor-{k:05d}" for k in np.flatnonzero(counts < 5)]
+    assert report["excluded"] == excluded
+
+
+def test_dispersion_report_is_not_held_whole(tmp_path, capsys, large_inputs):
+    # shaped like a ratings export, ~50k rows and a ~1 MB file; the peak is
+    # the reader's lists plus the rows, not a copy of the ~300 KB report text
     report = tmp_path / "report.json"
-    argv = ["dispersion", "--ratings-csv", str(path), "--output", str(report)]
+    argv = ["dispersion", "--ratings-csv", large_inputs["long.csv"]]
+    argv += ["--output", str(report)]
     tracemalloc.start()
     try:
         code = main(argv)
@@ -448,14 +619,8 @@ def _reader_runs(tmp_path):
     """Per reader, the argv of a run on valid input and the file in it that
     a test prefixes with a UTF-8 byte-order mark."""
     doc = json.loads(example_survey_path().read_text(encoding="utf-8"))
-    matrix, ratings, long = (tmp_path / f"{name}.csv" for name in ("m", "r", "l"))
-    matrix.write_text(
-        "".join(",".join(map(str, row)) + "\n" for row in doc["competence"]),
-        encoding="utf-8",
-    )
-    ratings.write_text(
-        "".join(f"{value}\n" for value in doc["ratings"]), encoding="utf-8"
-    )
+    matrix, ratings = write_csv_pair(tmp_path, doc["competence"], doc["ratings"])
+    long = tmp_path / "long.csv"
     long.write_text("label,rating\na,4\na,4\na,1\nb,5\nb,3\n", encoding="utf-8")
     pair = ["rate", "--competence-csv", matrix, "--ratings-csv", ratings]
     return {
@@ -694,10 +859,11 @@ def test_scenarios_summary_skips_a_method_that_always_failed(tmp_path, capsys):
 # course at student 0's rating
 TO_FIRST = [[0, 0, 0], [1, 0, 0], [1, 0, 0]]
 LEAVE_ONE_OUT_GRID = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+REDUCTIONS = [f"mean_{method}_reduction_pct" for method in METHODS]
 
 
 @pytest.mark.parametrize(
-    "doc, error",
+    "doc, expected",
     [
         pytest.param(
             {
@@ -727,7 +893,8 @@ LEAVE_ONE_OUT_GRID = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
                 "biased_index": 2,
                 "scenarios": [{"id": 1, "competence": TO_FIRST}],
             },
-            None,
+            # the baseline error is subnormal, so no reduction is a float
+            dict.fromkeys(REDUCTIONS),
             id="tiny-baseline",
         ),
         pytest.param(
@@ -737,26 +904,28 @@ LEAVE_ONE_OUT_GRID = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
                 "biased_index": 2,
                 "scenarios": [{"id": k, "competence": TO_FIRST} for k in (1, 2)],
             },
-            None,
+            # two reductions of -1e308 whose sum overflows
+            dict.fromkeys(REDUCTIONS, -1e308),
             id="summary-mean-overflows",
         ),
     ],
 )
 def test_scenarios_past_the_float_range_keep_the_report_strict(
-    tmp_path, capsys, doc, error
+    tmp_path, capsys, doc, expected
 ):
     # each ran with exit 0 and wrote Infinity or NaN into its report, the
-    # first with a numpy RuntimeWarning on the way
+    # first with a numpy RuntimeWarning on the way; ``expected`` is the
+    # error line or the report's summary
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "scenarios", "--scenario-file", str(path))
-    if error is not None:
-        assert (code, out, err) == (2, "", f"error: {error}\n")
+    if isinstance(expected, str):
+        assert (code, out, err) == (2, "", f"error: {expected}\n")
     else:
         assert code == 0
-        json.dumps(json.loads(out), allow_nan=False)
+        assert strict_json(out)["summary"] == expected
 
 
 @pytest.mark.parametrize(
@@ -799,9 +968,11 @@ def test_stderr_numbers_near_the_float_range_use_e_notation(
     # means of 309 digits each
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run_cli(capsys, *command, str(path))
+    code, out, err = run_cli(capsys, *command, str(path))
     assert code == 0
     assert err.splitlines() == lines
+    # and the report beside them is strict JSON
+    strict_json(out)
 
 
 @pytest.mark.parametrize(
@@ -865,6 +1036,12 @@ def test_scenarios_malformed_bundle_exits_2(tmp_path, capsys, change, message):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run_cli(capsys, "scenarios", "--scenario-file", str(path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
+    if "scenarios" not in change:
+        # a survey document of the same fields gets the same line
+        del doc["biased_index"], doc["scenarios"]
+        path.write_text(json.dumps({**doc, "competence": [[0, 1], [1, 0]]}), "utf-8")
+        result = run_cli(capsys, "rate", "--survey", str(path))
+        assert result == (2, "", f"error: {message}\n")
 
 
 def test_scenarios_deeply_nested_json_exits_2(tmp_path, capsys):

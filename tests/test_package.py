@@ -1,17 +1,22 @@
 """The package namespace, and which commands import numpy."""
 
+import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import classrank
-from classrank import common
+from classrank import common, data
 from classrank.data import (
     clarity_counts_path,
     example_survey_path,
     scenario_fixture_path,
 )
+
+CHECKOUT = Path(__file__).parents[1]
 
 
 def fresh(script, *args):
@@ -154,3 +159,31 @@ def test_names_moved_to_common_keep_their_old_import_paths():
             assert getattr(module, name) is getattr(common, name)
     # a module the package used to import eagerly is still its attribute
     assert fresh("import classrank; print(classrank.report.SCHEMA_VERSION)") == "1\n"
+
+
+def test_package_data_ships_with_the_package():
+    # run against an installed package, this is what pip must have copied
+    pyproject = (CHECKOUT / "pyproject.toml").read_text(encoding="utf-8")
+    globs = re.search(
+        r"^\[tool\.setuptools\.package-data\]\nclassrank = (.*)$", pyproject, re.M
+    )
+    sources = CHECKOUT / "src" / "classrank"
+    installed = Path(classrank.__file__).parent
+    # a TOML array of double-quoted strings is a JSON one
+    for pattern in json.loads(globs[1]):
+        files = sorted(sources.glob(pattern))
+        assert files, pattern
+        for path in files:
+            shipped = installed / path.relative_to(sources)
+            assert shipped.read_bytes() == path.read_bytes(), shipped
+    # and every bundled file loads through its library reader
+    readers = {
+        "scenario_fixture_path": classrank.load_scenarios,
+        "example_survey_path": classrank.load_survey_json,
+        "helpfulness_counts_path": classrank.read_dispersion_csv,
+        "clarity_counts_path": classrank.read_dispersion_csv,
+    }
+    paths = {name for name in vars(data) if name.endswith("_path") and name[0] != "_"}
+    assert paths == set(readers)
+    for name, reader in readers.items():
+        reader(getattr(data, name)())
