@@ -170,7 +170,9 @@ def _emit(document: dict, output: str | None) -> None:
 def _figure(value: float, places: int) -> str:
     """``value`` with ``places`` decimals for a stderr summary: fixed point
     below a magnitude of 1e15, e notation from there up, where fixed point
-    would print every one of a large float's up to 309 digits."""
+    would print every one of a large float's up to 309 digits. The
+    dispersion summary's percentages, at most 100, print in fixed point
+    without it."""
     return f"{value:.{places}{'f' if abs(value) < 1e15 else 'e'}}"
 
 

@@ -41,7 +41,9 @@ def dispersion_row(
     and finite, else ScaleViolation, as for a RatingVector. A list or tuple
     of Python ints and floats passes on one scan of its entries' types, and
     any other iterable is read into a list first; finiteness is checked on
-    the distinct values.
+    the distinct values. The checks come in this order: an unknown
+    ``tiebreak`` (ValueError), a rating that is not a real number, no
+    ratings at all (EmptyInput), a rating that is not finite.
     """
     if tiebreak not in TIEBREAKS:
         raise ValueError(f"unknown tiebreak {tiebreak!r}")

@@ -80,7 +80,11 @@ def rate_survey(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> WeightedRatingReport:
-    """Compute degree and eigenfactor weighted ratings for one survey."""
+    """Compute degree and eigenfactor weighted ratings for one survey.
+
+    The report keeps ``alpha`` as a Python float, whatever real number it
+    was given as.
+    """
     # the solver validates alpha, tol and max_iter, so it runs first: a bad
     # setting is reported before a degenerate network is
     eigenfactor = score_method(survey, "eigenfactor", alpha, tol, max_iter)

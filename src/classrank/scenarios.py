@@ -212,7 +212,10 @@ def load_scenarios(
     at least two ratings, by the scenario's Scenario, after its survey is
     built; each raises the library's own error. An error of one scenario's
     matrix, or of its size against the ratings, is raised again as the
-    same class with ``scenario <id>: `` in front."""
+    same class with ``scenario <id>: `` in front. Scenarios are read in
+    the order listed, so the first bad one listed is the one reported.
+    ``label`` defaults to "scenario", and each survey is labelled
+    ``<label>-<id>``."""
     data = _read_document(source, "scenario", ("ratings", "biased_index", "scenarios"))
     if not isinstance(data["scenarios"], list) or not data["scenarios"]:
         raise MalformedInput("scenario document holds no scenarios")

@@ -543,8 +543,9 @@ def load_competence_csv(path) -> np.ndarray:
     a JSON grid is. Any other cell (``1.0``, `` 1 ``, ``1e0``, a
     whitespace-only cell) sends the whole file through ``_cell`` into a
     float array, which accepts the same cells as ever: a blank cell reads
-    as 0, one that is not a number raises MalformedInput naming it, and a
-    number other than 0 or 1 is left for validation to reject.
+    as 0, one that is not a number raises MalformedInput naming it without
+    its surrounding whitespace, and a number other than 0 or 1 is left for
+    validation to reject.
     """
     with _csv_reader(path) as reader:
         rows = [*_records(reader, path, None, "ragged matrix rows", "no matrix rows")]

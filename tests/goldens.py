@@ -1,10 +1,12 @@
 """Frozen reference values for the bundled data.
 
-Weight columns and ratings are 4-decimal published reference figures for
-the six-scenario fixture; tolerances absorb that rounding. The scenario 3
-eigenfactor column is internally inconsistent as printed (it sums to 1.0001
-and implies a different rating than the one printed next to it), so it
-carries a wider, separately documented tolerance. See
+Weight columns, ratings and errors are 4-decimal published reference
+figures for the six-scenario fixture; tolerances absorb that rounding, and
+``test_scenarios.py`` also pins 132 of the 144 figures to every printed
+digit. The other 12 are the scenario 3 eigenfactor column, which is
+internally inconsistent as printed (it sums to 1.0001 and implies a
+different rating than the one printed next to it), its rating and its
+error: they carry a wider, separately documented tolerance. See
 src/classrank/data/NOTES.md.
 """
 

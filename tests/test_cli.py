@@ -19,7 +19,7 @@ from classrank.data import (
     scenario_fixture_path,
 )
 from classrank.survey import load_competence_csv, load_ratings_csv
-from goldens import PCT_TOL, SCENARIO_EXPECTED
+from goldens import PCT_TOL, RATING_TOL, SCENARIO_EXPECTED
 
 
 def run_cli(capsys, *argv):
@@ -118,10 +118,10 @@ def test_rate_survey_json(capsys):
     assert report["n"] == 10
     assert report["arithmetic_mean"] == 3.7
     assert report["degree"]["weighted_rating"] == pytest.approx(
-        SCENARIO_EXPECTED[1]["degree_rating"], abs=5e-4
+        SCENARIO_EXPECTED[1]["degree_rating"], abs=RATING_TOL
     )
     assert report["eigenfactor"]["weighted_rating"] == pytest.approx(
-        SCENARIO_EXPECTED[1]["eigenfactor_rating"], abs=5e-4
+        SCENARIO_EXPECTED[1]["eigenfactor_rating"], abs=RATING_TOL
     )
     assert report["eigenfactor"]["alpha"] == 0.85
     assert report["eigenfactor"]["iterations"] >= 1
