@@ -88,11 +88,20 @@ def degree_weights(competence: CompetenceMatrix) -> np.ndarray:
 def weighted_rating(ratings: RatingVector, weights: np.ndarray) -> float:
     """Convex combination of the ratings under the given weights.
 
+    The sum is numpy's pairwise sum (``np.add.reduce``) of the products,
+    not a BLAS dot, whose kernel OpenBLAS picks by CPU and whose kernels
+    round differently: no step from validation to report calls BLAS, so
+    the rating has the same bits on every machine. Before the clamp it lies
+    within gamma_n * sum|w_i y_i| of the exact sum of w_i y_i over these
+    very floats, where gamma_n = n u / (1 - n u) and u = 2**-53 (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., §3.1 and
+    §4.2: the bound holds for any summation order).
+
     The result is clamped to [ratings.low, ratings.high], the smallest and
     largest rating: mathematically it always lies there, and the clamp keeps
     the guarantee under floating-point roundoff. Raises DimensionMismatch
     unless ``weights`` is a 1-d ndarray with one entry a rating.
     """
     _per_student(weights, ratings.n, "weights")
-    value = float(weights @ ratings.values)
+    value = float(np.add.reduce(weights * ratings.values))
     return min(max(value, ratings.low), ratings.high)

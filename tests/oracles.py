@@ -120,3 +120,21 @@ def random_binary_matrix(rng, n: int, density: float = 0.5) -> np.ndarray:
         j = (i + 1 + int(rng.integers(n - 1))) % n
         matrix[i, j] = 1
     return matrix
+
+
+# the unit roundoff of a float64
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def inner_product_error(value: float, weights, values) -> tuple[Fraction, Fraction]:
+    """How far ``value`` lies from the exact sum of ``weights[i] *
+    values[i]``, and the bound gamma_n * sum|w_i y_i| on that distance for
+    any floating-point order of the n products and their sum, with
+    gamma_n = n u / (1 - n u) (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., §3.1 and §4.2). Both are exact Fractions over the
+    exact values of the given floats.
+    """
+    products = [Fraction(w) * Fraction(y) for w, y in zip(weights, values)]
+    n_u = len(products) * UNIT_ROUNDOFF
+    bound = n_u / (1 - n_u) * sum(map(abs, products))
+    return abs(Fraction(value) - sum(products)), bound

@@ -16,7 +16,7 @@ from classrank import (
 )
 from classrank.report import METHODS, score_method
 from goldens import RATING_TOL, SCENARIO_EXPECTED, WEIGHT_TOL
-from oracles import degree_oracle
+from oracles import degree_oracle, inner_product_error
 
 
 def test_golden_weights_all_scenarios(result_by_id):
@@ -133,6 +133,19 @@ def test_rating_stays_within_bounds_even_when_all_equal():
     weights = degree_weights(survey.competence)
     rating = weighted_rating(survey.ratings, weights)
     assert rating == 4.0
+
+
+def test_fixture_ratings_are_within_the_inner_product_bound(
+    scenario_by_id, result_by_id
+):
+    # all 12 method results of the fixture, against the exact sum over
+    # their own float weights
+    for sid, result in result_by_id.items():
+        values = scenario_by_id[sid].survey.ratings.values
+        for method in METHODS:
+            scored = getattr(result, method)
+            error, bound = inner_product_error(scored.rating, scored.weights, values)
+            assert error <= bound, (sid, method, float(error / bound))
 
 
 def _check_against_oracle(matrix):

@@ -26,7 +26,8 @@ from classrank import (
     validate_survey,
     weighted_rating,
 )
-from classrank.report import scenario_report_dict
+from classrank.report import METHODS, scenario_report_dict
+from oracles import inner_product_error
 
 ratings_values = st.floats(min_value=1.0, max_value=5.0, allow_nan=False)
 
@@ -280,6 +281,34 @@ def test_weighted_ratings_stay_in_bounds(network):
     for weights in both_weightings(survey):
         rating = weighted_rating(survey.ratings, weights)
         assert low <= rating <= high
+
+
+@given(networks(max_n=30))
+@settings(deadline=None)
+def test_rating_is_within_the_inner_product_bound(network):
+    survey = validate_survey(*network)
+    for weights in both_weightings(survey):
+        rating = weighted_rating(survey.ratings, weights)
+        error, bound = inner_product_error(rating, weights, survey.ratings.values)
+        assert error <= bound, float(error / bound)
+
+
+@given(networks(max_n=30), st.data())
+@settings(deadline=None)
+def test_error_splits_into_the_outlier_term_and_the_honest_terms(network, data):
+    # the weights sum to 1, so r - u = w_b (y_b - u) + sum_{i != b} w_i (y_i - u)
+    # for the leave-b-out mean u, as on the fixture in test_scenarios.py
+    survey = validate_survey(*network)
+    b = data.draw(st.integers(0, survey.n - 1), label="biased index")
+    scenario = Scenario(id=1, survey=survey, biased_index=b)
+    result = run_scenario(scenario)
+    u = scenario.unbiased_mean
+    deviations = survey.ratings.values - u
+    for method in METHODS:
+        scored = getattr(result, method)
+        outlier = scored.weights[b] * deviations[b]
+        honest = np.delete(scored.weights, b) @ np.delete(deviations, b)
+        assert abs(scored.rating - u - (outlier + honest)) <= 1e-12
 
 
 @given(networks_with_permutations())
