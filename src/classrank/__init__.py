@@ -54,9 +54,6 @@ __all__ = sorted(_HOMES)
 
 
 def __getattr__(name):
-    # a module that the package used to import eagerly is still an attribute
-    if name in _EXPORTS:
-        return import_module(f".{name}", __name__)
     if name not in _HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f".{_HOMES[name]}", __name__), name)

@@ -17,8 +17,6 @@ line loads none of them: ``dispersion`` loads no numpy, ``rate`` and
 up the bundled fixture only when no ``--scenario-file`` is given.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import json

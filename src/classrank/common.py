@@ -14,8 +14,6 @@ defaults, ``dispersion`` ``DEFAULT_MIN_N`` and ``TIEBREAKS``, and
 ``report`` ``SCHEMA_VERSION``.
 """
 
-from __future__ import annotations
-
 import numbers
 from contextlib import contextmanager
 from itertools import filterfalse

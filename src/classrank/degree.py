@@ -9,19 +9,17 @@ distribution. The weights are the mass each student receives, rescaled to
 sum to one, so a student endorsed by nobody gets weight exactly zero.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .errors import DegenerateNetwork, DimensionMismatch
 from .survey import CompetenceMatrix, RatingVector, _readonly
 
 # np.bincount's C function, called past numpy's __array_function__
-# dispatcher (NEP 18's ``_implementation``): the dispatcher costs a
-# Python-level call per power step, and the kernel is only ever given plain
-# ndarrays, which it would hand to this same function. A numpy without the
-# attribute gets the dispatcher itself, with the same results.
-_bincount = getattr(np.bincount, "_implementation", np.bincount)
+# dispatcher (NEP 18's ``_implementation``, present since numpy 1.17): the
+# dispatcher is C code too, but it still adds ~0.14 us to each call, one per
+# power step, and the kernel is only ever given plain ndarrays, which it
+# would hand to this same function.
+_bincount = np.bincount._implementation
 
 
 def _incoming_mass(

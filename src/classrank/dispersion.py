@@ -8,8 +8,6 @@ totals a ``DispersionAggregate``: both are named tuples, so the report takes
 each one's fields, in declaration order, from its ``_asdict()``.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter, namedtuple
 

@@ -11,8 +11,6 @@ positive. A student's weight is then the stationary-visit-weighted incoming
 mass, so endorsements from influential students count for more.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 import numpy as np

@@ -6,8 +6,6 @@ json.loads reproduces bit-identical values. The dispersion report is built
 by ``dispersion.dispersion_report_dict``, which needs no numpy.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

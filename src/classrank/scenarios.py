@@ -7,8 +7,6 @@ leave-the-biased-one-out mean, then summarizes how much of the mean's error
 each weighting method removes.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field
 
@@ -40,8 +38,10 @@ from .survey import (
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One survey with one rating index declared as biased: an integer
-    (numpy's too, not a bool) in 0..n-1, else IndexOutOfRange. The survey
+    """One survey with one rating index declared as biased. ``id`` must be
+    an integer (numpy's too, not a bool), else MalformedInput, and is kept
+    as a Python int, which the report's JSON takes. The biased index must
+    be such an integer in 0..n-1, else IndexOutOfRange. The survey
     must hold at least two ratings, else EmptyInput, since
     ``unbiased_mean`` is the mean of the others, taken once here by
     ``_mean``, as RatingVector takes the mean of all. Every score is a
@@ -55,6 +55,9 @@ class Scenario:
     unbiased_mean: float = field(init=False)
 
     def __post_init__(self):
+        if not _integer(self.id):
+            raise MalformedInput(f"scenario id must be an integer, got {self.id!r}")
+        object.__setattr__(self, "id", int(self.id))
         ratings = self.survey.ratings
         i = self.biased_index
         _check_index(i, ratings.n, "biased index")

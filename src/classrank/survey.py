@@ -16,8 +16,6 @@ and so on) sends its grid down the general path through ``np.asarray`` or
 ``float()``, so it is accepted or rejected as before, never truncated.
 """
 
-from __future__ import annotations
-
 import json
 import math
 from collections.abc import Mapping, Set

@@ -52,6 +52,10 @@ def _biased_index(value):
     return Scenario(id=1, survey=validate_survey([4, 5], PAIR), biased_index=value)
 
 
+def _scenario_id(value):
+    return Scenario(id=value, survey=validate_survey([4, 5], PAIR), biased_index=0)
+
+
 def _bundle_id(value):
     return load_scenarios(_bundle(sid=value))
 
@@ -70,6 +74,12 @@ INTEGERS = {
         1,
         IndexOutOfRange,
         "biased index must be an integer, got {}",
+    ),
+    "scenario-id": (
+        _scenario_id,
+        1,
+        MalformedInput,
+        "scenario id must be an integer, got {}",
     ),
     "bundle-id": (_bundle_id, 1, MalformedInput, "scenario #1 id must be an integer"),
     "inject_bias-index": (

@@ -26,7 +26,8 @@ from classrank import (
     run_scenario,
     validate_survey,
 )
-from classrank.report import METHODS
+from classrank.data import scenario_fixture_path
+from classrank.report import METHODS, scenario_report_dict
 from goldens import (
     ARITHMETIC_MEAN,
     ERR_MEAN,
@@ -392,6 +393,22 @@ def test_loader_rejects_a_scenario_id_that_is_not_an_integer(sid):
     scenarios = [{"id": sid, "competence": TRIANGLE}]
     with pytest.raises(MalformedInput, match="^scenario #1 id must be an integer$"):
         load_scenarios(_bundle(scenarios=scenarios))
+
+
+def test_numpy_integer_ids_render_the_report_of_python_int_ids():
+    # np.int64 ids passed the integer rule and then broke json.dumps
+    document = json.loads(scenario_fixture_path().read_text(encoding="utf-8"))
+    entries = document["scenarios"]
+
+    def report(scenarios):
+        bundle = load_scenarios({**document, "scenarios": scenarios})
+        results = [run_scenario(scenario) for scenario in bundle]
+        summary = error_reduction_summary(results)
+        return json.dumps(scenario_report_dict(results, summary, {}))
+
+    numpy_ids = [{**entry, "id": np.int64(entry["id"])} for entry in entries]
+    assert report(numpy_ids) == report(entries)
+
 
 def test_loader_rejects_non_number_cells_and_scale():
     for cell in (True, "1"):
